@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import FoldPlan, TimeSeriesFrame
 from .errors import EmptyTable, EmptyWindows, GuardrailExceeded, \
-    NoAdmissibleWindows, NonFiniteLoss
+    NoAdmissibleWindows, NonFiniteLoss, TrainingLossRose
 from .evaluation import evaluate
 from .models import ModelSpec
 from .pipeline import train_on_plan
@@ -106,7 +106,8 @@ def _score_subset(base_spec: ModelSpec, covariates: tuple[str, ...],
                                        split="validation", scaler=scaler).mse)
             test_scores.append(evaluate(model, frame, plan, spec.task,
                                         split="test", scaler=scaler).mse)
-        except (NonFiniteLoss, NoAdmissibleWindows, EmptyWindows):
+        except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows,
+                EmptyWindows):
             return None, None, "training failed"
     return (sum(val_scores) / len(val_scores),
             sum(test_scores) / len(test_scores), "")
@@ -176,7 +177,8 @@ def history_sweep(base_spec: ModelSpec, h_values, frame: TimeSeriesFrame,
             model, _, scaler = train_on_plan(spec, frame, plan)
             return evaluate(model, frame, plan, spec.task, split="test",
                             scaler=scaler).mse
-        except (NonFiniteLoss, NoAdmissibleWindows, EmptyWindows):
+        except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows,
+                EmptyWindows):
             return None
 
     return list(zip(h_values, parallel_map(score, h_values, jobs=jobs)))

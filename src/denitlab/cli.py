@@ -45,7 +45,7 @@ _DATA_ERRORS = (err.MissingColumn, err.UnparsableTimestamp, err.UnparsableValue,
                 err.MixedGroups, err.LengthMismatch, err.NonFinite,
                 err.NonFiniteInput, err.WindowCrossesGap, FileNotFoundError)
 _TRAIN_ERRORS = (err.NonFiniteLoss, err.AllTrialsFailed, err.EmptyWindows,
-                 err.DimensionMismatch)
+                 err.DimensionMismatch, err.TrainingLossRose)
 
 
 def _write_manifest(config: ExperimentConfig, out: Path, command: str) -> None:

@@ -79,6 +79,10 @@ class NonFiniteLoss(DenitlabError):
         self.log = log
 
 
+class TrainingLossRose(DenitlabError):
+    """A full-data boosting stage raised the training loss."""
+
+
 class SpecMismatch(DenitlabError):
     pass
 

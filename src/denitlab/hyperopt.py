@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import FoldPlan, TimeSeriesFrame, make_final_split
 from .errors import AllTrialsFailed, EmptyWindows, InvalidConfig, \
-    NoAdmissibleWindows, NonFiniteLoss
+    NoAdmissibleWindows, NonFiniteLoss, TrainingLossRose
 from .evaluation import evaluate
 from .models import ModelSpec
 from .pipeline import train_on_plan
@@ -100,7 +100,7 @@ def _score_fold(spec: ModelSpec, frame: TimeSeriesFrame, fold: FoldPlan) -> floa
         report = evaluate(model, frame, fold, spec.task, split="validation",
                           scaler=scaler)
         return report.mse
-    except (NonFiniteLoss, NoAdmissibleWindows, EmptyWindows):
+    except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows, EmptyWindows):
         return math.inf
 
 

@@ -17,15 +17,14 @@ from ..errors import EmptyWindows, SpecMismatch, WindowCrossesGap
 from ..preprocess import WindowSample, WindowSet
 from . import elastic_net as _enet
 from . import gbt as _gbt
-from .networks import init_network_params, loss_and_grad, network_forward, train_network
+from .networks import loss_and_grad, network_forward, train_network
 from .spec import ARCHS, DEFAULT_HYPERPARAMS, ModelSpec, TASKS, TrainLog, TrainedModel
 
 __all__ = [
     "ARCHS", "TASKS", "DEFAULT_HYPERPARAMS", "ModelSpec", "TrainLog",
     "TrainedModel", "train_model", "predict", "predict_batch",
     "rollout_forecast", "rollout_forecast_batch", "serialize", "deserialize",
-    "save_model", "load_model", "init_network_params", "loss_and_grad",
-    "network_forward",
+    "save_model", "load_model", "loss_and_grad", "network_forward",
 ]
 
 MODEL_FORMAT = "denitlab-model"

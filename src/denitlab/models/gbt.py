@@ -5,43 +5,62 @@ depth-limited regression tree to the current residuals (exact greedy splits
 over sorted feature values, variance-reduction criterion) and add it with a
 learning rate. Split ties break on lowest feature index, then lowest
 threshold, so a fit is a deterministic function of (data, params, seed).
+
+Split search uses the presorted column layout of XGBoost's exact greedy
+algorithm (Chen & Guestrin, KDD 2016, section 4.1). Each feature is
+stable-sorted once per fit, or once per tree when rows are subsampled, into
+an int32 list of row ids in (value, row) order. A split node hands each child
+the ids of every list that fall on its side, in list order, so no node sorts
+again: after the one sort, a tree level costs O(n * p) gathers and
+cumulative sums for n rows and p features. A stable filter of a stable sort
+is the stable sort of the subset, so every node scans the same values in the
+same order as a fresh stable argsort of its rows would, and its mean and sum
+read the residuals in ascending row order (numpy's pairwise sums depend on
+order). Splits, tie-breaks and every float thus match a splitter that
+re-sorts at every node, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyWindows
+from ..errors import DimensionMismatch, EmptyWindows, TrainingLossRose
 from .spec import TrainLog
 
 
-def _build_tree(X: np.ndarray, r: np.ndarray, max_depth: int,
-                min_samples_leaf: int, depth: int = 0) -> dict:
-    value = float(r.mean())
-    n = len(r)
-    if depth >= max_depth or n < 2 * min_samples_leaf or np.all(r == r[0]):
+def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
+                orders: np.ndarray, max_depth: int, min_samples_leaf: int,
+                depth: int = 0) -> dict:
+    """Grow the subtree over rows ``idx`` (ascending) of ``XT.T`` and ``r``.
+
+    Row ``j`` of ``orders`` holds the same rows sorted stably by feature ``j``.
+    """
+    rn = r[idx]
+    value = float(rn.mean())
+    n = len(rn)
+    if depth >= max_depth or n < 2 * min_samples_leaf or np.all(rn == rn[0]):
         return {"leaf": True, "value": value}
 
-    parent_sse = float(((r - value) ** 2).sum())
+    parent_sse = float(((rn - value) ** 2).sum())
     best_gain = 0.0
     best: tuple[int, float] | None = None
     positions = np.arange(1, n)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
+    in_range = (positions >= min_samples_leaf) \
+        & (positions <= n - min_samples_leaf)
+    for j, (x, order) in enumerate(zip(XT, orders)):
+        xs = x[order]
         rs = r[order]
         cs = np.cumsum(rs)
         css = np.cumsum(rs ** 2)
         total, total_sq = cs[-1], css[-1]
         # candidate split after position i-1 (left size i); thresholds ascend
-        valid = (xs[:-1] != xs[1:]) \
-            & (positions >= min_samples_leaf) \
-            & (positions <= n - min_samples_leaf)
+        valid = (xs[:-1] != xs[1:]) & in_range
         if not valid.any():
             continue
         i = positions[valid]
-        left_sse = css[i - 1] - cs[i - 1] ** 2 / i
-        right_sse = (total_sq - css[i - 1]) - (total - cs[i - 1]) ** 2 / (n - i)
+        cl, cql = cs[:-1][valid], css[:-1][valid]  # left sums at each i
+        left_sse = cql - cl ** 2 / i
+        right_sse = (total_sq - cql) - (total - cl) ** 2 / (n - i)
         gains = parent_sse - left_sse - right_sse
         k = int(np.argmax(gains))  # first maximum = lowest threshold
         if gains[k] > best_gain:
@@ -53,15 +72,31 @@ def _build_tree(X: np.ndarray, r: np.ndarray, max_depth: int,
         return {"leaf": True, "value": value}
 
     feature, threshold = best
-    mask = X[:, feature] < threshold
+    in_left = XT[feature, idx] < threshold
+    go_left = np.zeros(XT.shape[1], dtype=bool)
+    go_left[idx] = in_left
+    # every row of orders holds the same rows, so each keeps n_left of them
+    sides = go_left[orders]
+    n_left = int(in_left.sum())
     return {
         "leaf": False,
         "value": value,
         "feature": feature,
         "threshold": threshold,
-        "left": _build_tree(X[mask], r[mask], max_depth, min_samples_leaf, depth + 1),
-        "right": _build_tree(X[~mask], r[~mask], max_depth, min_samples_leaf, depth + 1),
+        "left": _build_tree(XT, r, idx[in_left],
+                            orders[sides].reshape(len(orders), n_left),
+                            max_depth, min_samples_leaf, depth + 1),
+        "right": _build_tree(XT, r, idx[~in_left],
+                             orders[~sides].reshape(len(orders), n - n_left),
+                             max_depth, min_samples_leaf, depth + 1),
     }
+
+
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X.T`` made contiguous, and per feature the row ids of ``X`` in
+    stable (value, row) order, as int32 to halve the index memory."""
+    XT = np.ascontiguousarray(X.T)
+    return XT, np.argsort(XT, axis=1, kind="stable").astype(np.int32)
 
 
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
@@ -103,17 +138,23 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
     n = len(y)
 
     if not degenerate:
+        if subsample >= 1.0:  # every tree sees all rows: sort once per fit
+            XT, orders = _presort(X)
         for _ in range(n_trees):
             if subsample < 1.0:
+                # choice() returns rows unordered: sort X[rows] in its own order
                 rows = rng.choice(n, size=max(1, int(subsample * n)), replace=False)
+                XT, orders = _presort(X[rows])
+                rt = r[rows]
             else:
-                rows = np.arange(n)
-            tree = _build_tree(X[rows], r[rows], max_depth, min_samples_leaf)
+                rt = r
+            root = np.arange(len(rt), dtype=np.int32)
+            tree = _build_tree(XT, rt, root, orders, max_depth, min_samples_leaf)
             r -= learning_rate * _tree_predict(tree, X)
             trees.append(tree)
             losses.append(float((r ** 2).mean()))
             if subsample == 1.0 and losses[-1] > losses[-2] + 1e-12:
-                raise AssertionError(
+                raise TrainingLossRose(
                     f"training loss rose at stage {len(trees)}: "
                     f"{losses[-2]} -> {losses[-1]}")
 

@@ -37,12 +37,6 @@ def network_forward(arch: str, params: dict, X: np.ndarray) -> np.ndarray:
     return yhat
 
 
-def init_network_params(spec: ModelSpec, n_in: int) -> dict:
-    rng = np.random.default_rng(spec.seed)
-    return _BACKENDS[spec.arch].init_params(n_in, spec.window_length,
-                                            spec.resolved(), rng)
-
-
 def _snapshot(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-import numpy as np
-
 from ..dataset import Scaler
 from ..errors import InvalidSpec
 
@@ -172,6 +170,3 @@ class TrainedModel:
     spec: ModelSpec
     parameters: dict[str, Any]
     scaler: Scaler
-
-    def param_array(self, name: str) -> np.ndarray:
-        return self.parameters[name]

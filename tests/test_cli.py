@@ -243,3 +243,15 @@ class TestExitCodes:
             assert main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 4
         assert "training error" in capsys.readouterr().err
+
+    def test_rising_gbt_loss_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+        from denitlab.models import gbt
+        monkeypatch.setattr(gbt, "_tree_predict",
+                            lambda tree, X: np.full(len(X), 1.0e3))
+        cfg = write_config(tmp_path / "gbt.yaml", archs=["gbt"],
+                           hyperparams={"gbt": {"n_trees": 3, "max_depth": 2}},
+                           synth={"days": 6, "seed": 3})
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "training loss rose" in capsys.readouterr().err

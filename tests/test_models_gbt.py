@@ -1,8 +1,138 @@
 import numpy as np
 import pytest
 
-from denitlab.errors import DimensionMismatch
+from denitlab.errors import DimensionMismatch, TrainingLossRose
+from denitlab.models import gbt
 from denitlab.models.gbt import fit_gbt, predict_gbt
+
+
+# --- oracle: the splitter that re-sorts every feature at every node ---------
+
+def _oracle_build_tree(X, r, max_depth, min_samples_leaf, depth=0):
+    value = float(r.mean())
+    n = len(r)
+    if depth >= max_depth or n < 2 * min_samples_leaf or np.all(r == r[0]):
+        return {"leaf": True, "value": value}
+
+    parent_sse = float(((r - value) ** 2).sum())
+    best_gain = 0.0
+    best = None
+    positions = np.arange(1, n)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        rs = r[order]
+        cs = np.cumsum(rs)
+        css = np.cumsum(rs ** 2)
+        total, total_sq = cs[-1], css[-1]
+        valid = (xs[:-1] != xs[1:]) \
+            & (positions >= min_samples_leaf) \
+            & (positions <= n - min_samples_leaf)
+        if not valid.any():
+            continue
+        i = positions[valid]
+        left_sse = css[i - 1] - cs[i - 1] ** 2 / i
+        right_sse = (total_sq - css[i - 1]) - (total - cs[i - 1]) ** 2 / (n - i)
+        gains = parent_sse - left_sse - right_sse
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            thr = 0.5 * (xs[i[k] - 1] + xs[i[k]])
+            if xs[i[k] - 1] < thr <= xs[i[k]]:
+                best_gain = float(gains[k])
+                best = (j, float(thr))
+    if best is None:
+        return {"leaf": True, "value": value}
+
+    feature, threshold = best
+    mask = X[:, feature] < threshold
+    return {
+        "leaf": False,
+        "value": value,
+        "feature": feature,
+        "threshold": threshold,
+        "left": _oracle_build_tree(X[mask], r[mask], max_depth,
+                                   min_samples_leaf, depth + 1),
+        "right": _oracle_build_tree(X[~mask], r[~mask], max_depth,
+                                    min_samples_leaf, depth + 1),
+    }
+
+
+def _oracle_fit_gbt(X, y, n_trees=100, max_depth=3, learning_rate=0.1,
+                    min_samples_leaf=5, subsample=1.0, seed=0):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    init = float(y.mean())
+    trees = []
+    r = y - init
+    losses = [float((r ** 2).mean())]
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    if not np.all(y == y[0]):
+        for _ in range(n_trees):
+            if subsample < 1.0:
+                rows = rng.choice(n, size=max(1, int(subsample * n)),
+                                  replace=False)
+            else:
+                rows = np.arange(n)
+            tree = _oracle_build_tree(X[rows], r[rows], max_depth,
+                                      min_samples_leaf)
+            r -= learning_rate * gbt._tree_predict(tree, X)
+            trees.append(tree)
+            losses.append(float((r ** 2).mean()))
+    params = {"init": init, "trees": trees, "learning_rate": learning_rate}
+    return params, tuple(losses)
+
+
+def _problem(seed, n=120, p=5):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = np.sin(2 * X[:, 0]) + X[:, -1] * X[:, 0] + rng.normal(0, 0.3, n)
+    return X, y
+
+
+def _equivalence_case(name):
+    if name == "heavy_ties":
+        # a mirrored column ties every split of column 0 in exact arithmetic,
+        # so the winner rests on the last bits of sums taken in sorted order
+        X, y = _problem(1, n=150)
+        X = np.round(X)
+        X[:, 1] = -X[:, 0]
+        return X, np.round(y, 1)
+    if name == "constant_column":
+        X, y = _problem(2)
+        return np.column_stack([X[:, :2], np.full(len(X), 2.5), X[:, 2:]]), y
+    if name == "single_feature":
+        X, y = _problem(3)
+        return X[:, :1], y
+    assert name == "fewer_rows_than_two_leaves"
+    return _problem(4, n=9)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["heavy_ties", "constant_column",
+                                  "single_feature", "fewer_rows_than_two_leaves"])
+def test_presorted_trees_match_resorting_oracle(case, max_depth,
+                                               min_samples_leaf):
+    X, y = _equivalence_case(case)
+    kwargs = dict(n_trees=12, max_depth=max_depth, learning_rate=0.3,
+                  min_samples_leaf=min_samples_leaf)
+    params, log = fit_gbt(X, y, **kwargs)
+    oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
+    assert params == oracle_params
+    assert log.train_loss == oracle_losses
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_presorted_subsampled_trees_match_resorting_oracle(seed):
+    X, y = _problem(10 + seed, n=100, p=4)
+    X[:, 1] = np.round(X[:, 1] * 2)  # ties inside each subsample too
+    kwargs = dict(n_trees=10, max_depth=3, learning_rate=0.2,
+                  min_samples_leaf=3, subsample=0.6, seed=seed)
+    params, log = fit_gbt(X, y, **kwargs)
+    oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
+    assert params == oracle_params
+    assert log.train_loss == oracle_losses
 
 
 def test_zero_trees_predicts_mean():
@@ -87,3 +217,11 @@ def test_split_tiebreak_prefers_lowest_feature():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fit_gbt(np.ones((3, 2)), np.ones(5))
+
+
+def test_rising_training_loss_is_typed_error(monkeypatch):
+    monkeypatch.setattr(gbt, "_tree_predict",
+                        lambda tree, X: np.full(len(X), 1.0e3))
+    X, y = _problem(0, n=40, p=2)
+    with pytest.raises(TrainingLossRose, match="stage 1"):
+        fit_gbt(X, y, n_trees=3)
