@@ -18,8 +18,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds
 from . import errors as err
 from .ablation import covariate_sweep, history_sweep, importance
@@ -231,8 +229,8 @@ def cmd_anomaly(config: ExperimentConfig, out: Path, args) -> None:
     ranges = getattr(plan, config.anomaly.split)
     ws = build_windows(scaled, model.spec.covariates, model.spec.h, horizon=0,
                        with_target_history=False, plan_ranges=ranges)
-    anchors = np.array([s.t for s in ws.samples])
-    preds = ds.invert_target(model.scaler, predict_batch(model, ws.samples))
+    anchors = ws.t
+    preds = ds.invert_target(model.scaler, predict_batch(model, ws))
     actual = frame.col(ds.TARGET)[anchors]
     params = AnomalyParams(peak_window=config.anomaly.peak_window,
                            peak_sigma=config.anomaly.peak_sigma,

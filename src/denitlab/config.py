@@ -18,7 +18,7 @@ from typing import Any
 import yaml
 
 from .dataset import COVARIATES, SAMPLES_PER_WEEK
-from .errors import InvalidConfig
+from .errors import BadParams, InvalidConfig
 from .hyperopt import CategoricalDim, GridDim, LogUniformDim, SearchSpace
 from .models import ARCHS, TASKS
 from .preprocess import CleaningParams
@@ -32,6 +32,15 @@ def _package_version() -> str:
         return metadata.version("denitlab")
     except metadata.PackageNotFoundError:
         return "unknown"
+
+
+SPLITS = ("train", "validation", "test")
+
+
+def _check_seeds(seeds, what: str) -> None:
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise InvalidConfig(f"{what} must be integers, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,9 @@ class AblationSettings:
     multi_seed: bool = False      # one seed per subset unless flipped
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
+    def __post_init__(self):
+        _check_seeds(self.seeds, "ablation.seeds")
+
 
 @dataclass(frozen=True)
 class AnomalySettings:
@@ -71,6 +83,11 @@ class AnomalySettings:
     bias_window: int = 36
     bias_threshold: float = 1.0
     split: str = "test"
+
+    def __post_init__(self):
+        if self.split not in SPLITS:
+            raise InvalidConfig(f"anomaly.split must be one of {'|'.join(SPLITS)}, "
+                                f"got {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +118,7 @@ class ExperimentConfig:
                 raise InvalidConfig(f"unknown arch {arch!r}")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
+        _check_seeds(self.seeds, "seeds")
         for arch in self.hyperparams:
             if arch not in ARCHS:
                 raise InvalidConfig(f"hyperparams for unknown arch {arch!r}")
@@ -131,7 +149,7 @@ def _build(cls, data: dict, what: str):
         raise InvalidConfig(f"{what} must be a mapping")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, BadParams) as exc:
         raise InvalidConfig(f"{what}: {exc}") from None
 
 

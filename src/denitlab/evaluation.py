@@ -18,7 +18,7 @@ from .dataset import TARGET, FoldPlan, Scaler, TimeSeriesFrame, apply_scaler, in
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch
-from .preprocess import build_windows
+from .preprocess import build_windows, span_clear, unbroken_rows
 
 FORECAST_HORIZON = 6
 
@@ -87,12 +87,6 @@ def _finite_rows(frame: TimeSeriesFrame, names) -> np.ndarray:
     return np.all(np.isfinite(frame.values[:, idx]), axis=1)
 
 
-def _span_clear(ok: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """For each row, whether ok holds on every index of [lo, hi]."""
-    bad = np.concatenate([[0], np.cumsum(~ok)])
-    return bad[hi + 1] - bad[lo] == 0
-
-
 def _model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges,
                  scaler: Scaler):
     """(pred, actual) in original units for one model over the given ranges."""
@@ -102,17 +96,16 @@ def _model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges,
     if spec.task == "nowcast":
         ws = build_windows(scaled, spec.covariates, spec.h, horizon=0,
                            with_target_history=False, plan_ranges=ranges)
-        anchors = np.array([s.t for s in ws.samples])
-        preds = invert_target(scaler, predict_batch(model, ws.samples))
-        return preds, y[anchors]
+        preds = invert_target(scaler, predict_batch(model, ws))
+        return preds, y[ws.t]
 
     ws = build_windows(scaled, spec.covariates, spec.h, horizon=FORECAST_HORIZON,
                        with_target_history=True, plan_ranges=ranges)
-    anchors = np.array([s.t for s in ws.samples])
+    anchors = ws.t
     # the rollout also consumes covariates over (t, t+horizon]; drop anchors
     # where those are missing (the window builder only vets [t-h, t])
     okcov = _finite_rows(frame, spec.covariates)
-    keep = _span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON)
+    keep = span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON)
     anchors = anchors[keep]
     if anchors.size == 0:
         raise NoAdmissibleWindows("no forecast anchors with known future covariates")
@@ -126,7 +119,6 @@ def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
     y = frame.col(TARGET)
     ranges = _split_ranges(plan, split)
     ok_y = np.isfinite(y)
-    breaks = frame.gap_break_indices()
 
     if task == "nowcast":
         if spec.kind == "training_mean":
@@ -151,27 +143,23 @@ def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
         mean_block = training_mean_predict(train_y, horizon)
     elif spec.kind == "running_mean":
         raise SpecMismatch(f"{spec.name} is not a forecasting baseline")
-    preds_blocks = []
-    actual_blocks = []
-    for rs, re_ in ranges:
-        for t in range(rs + max(need - 1, 0), re_ - horizon):
-            lo = t - need + 1 if need else t + 1  # earliest index the block touches
-            hi = t + horizon
-            if not np.all(ok_y[lo:hi + 1]):
-                continue
-            if any(lo <= b < hi for b in breaks):
-                continue
-            if spec.kind == "training_mean":
-                block = mean_block
-            elif spec.kind == "seasonal":
-                block = seasonal_predict(y[lo:t + 1], horizon)
-            else:
-                block = trend_n_predict(y[lo:t + 1], spec.n, horizon)
-            preds_blocks.append(block)
-            actual_blocks.append(y[t + 1:t + horizon + 1])
-    if not preds_blocks:
+    anchors = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.arange(rs + max(need - 1, 0), re_ - horizon) for rs, re_ in ranges])
+    lo = anchors - need + 1  # earliest row a block touches
+    hi = anchors + horizon
+    keep = span_clear(ok_y, lo, hi) & span_clear(unbroken_rows(frame), lo, hi - 1)
+    anchors, lo = anchors[keep], lo[keep]
+    if anchors.size == 0:
         raise NoAdmissibleWindows("no admissible forecast anchors for baseline")
-    return np.concatenate(preds_blocks), np.concatenate(actual_blocks)
+    actual = y[anchors[:, None] + np.arange(1, horizon + 1)].ravel()
+    if spec.kind == "training_mean":
+        return np.tile(mean_block, anchors.size), actual
+    if spec.kind == "seasonal":
+        blocks = [seasonal_predict(y[a:t + 1], horizon) for a, t in zip(lo, anchors)]
+    else:
+        blocks = [trend_n_predict(y[a:t + 1], spec.n, horizon)
+                  for a, t in zip(lo, anchors)]
+    return np.concatenate(blocks), actual
 
 
 def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,

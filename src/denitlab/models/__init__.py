@@ -14,7 +14,7 @@ import numpy as np
 
 from ..dataset import Scaler, TARGET, TimeSeriesFrame, invert_target
 from ..errors import EmptyWindows, SpecMismatch, WindowCrossesGap
-from ..preprocess import WindowSample, WindowSet
+from ..preprocess import WindowSet
 from . import elastic_net as _enet
 from . import gbt as _gbt
 from .networks import loss_and_grad, network_forward, train_network
@@ -22,7 +22,7 @@ from .spec import ARCHS, DEFAULT_HYPERPARAMS, ModelSpec, TASKS, TrainLog, Traine
 
 __all__ = [
     "ARCHS", "TASKS", "DEFAULT_HYPERPARAMS", "ModelSpec", "TrainLog",
-    "TrainedModel", "train_model", "predict", "predict_batch",
+    "TrainedModel", "train_model", "predict_batch",
     "rollout_forecast", "rollout_forecast_batch", "serialize", "deserialize",
     "save_model", "load_model", "loss_and_grad", "network_forward",
 ]
@@ -40,19 +40,16 @@ def _check_window_set(spec: ModelSpec, ws: WindowSet) -> None:
             f"(covariates={spec.covariates}, h={spec.h}, task={spec.task})")
 
 
-def stack_inputs(spec: ModelSpec, samples: list[WindowSample]) -> np.ndarray:
-    """Stack samples to (B, h+1, channels); target history is the last channel."""
-    X3 = np.stack([s.X for s in samples]).astype(float)
-    if spec.uses_target_history:
-        yh = np.stack([s.y_hist for s in samples]).astype(float)
-        X3 = np.concatenate([X3, yh[:, :, None]], axis=2)
-    return X3
+def stack_inputs(spec: ModelSpec, ws: WindowSet) -> np.ndarray:
+    """Model inputs (B, h+1, channels); target history is the last channel."""
+    if not spec.uses_target_history:
+        return ws.X
+    return np.concatenate([ws.X, ws.y_hist[:, :, None]], axis=2)
 
 
-def training_targets(samples: list[WindowSample]) -> np.ndarray:
+def training_targets(ws: WindowSet) -> np.ndarray:
     """Next-step target for horizon windows, the anchor value for nowcasts."""
-    return np.array([s.y if np.isscalar(s.y) else float(np.asarray(s.y)[0])
-                     for s in samples])
+    return np.ascontiguousarray(ws.y if ws.horizon == 0 else ws.y[:, 0], dtype=float)
 
 
 def _tabular(X3: np.ndarray) -> np.ndarray:
@@ -70,8 +67,8 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
     _check_window_set(spec, train_windows)
     if len(train_windows) == 0:
         raise EmptyWindows("no training windows")
-    X3 = stack_inputs(spec, train_windows.samples)
-    y = training_targets(train_windows.samples)
+    X3 = stack_inputs(spec, train_windows)
+    y = training_targets(train_windows)
     hp = spec.resolved()
 
     if spec.arch == "elastic_net":
@@ -89,28 +86,19 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
         if val_windows is None or len(val_windows) == 0:
             raise EmptyWindows(f"{spec.arch} needs validation windows for early stopping")
         _check_window_set(spec, val_windows)
-        Xv = stack_inputs(spec, val_windows.samples)
-        yv = training_targets(val_windows.samples)
+        Xv = stack_inputs(spec, val_windows)
+        yv = training_targets(val_windows)
         params, log = train_network(spec, X3, y, Xv, yv, init=init)
     return TrainedModel(spec=spec, parameters=params, scaler=scaler), log
 
 
-def _check_sample(spec: ModelSpec, sample: WindowSample) -> None:
-    if sample.X.shape != (spec.window_length, len(spec.covariates)):
-        raise SpecMismatch(
-            f"sample X shape {sample.X.shape} vs expected "
-            f"({spec.window_length}, {len(spec.covariates)})")
-    if spec.uses_target_history and (sample.y_hist is None
-                                     or len(sample.y_hist) != spec.window_length):
-        raise SpecMismatch("forecast sample lacks a full target history")
+def predict_batch(model: TrainedModel, ws: WindowSet) -> np.ndarray:
+    """Scaled-domain predictions, one per window (deterministic).
 
-
-def predict_batch(model: TrainedModel, samples: list[WindowSample]) -> np.ndarray:
-    """Scaled-domain predictions, one per sample (deterministic)."""
-    for s in samples:
-        _check_sample(model.spec, s)
-    X3 = stack_inputs(model.spec, samples)
-    return _predict_stacked(model, X3)
+    y_t for nowcasts, y_{t+1} for forecasts.
+    """
+    _check_window_set(model.spec, ws)
+    return _predict_stacked(model, stack_inputs(model.spec, ws))
 
 
 def _predict_stacked(model: TrainedModel, X3: np.ndarray) -> np.ndarray:
@@ -121,11 +109,6 @@ def _predict_stacked(model: TrainedModel, X3: np.ndarray) -> np.ndarray:
     if arch == "gbt":
         return _gbt.predict_gbt(model.parameters, _tabular(X3))
     return network_forward(arch, model.parameters, X3)
-
-
-def predict(model: TrainedModel, sample: WindowSample) -> float:
-    """Scaled-domain prediction: y_t for nowcasts, y_{t+1} for forecasts."""
-    return float(predict_batch(model, [sample])[0])
 
 
 def _scaled_columns(frame: TimeSeriesFrame, scaler: Scaler, names) -> np.ndarray:

@@ -5,12 +5,19 @@ the sensors keep reporting but the readings are meaningless. We locate these
 episodes from the pressure signals, replace the *target* inside them by a
 straight line between the bracketing valid readings, and leave every
 covariate untouched.
+
+Windows are arrays indexed by anchor. ``build_windows`` takes the candidate
+anchors of every plan range as one index array, keeps those whose spans are
+admissible, and gathers all windows at once. Admissibility is ``span_clear``:
+a prefix sum of "bad row" flags (gap breaks, missing values) answers "is
+every row of [lo, hi] good" for all anchors in one vectorised step.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +187,64 @@ def interpolate_target(frame: TimeSeriesFrame, mask: CleaningMask) -> TimeSeries
     return frame.with_values(values)
 
 
-@dataclass
-class WindowSet:
-    """Emitted windows plus bookkeeping over the candidate anchors."""
+def span_clear(ok: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each query i, whether ``ok`` holds on every row of [lo[i], hi[i]].
 
-    samples: list[WindowSample]
+    One prefix sum of the bad rows answers every query in O(1); an empty
+    span (hi = lo - 1) is clear. Indices must satisfy 0 <= lo <= hi + 1 <= len(ok).
+    """
+    bad = np.concatenate([[0], np.cumsum(~ok)])
+    return bad[hi + 1] - bad[lo] == 0
+
+
+def unbroken_rows(frame: TimeSeriesFrame) -> np.ndarray:
+    """False at each row i that a gap separates from row i+1.
+
+    A span [lo, hi] crosses no gap exactly when this holds on [lo, hi - 1].
+    """
+    ok = np.ones(len(frame), dtype=bool)
+    ok[list(frame.gap_break_indices())] = False
+    return ok
+
+
+class _SampleView(Sequence):
+    """Read-only per-window view of a WindowSet; items are built on access."""
+
+    def __init__(self, ws: "WindowSet"):
+        self._ws = ws
+
+    def __len__(self) -> int:
+        return len(self._ws.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        ws = self._ws
+        t = int(ws.t[i])
+        y = float(ws.y[i]) if ws.horizon == 0 else np.array(ws.y[i])
+        y_hist = None if ws.y_hist is None else np.array(ws.y_hist[i])
+        return WindowSample(X=np.array(ws.X[i]), y=y, t=t, y_hist=y_hist)
+
+
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """Admissible windows as arrays indexed by anchor, plus bookkeeping.
+
+    Row i is the window anchored at ``t[i]``: ``X[i]`` holds the covariate
+    rows t-h .. t, oldest first, so ``X`` is (B, h+1, c); ``y`` is the target
+    at t for nowcasts, (B,), or at t+1 .. t+horizon for forecasts,
+    (B, horizon); ``y_hist`` is the target over t-h .. t, (B, h+1), when
+    ``with_target_history`` and None otherwise. ``candidates`` counts every
+    anchor of the plan ranges, ``skipped`` the inadmissible ones.
+    ``build_windows`` makes the arrays read-only, since models read ``X``
+    without copying it. ``samples`` is a lazy ``WindowSample`` view of the
+    same rows.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
+    y_hist: np.ndarray | None
     skipped: int
     candidates: int
     covariates: tuple[str, ...]
@@ -193,7 +253,11 @@ class WindowSet:
     with_target_history: bool
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
+
+    @property
+    def samples(self) -> Sequence[WindowSample]:
+        return _SampleView(self)
 
 
 def build_windows(frame: TimeSeriesFrame,
@@ -202,12 +266,16 @@ def build_windows(frame: TimeSeriesFrame,
                   horizon: int,
                   with_target_history: bool,
                   plan_ranges) -> WindowSet:
-    """One sample per admissible anchor in ``plan_ranges``.
+    """All admissible windows anchored in ``plan_ranges``, in range order.
 
     An anchor t is admissible when the span [t-h, t+horizon] stays inside a
     single range, crosses no gap, and touches no missing value it needs:
     covariate history always, target history when ``with_target_history``,
-    and the target at t (nowcast) or t+1..t+horizon (forecast).
+    and the target at t (nowcast) or t+1..t+horizon (forecast). Staying
+    inside range [rs, re) means rs+h <= t < re-horizon, so only those anchors
+    are tested; each other condition is one ``span_clear`` over all of them
+    at once. The windows are then gathered as
+    ``X_all[t[:, None] + arange(-h, 1)]``.
     """
     if h < 0:
         raise BadParams("history length h must be >= 0")
@@ -217,52 +285,40 @@ def build_windows(frame: TimeSeriesFrame,
     for c in covariates:
         if c == TARGET:
             raise BadParams("target cannot be a covariate")
+    n = len(frame)
     cov_idx = [frame.col_index(c) for c in covariates]
-    X_all = frame.values[:, cov_idx] if cov_idx else np.empty((len(frame), 0))
+    X_all = frame.values[:, cov_idx]
     y_all = frame.col(TARGET)
-    breaks = sorted(frame.gap_break_indices())
 
-    def crosses_gap(lo: int, hi: int) -> bool:
-        # a break at b separates rows b and b+1; span [lo, hi] crosses it if lo <= b < hi
-        return any(lo <= b < hi for b in breaks)
-
-    samples: list[WindowSample] = []
-    skipped = 0
     candidates = 0
+    blocks = [np.empty(0, dtype=np.intp)]
     for rs, re_ in plan_ranges:
-        for t in range(rs, re_):
-            candidates += 1
-            lo, hi = t - h, t + horizon
-            if lo < rs or hi >= re_ or crosses_gap(lo, hi):
-                skipped += 1
-                continue
-            X = X_all[lo:t + 1]
-            if not np.all(np.isfinite(X)):
-                skipped += 1
-                continue
-            y_hist = None
-            if with_target_history:
-                y_hist = y_all[lo:t + 1]
-                if not np.all(np.isfinite(y_hist)):
-                    skipped += 1
-                    continue
-            if horizon == 0:
-                y = y_all[t]
-                if not np.isfinite(y):
-                    skipped += 1
-                    continue
-                y_out: float | np.ndarray = float(y)
-            else:
-                y = y_all[t + 1:t + horizon + 1]
-                if not np.all(np.isfinite(y)):
-                    skipped += 1
-                    continue
-                y_out = np.array(y)
-            samples.append(WindowSample(X=np.array(X), y=y_out, t=t,
-                                        y_hist=None if y_hist is None else np.array(y_hist)))
-    if not samples:
+        if re_ <= rs:
+            continue
+        if rs < 0 or re_ > n:
+            raise BadParams(f"range [{rs}, {re_}) leaves the {n}-row frame")
+        candidates += re_ - rs
+        blocks.append(np.arange(rs + h, re_ - horizon))
+    t = np.concatenate(blocks)
+
+    ok_hist = np.all(np.isfinite(X_all), axis=1)
+    if with_target_history:
+        ok_hist &= np.isfinite(y_all)
+    first_y = t + 1 if horizon else t
+    t = t[span_clear(unbroken_rows(frame), t - h, t + horizon - 1)
+          & span_clear(ok_hist, t - h, t)
+          & span_clear(np.isfinite(y_all), first_y, t + horizon)]
+    if not t.size:
         raise NoAdmissibleWindows(
             f"no admissible anchors among {candidates} candidates (h={h}, horizon={horizon})")
-    return WindowSet(samples=samples, skipped=skipped, candidates=candidates,
+
+    rows = t[:, None] + np.arange(-h, 1)
+    y = y_all[t] if horizon == 0 else y_all[t[:, None] + np.arange(1, horizon + 1)]
+    y_hist = y_all[rows] if with_target_history else None
+    arrays = (X_all[rows], y, t, y_hist)
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    return WindowSet(*arrays, skipped=candidates - len(t), candidates=candidates,
                      covariates=covariates, h=h, horizon=horizon,
                      with_target_history=with_target_history)

@@ -292,9 +292,9 @@ def test_criterion_4_end_to_end_synthetic_pipeline():
     scaled = ds.apply_scaler(cleaned, scaler)
     ws = build_windows(scaled, spec.covariates, spec.h, horizon=0,
                        with_target_history=False, plan_ranges=plan.test)
-    anchors = np.array([s.t for s in ws.samples])
+    anchors = ws.t
     from denitlab.models import predict_batch
-    preds = ds.invert_target(scaler, predict_batch(model, ws.samples))
+    preds = ds.invert_target(scaler, predict_batch(model, ws))
     actual = cleaned.col(ds.TARGET)[anchors]
     events = detect_anomalies(preds, actual, AnomalyParams())
     fault_lo, fault_hi = fault.start, fault.start + fault.duration

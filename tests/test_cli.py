@@ -226,6 +226,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,override", [
+        ("train", {"seeds": ["a"]}),
+        ("train", {"ablation": {"seeds": [0, 1.5]}}),
+        ("anomaly", {"anomaly": {"split": "nope"}}),
+        ("train", {"cleaning": {"window": 0}}),
+    ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window"])
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path / "bad.yaml", **override)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_unknown_arch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.yaml", archs=["perceptron"])
         assert main(["train", "--config", str(cfg),

@@ -167,9 +167,9 @@ class TestEvaluate:
         ws = build_windows(apply_scaler(frame, scaler), ("nitrate_in",), 0,
                            horizon=1, with_target_history=True,
                            plan_ranges=plan.test)
-        preds = predict_batch(model, ws.samples)
+        preds = predict_batch(model, ws)
         y = frame.col("nitrate_out")
-        anchors = np.array([s.t for s in ws.samples])
+        anchors = ws.t
         assert mse(preds, y[anchors + 1]) == pytest.approx(
             mse(y[anchors], y[anchors + 1]))
 
@@ -182,3 +182,86 @@ class TestEvaluate:
         model, _, _ = train_on_plan(spec, frame, plan)
         report = evaluate(model, frame, plan, "nowcast", split="test")
         assert report.mse < 1e-12
+
+
+def _gappy_frame(seed, n=300):
+    """Two covariates and a target with blank cells and four gap breaks."""
+    from denitlab.dataset import Gap
+    rng = np.random.default_rng(seed)
+    cols = {name: 10 + rng.normal(size=n)
+            for name in ("nitrate_in", "methanol", "nitrate_out")}
+    for values in cols.values():
+        values[rng.random(n) < 0.03] = np.nan
+    breaks = sorted(rng.choice(np.arange(5, n - 5), size=4, replace=False).tolist())
+    return make_frame(cols, gaps=tuple(Gap(int(b), 3) for b in breaks))
+
+
+class TestForecastAnchorSets:
+    """Forecast scoring keeps exactly the anchors a per-anchor scan admits."""
+
+    @staticmethod
+    def _admitted(frame, ranges, first, last, columns):
+        """Anchors t whose rows t+first .. t+last stay in one range, cross
+        no gap and are finite in ``columns``."""
+        breaks = frame.gap_break_indices()
+        finite = np.all(np.isfinite(frame.values[:, [frame.col_index(c)
+                                                     for c in columns]]), axis=1)
+        out = []
+        for rs, re_ in ranges:
+            for t in range(rs, re_):
+                lo, hi = t + first, t + last
+                if lo >= rs and hi < re_ and finite[lo:hi + 1].all() \
+                        and not any(lo <= b < hi for b in breaks):
+                    out.append(t)
+        return np.array(out, dtype=int)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [BaselineSpec("training_mean"),
+                                      BaselineSpec("seasonal"),
+                                      BaselineSpec("trend_n", n=3),
+                                      BaselineSpec("trend_n", n=6)],
+                             ids=lambda s: s.name)
+    def test_baseline_blocks_match_scan(self, seed, spec):
+        from denitlab.baselines import seasonal_predict, training_mean_predict, \
+            trend_n_predict
+        from denitlab.evaluation import _baseline_pairs
+        frame = _gappy_frame(seed)
+        plan = make_final_split(frame, 0.5, 0.2)
+        y = frame.col("nitrate_out")
+        need = spec.history_needed
+        for split in ("train", "validation", "test"):
+            anchors = self._admitted(frame, getattr(plan, split), 1 - need, 6,
+                                     ("nitrate_out",))
+            if spec.kind == "training_mean":
+                train_y = np.concatenate([y[s:e] for s, e in plan.train])
+                blocks = [training_mean_predict(train_y, 6)] * len(anchors)
+            elif spec.kind == "seasonal":
+                blocks = [seasonal_predict(y[t - 5:t + 1], 6) for t in anchors]
+            else:
+                blocks = [trend_n_predict(y[t - spec.n + 1:t + 1], spec.n, 6)
+                          for t in anchors]
+            preds, actual = _baseline_pairs(spec, frame, plan, split, "forecast")
+            assert np.array_equal(actual, np.concatenate(
+                [y[t + 1:t + 7] for t in anchors]))
+            assert np.array_equal(preds, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("h", [0, 2])
+    def test_model_rollout_anchors_match_scan(self, seed, h):
+        from denitlab.dataset import Scaler
+        from denitlab.evaluation import _model_pairs
+        from denitlab.models import TrainedModel
+        frame = _gappy_frame(seed)
+        plan = make_final_split(frame, 0.5, 0.2)
+        scaler = Scaler(names=frame.names, mean=np.zeros(3), std=np.ones(3),
+                        fitted_on=((0, 1),), target_index=2)
+        spec = ModelSpec("elastic_net", ("methanol",), h=h, task="forecast")
+        model = TrainedModel(spec=spec,
+                             parameters={"w": np.zeros(2 * (h + 1)), "b": 0.0,
+                                         "converged": True},
+                             scaler=scaler)
+        anchors = self._admitted(frame, plan.test, -h, 6,
+                                 ("methanol", "nitrate_out"))
+        _, actual = _model_pairs(model, frame, plan.test, scaler)
+        y = frame.col("nitrate_out")
+        assert np.array_equal(actual, y[anchors[:, None] + np.arange(1, 7)].ravel())

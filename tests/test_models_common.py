@@ -4,11 +4,11 @@ import pytest
 from denitlab.dataset import Scaler, apply_scaler, fit_scaler, make_final_split
 from denitlab.errors import SpecMismatch, WindowCrossesGap
 from denitlab.models import (
-    ModelSpec, TrainedModel, deserialize, predict, predict_batch,
-    rollout_forecast, serialize, train_model,
+    ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast,
+    serialize, train_model,
 )
 from denitlab.pipeline import spec_windows, train_on_plan
-from denitlab.preprocess import WindowSample, build_windows
+from denitlab.preprocess import build_windows
 
 from conftest import make_frame
 
@@ -32,8 +32,10 @@ def constant_model(value, covariates=("nitrate_in",), h=0, task="nowcast"):
 class TestPredict:
     def test_zero_weight_model_predicts_intercept(self):
         model = constant_model(3.5)
-        sample = WindowSample(X=np.array([[7.0]]), y=1.0, t=0)
-        assert predict(model, sample) == 3.5
+        ws = build_windows(make_frame({"nitrate_in": [7.0], "nitrate_out": [1.0]}),
+                           ["nitrate_in"], h=0, horizon=0,
+                           with_target_history=False, plan_ranges=[(0, 1)])
+        assert predict_batch(model, ws).tolist() == [3.5]
 
     def test_same_sample_twice_identical_bits(self, small_frame):
         frame, _ = small_frame
@@ -43,20 +45,23 @@ class TestPredict:
                          hyperparams={"hidden": 4, "max_epochs": 2}, seed=0)
         model, _, scaler = train_on_plan(spec, frame, plan)
         ws = spec_windows(spec, apply_scaler(frame, scaler), plan.test)
-        sample = ws.samples[0]
-        assert predict(model, sample) == predict(model, sample)
+        assert np.array_equal(predict_batch(model, ws), predict_batch(model, ws))
 
     def test_shape_mismatch_rejected(self):
         model = constant_model(0.0, covariates=("nitrate_in",), h=1)
-        bad = WindowSample(X=np.ones((3, 1)), y=0.0, t=2)
+        frame = make_frame({"nitrate_in": np.ones(4), "nitrate_out": np.zeros(4)})
+        bad = build_windows(frame, ["nitrate_in"], h=2, horizon=0,
+                            with_target_history=False, plan_ranges=[(0, 4)])
         with pytest.raises(SpecMismatch):
-            predict(model, bad)
+            predict_batch(model, bad)
 
     def test_forecast_sample_needs_history(self):
         model = constant_model(0.0, task="forecast")
-        bad = WindowSample(X=np.ones((1, 1)), y=0.0, t=0, y_hist=None)
+        frame = make_frame({"nitrate_in": np.ones(2), "nitrate_out": np.zeros(2)})
+        bad = build_windows(frame, ["nitrate_in"], h=0, horizon=1,
+                            with_target_history=False, plan_ranges=[(0, 2)])
         with pytest.raises(SpecMismatch):
-            predict(model, bad)
+            predict_batch(model, bad)
 
 
 class TestSerialization:
@@ -74,11 +79,7 @@ class TestSerialization:
         model, _, scaler = train_on_plan(spec, frame, plan)
         clone = deserialize(serialize(model))
         ws = spec_windows(spec, apply_scaler(frame, scaler), plan.test)
-        rng = np.random.default_rng(0)
-        picks = rng.choice(len(ws.samples), size=100, replace=True)
-        originals = predict_batch(model, [ws.samples[i] for i in picks])
-        cloned = predict_batch(clone, [ws.samples[i] for i in picks])
-        assert np.array_equal(originals, cloned)
+        assert np.array_equal(predict_batch(model, ws), predict_batch(clone, ws))
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(SpecMismatch):

@@ -164,6 +164,12 @@ class TestBuildWindows:
             lo, hi = s.t - 2, s.t + 1
             assert (lo >= 0 and hi < 10) or (lo >= 10 and hi < 20)
 
+    def test_range_outside_frame_rejected(self):
+        for bad in ([(-1, 5)], [(5, 11)]):
+            with pytest.raises(BadParams):
+                build_windows(_window_frame(10), ["nitrate_in"], h=0, horizon=0,
+                              with_target_history=False, plan_ranges=bad)
+
     def test_no_admissible_raises(self):
         with pytest.raises(NoAdmissibleWindows):
             build_windows(_window_frame(5), ["nitrate_in"], h=10, horizon=0,
@@ -181,3 +187,128 @@ class TestBuildWindows:
         except NoAdmissibleWindows:
             return
         assert len(ws.samples) + ws.skipped == ws.candidates == n
+
+
+def _oracle_windows(frame, covariates, h, horizon, with_target_history,
+                    plan_ranges):
+    """The per-anchor loop that build_windows replaced, frozen as an oracle.
+
+    Returns (anchors, X, y, y_hist, skipped, candidates); raises
+    NoAdmissibleWindows like the original.
+    """
+    cov_idx = [frame.col_index(c) for c in covariates]
+    X_all = frame.values[:, cov_idx] if cov_idx else np.empty((len(frame), 0))
+    y_all = frame.col("nitrate_out")
+    breaks = sorted(frame.gap_break_indices())
+    anchors, Xs, ys, y_hists = [], [], [], []
+    skipped = candidates = 0
+    for rs, re_ in plan_ranges:
+        for t in range(rs, re_):
+            candidates += 1
+            lo, hi = t - h, t + horizon
+            if lo < rs or hi >= re_ or any(lo <= b < hi for b in breaks):
+                skipped += 1
+                continue
+            X = X_all[lo:t + 1]
+            if not np.all(np.isfinite(X)):
+                skipped += 1
+                continue
+            y_hist = None
+            if with_target_history:
+                y_hist = y_all[lo:t + 1]
+                if not np.all(np.isfinite(y_hist)):
+                    skipped += 1
+                    continue
+            if horizon == 0:
+                y = y_all[t]
+                if not np.isfinite(y):
+                    skipped += 1
+                    continue
+                y_out = float(y)
+            else:
+                y = y_all[t + 1:t + horizon + 1]
+                if not np.all(np.isfinite(y)):
+                    skipped += 1
+                    continue
+                y_out = np.array(y)
+            anchors.append(t)
+            Xs.append(np.array(X))
+            ys.append(y_out)
+            y_hists.append(None if y_hist is None else np.array(y_hist))
+    if not anchors:
+        raise NoAdmissibleWindows("oracle: no admissible anchors")
+    return anchors, Xs, ys, y_hists, skipped, candidates
+
+
+def _random_window_frame(seed, n=70):
+    """Covariates and target with NaN cells, gap breaks at and inside range edges."""
+    rng = np.random.default_rng(seed)
+    cols = {name: rng.normal(size=n)
+            for name in ("nitrate_in", "methanol", "water_flow", "nitrate_out")}
+    for values in cols.values():
+        values[rng.random(n) < 0.04] = np.nan
+    # 19 and 20 straddle the first range edge, 24 ends the short range
+    breaks = sorted({19, 20, 24, *rng.choice(np.arange(26, n - 1), size=3,
+                                              replace=False).tolist()})
+    gaps = tuple(Gap(after_index=int(b), missing_steps=int(rng.integers(1, 9)))
+                 for b in breaks)
+    return make_frame(cols, gaps=gaps)
+
+
+# an empty range, one shorter than h + horizon + 1 for most cases, and two
+# ranges with a shared edge
+ORACLE_RANGES = [(0, 20), (20, 20), (20, 24), (24, 50), (52, 70)]
+
+
+class TestBuildWindowsMatchesLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("horizon", [0, 1, 6])
+    @pytest.mark.parametrize("h", [0, 1, 2, 3, 4])
+    def test_arrays_equal_per_anchor_loop(self, seed, h, horizon):
+        frame = _random_window_frame(seed)
+        for covariates in (("nitrate_in", "methanol", "water_flow"), ("methanol",), ()):
+            for with_history in (False, True):
+                args = (frame, covariates, h, horizon, with_history, ORACLE_RANGES)
+                try:
+                    want = _oracle_windows(*args)
+                except NoAdmissibleWindows:
+                    with pytest.raises(NoAdmissibleWindows):
+                        build_windows(*args)
+                    continue
+                anchors, Xs, ys, y_hists, skipped, candidates = want
+                ws = build_windows(*args)
+                assert ws.t.tolist() == anchors
+                assert ws.skipped == skipped and ws.candidates == candidates
+                assert np.array_equal(ws.X, np.array(Xs).reshape(ws.X.shape))
+                assert np.array_equal(ws.y, np.array(ys))
+                if with_history:
+                    assert np.array_equal(ws.y_hist, np.array(y_hists))
+                else:
+                    assert ws.y_hist is None
+                for s, t, X, y, y_hist in zip(ws.samples, anchors, Xs, ys, y_hists):
+                    assert type(s.t) is int and s.t == t
+                    assert np.array_equal(s.X, X)
+                    assert type(s.y) is type(y) and np.array_equal(s.y, y)
+                    assert (s.y_hist is None and y_hist is None) \
+                        or np.array_equal(s.y_hist, y_hist)
+
+    def test_random_frames_skip_more_than_clean_ones(self):
+        # guard that the random frames are not trivially clean
+        frame = _random_window_frame(0)
+        _, _, _, _, skipped, candidates = _oracle_windows(
+            frame, ("nitrate_in",), 2, 1, True, ORACLE_RANGES)
+        clean = _oracle_windows(
+            make_frame({"nitrate_in": np.zeros(70), "nitrate_out": np.zeros(70)}),
+            ("nitrate_in",), 2, 1, True, ORACLE_RANGES)
+        assert skipped > clean[4]
+        assert candidates == clean[5] == 68
+
+    def test_samples_view_indexes_like_a_sequence(self):
+        ws = build_windows(_window_frame(12), ["nitrate_in"], h=2, horizon=3,
+                           with_target_history=True, plan_ranges=[(0, 12)])
+        assert len(ws.samples) == len(ws) == len(ws.t) == 7
+        assert ws.samples[-1].t == int(ws.t[-1]) == 8
+        assert [s.t for s in ws.samples[1:3]] == ws.t[1:3].tolist()
+        with pytest.raises(IndexError):
+            ws.samples[7]
+        assert not ws.X.flags.writeable
