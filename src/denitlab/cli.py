@@ -21,7 +21,7 @@ from pathlib import Path
 from . import dataset as ds
 from . import errors as err
 from .ablation import covariate_sweep, history_sweep, importance
-from .anomaly import AnomalyParams, detect_anomalies, events_to_json
+from .anomaly import detect_anomalies, events_to_json
 from .baselines import BaselineSpec
 from .config import ExperimentConfig, build_search_space, load_config
 from .evaluation import EvalReport, aggregate_seeds, evaluate, forecast_horizon_breakdown
@@ -232,12 +232,7 @@ def cmd_anomaly(config: ExperimentConfig, out: Path, args) -> None:
     anchors = ws.t
     preds = ds.invert_target(model.scaler, predict_batch(model, ws))
     actual = frame.col(ds.TARGET)[anchors]
-    params = AnomalyParams(peak_window=config.anomaly.peak_window,
-                           peak_sigma=config.anomaly.peak_sigma,
-                           follow_ratio=config.anomaly.follow_ratio,
-                           bias_window=config.anomaly.bias_window,
-                           bias_threshold=config.anomaly.bias_threshold)
-    events = detect_anomalies(preds, actual, params)
+    events = detect_anomalies(preds, actual, config.anomaly.params())
     stamps = frame.timestamps()
     anchor_stamps = [stamps[int(a)] for a in anchors]
     doc = json.loads(events_to_json(events, anchor_stamps))

@@ -17,6 +17,7 @@ from typing import Any
 
 import yaml
 
+from .anomaly import AnomalyParams
 from .dataset import COVARIATES, SAMPLES_PER_WEEK
 from .errors import BadParams, InvalidConfig
 from .hyperopt import CategoricalDim, GridDim, LogUniformDim, SearchSpace
@@ -88,6 +89,13 @@ class AnomalySettings:
         if self.split not in SPLITS:
             raise InvalidConfig(f"anomaly.split must be one of {'|'.join(SPLITS)}, "
                                 f"got {self.split!r}")
+        self.params()  # range checks at load; _build turns BadParams into InvalidConfig
+
+    def params(self) -> AnomalyParams:
+        return AnomalyParams(peak_window=self.peak_window, peak_sigma=self.peak_sigma,
+                             follow_ratio=self.follow_ratio,
+                             bias_window=self.bias_window,
+                             bias_threshold=self.bias_threshold)
 
 
 @dataclass(frozen=True)

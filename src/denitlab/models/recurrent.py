@@ -12,12 +12,11 @@ import numpy as np
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: exp(-|z|) is exp(-z) for z >= 0
+    and exp(z) below, so both branches are the usual stable forms."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def init_params(n_in: int, seq_len: int, hp: dict, rng: np.random.Generator) -> dict:
@@ -44,9 +43,8 @@ def forward(params: dict, X: np.ndarray):
     for t in range(T):
         x_t = X[:, t, :]
         z = x_t @ params["Wx"].T + h @ params["Wh"].T + params["b"]
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H:2 * H])
-        o = _sigmoid(z[:, 2 * H:3 * H])
+        gates = _sigmoid(z[:, :3 * H])
+        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
         g = np.tanh(z[:, 3 * H:])
         c_new = f * c + i * g
         tc = np.tanh(c_new)

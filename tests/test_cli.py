@@ -179,6 +179,22 @@ class TestAblateAnomalyHyperopt:
             rows = list(csv.DictReader(fh))
         assert [r["h"] for r in rows] == ["0", "1"]
 
+    def test_ablate_jobs_2_matches_jobs_1(self, tmp_path):
+        cfg = write_config(tmp_path / "j.yaml",
+                           ablation={"covariates":
+                                     ["nitrate_in", "methanol", "water_flow"],
+                                     "h_values": [0, 1]})
+        artifacts = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["ablate", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 0
+            artifacts[jobs] = {p.name: p.read_bytes() for p in out.iterdir()
+                               if p.name != "manifest.json"}
+        assert set(artifacts["1"]) == {"ablation.csv", "importance.json",
+                                       "history.csv"}
+        assert artifacts["2"] == artifacts["1"]
+
     def test_anomaly_command(self, config_path, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", str(config_path), "--out", str(out)])
@@ -231,7 +247,9 @@ class TestExitCodes:
         ("train", {"ablation": {"seeds": [0, 1.5]}}),
         ("anomaly", {"anomaly": {"split": "nope"}}),
         ("train", {"cleaning": {"window": 0}}),
-    ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window"])
+        ("train", {"anomaly": {"peak_window": 1}}),
+    ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
+            "anomaly-peak-window"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),
