@@ -1,8 +1,15 @@
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import denitlab
 from denitlab.errors import DenitlabError
 from denitlab.utils import parallel_map
 
@@ -51,3 +58,42 @@ class TestParallelMap:
         assert parallel_map(lambda x: os.getpid(), items, jobs=jobs) == \
             [pid] * len(items)
 
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="parent-death signal is Linux only")
+    def test_workers_die_with_a_terminated_caller(self):
+        script = textwrap.dedent("""
+            import os, time
+            from denitlab.utils import parallel_map
+            def fn(x):
+                os.write(1, b"%d\\n" % os.getpid())  # one write: lines never interleave
+                time.sleep(60)
+            parallel_map(fn, range(2), jobs=2)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(denitlab.__file__).parents[1]))
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            workers = [int(caller.stdout.readline()) for _ in range(2)]
+            caller.send_signal(signal.SIGTERM)
+            caller.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, workers))
+        finally:
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; an unreaped zombie counts as dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
