@@ -165,14 +165,6 @@ class Scaler:
     fitted_on: tuple[Range, ...]
     target_index: int = field(default=-1)
 
-    def transform_column(self, name: str, x: np.ndarray) -> np.ndarray:
-        j = self.names.index(name)
-        return (x - self.mean[j]) / self.std[j]
-
-    def invert_column(self, name: str, z: np.ndarray) -> np.ndarray:
-        j = self.names.index(name)
-        return z * self.std[j] + self.mean[j]
-
 
 def _parse_timestamp(text: str) -> datetime:
     raw = text.strip()

@@ -18,7 +18,7 @@ from .dataset import TARGET, FoldPlan, Scaler, TimeSeriesFrame, apply_scaler, in
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch
-from .preprocess import build_windows, span_clear, unbroken_rows
+from .preprocess import admissible_anchors, build_windows, span_clear, unbroken_rows
 
 FORECAST_HORIZON = 6
 
@@ -99,17 +99,18 @@ def _model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges,
         preds = invert_target(scaler, predict_batch(model, ws))
         return preds, y[ws.t]
 
-    ws = build_windows(scaled, spec.covariates, spec.h, horizon=FORECAST_HORIZON,
-                       with_target_history=True, plan_ranges=ranges)
-    anchors = ws.t
+    anchors, _ = admissible_anchors(scaled, spec.covariates, spec.h,
+                                    horizon=FORECAST_HORIZON, with_target_history=True,
+                                    plan_ranges=ranges)
     # the rollout also consumes covariates over (t, t+horizon]; drop anchors
-    # where those are missing (the window builder only vets [t-h, t])
+    # where those are missing (admissibility only vets [t-h, t])
     okcov = _finite_rows(frame, spec.covariates)
     keep = span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON)
     anchors = anchors[keep]
     if anchors.size == 0:
         raise NoAdmissibleWindows("no forecast anchors with known future covariates")
-    preds = rollout_forecast_batch(model, frame, anchors, FORECAST_HORIZON)
+    preds = invert_target(scaler, rollout_forecast_batch(model, scaled, anchors,
+                                                         FORECAST_HORIZON))
     future = anchors[:, None] + np.arange(1, FORECAST_HORIZON + 1)
     return preds.ravel(), y[future].ravel()
 
@@ -196,6 +197,14 @@ def forecast_horizon_breakdown(model: TrainedModel, frame: TimeSeriesFrame,
     return [mse(preds[:, k], actual[:, k]) for k in range(FORECAST_HORIZON)]
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample (n-1) standard deviation; a run of equal values is
+    that value with std 0, which the float sums need not give exactly."""
+    if np.all(values == values[0]):
+        return float(values[0]), 0.0
+    return float(values.mean()), float(values.std(ddof=1))
+
+
 def aggregate_seeds(reports: list[EvalReport]) -> SeedAggregate:
     """Mean and sample (n-1) standard deviation across seeds; std 0 for one."""
     if not reports:
@@ -205,13 +214,10 @@ def aggregate_seeds(reports: list[EvalReport]) -> SeedAggregate:
         if (r.model_id, r.task, r.split) != (first.model_id, first.task, first.split):
             raise MixedGroups(f"{r.model_id}/{r.task}/{r.split} mixed with "
                               f"{first.model_id}/{first.task}/{first.split}")
-    mses = np.array([r.mse for r in reports])
-    maes = np.array([r.mae for r in reports])
-    n = len(reports)
-    std_mse = float(mses.std(ddof=1)) if n > 1 else 0.0
-    std_mae = float(maes.std(ddof=1)) if n > 1 else 0.0
+    mean_mse, std_mse = _mean_std(np.array([r.mse for r in reports]))
+    mean_mae, std_mae = _mean_std(np.array([r.mae for r in reports]))
     return SeedAggregate(model_id=first.model_id, task=first.task,
                          split=first.split,
-                         mean_mse=float(mses.mean()), std_mse=std_mse,
-                         mean_mae=float(maes.mean()), std_mae=std_mae,
-                         n_seeds=n)
+                         mean_mse=mean_mse, std_mse=std_mse,
+                         mean_mae=mean_mae, std_mae=std_mae,
+                         n_seeds=len(reports))

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from ..dataset import Scaler, TARGET, TimeSeriesFrame, invert_target
+from ..dataset import Scaler, TARGET, TimeSeriesFrame, apply_scaler, invert_target
 from ..errors import EmptyWindows, SpecMismatch, WindowCrossesGap
 from ..preprocess import WindowSet
 from . import elastic_net as _enet
@@ -111,26 +111,24 @@ def _predict_stacked(model: TrainedModel, X3: np.ndarray) -> np.ndarray:
     return network_forward(arch, model.parameters, X3)
 
 
-def _scaled_columns(frame: TimeSeriesFrame, scaler: Scaler, names) -> np.ndarray:
-    cols = [scaler.transform_column(n, frame.col(n)) for n in names]
-    return np.column_stack(cols) if cols else np.empty((len(frame), 0))
-
-
-def rollout_forecast_batch(model: TrainedModel, frame: TimeSeriesFrame,
+def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
                            anchors: np.ndarray, steps: int = 6) -> np.ndarray:
-    """Recursive multi-step forecasts at many anchors; original-scale output.
+    """Recursive multi-step forecasts at many anchors, (anchors, steps).
 
-    Covariates over (t, t+steps] are treated as known measurements; the
-    target history channel is fed the model's own scaled predictions. The
-    caller must supply admissible anchors (validated spans).
+    Like ``predict_batch``, this works in the scaled domain: ``scaled`` is the
+    frame standardized by the model's scaler, and the forecasts come back
+    scaled (``invert_target`` maps them to original units). Covariates over
+    (t, t+steps] are treated as known measurements; the target history
+    channel is fed the model's own predictions. The caller must supply
+    admissible anchors (validated spans).
     """
     spec = model.spec
     if spec.task != "forecast":
         raise SpecMismatch("rollout requires a forecast-task model")
     anchors = np.asarray(anchors, dtype=int)
     h = spec.h
-    cov = _scaled_columns(frame, model.scaler, spec.covariates)
-    y_scaled = model.scaler.transform_column(TARGET, frame.col(TARGET))
+    cov = scaled.values[:, [scaled.col_index(n) for n in spec.covariates]]
+    y_scaled = scaled.col(TARGET)
 
     hist_idx = anchors[:, None] + np.arange(-h, 1)
     y_buf = np.empty((len(anchors), h + steps + 1))
@@ -139,12 +137,13 @@ def rollout_forecast_batch(model: TrainedModel, frame: TimeSeriesFrame,
         row_idx = hist_idx + s - 1
         inputs = np.concatenate([cov[row_idx], y_buf[:, s - 1:h + s, None]], axis=2)
         y_buf[:, h + s] = _predict_stacked(model, inputs)
-    return invert_target(model.scaler, y_buf[:, h + 1:])
+    return y_buf[:, h + 1:]
 
 
 def rollout_forecast(model: TrainedModel, frame: TimeSeriesFrame,
                      t: int, steps: int = 6) -> np.ndarray:
-    """Validated single-anchor rollout; raises WindowCrossesGap on bad spans."""
+    """Validated single-anchor rollout on an unscaled frame, original units;
+    raises WindowCrossesGap on bad spans."""
     spec = model.spec
     if spec.task != "forecast":
         raise SpecMismatch("rollout requires a forecast-task model")
@@ -158,7 +157,9 @@ def rollout_forecast(model: TrainedModel, frame: TimeSeriesFrame,
             raise WindowCrossesGap(f"covariate {name!r} missing inside span")
     if not np.all(np.isfinite(frame.col(TARGET)[lo:t + 1])):
         raise WindowCrossesGap("target history missing inside span")
-    return rollout_forecast_batch(model, frame, np.array([t]), steps)[0]
+    scaled = apply_scaler(frame, model.scaler)
+    return invert_target(model.scaler,
+                         rollout_forecast_batch(model, scaled, np.array([t]), steps)[0])
 
 
 # --- serialization ----------------------------------------------------------

@@ -17,7 +17,9 @@ is the stable sort of the subset, so every node scans the same values in the
 same order as a fresh stable argsort of its rows would, and its mean and sum
 read the residuals in ascending row order (numpy's pairwise sums depend on
 order). Splits, tie-breaks and every float thus match a splitter that
-re-sorts at every node, bit for bit.
+re-sorts at every node, bit for bit. A node whose children will both be
+leaves (the next level is the last, or neither child has rows enough to
+split) gathers no lists for them and takes their means straight away.
 """
 
 from __future__ import annotations
@@ -73,23 +75,25 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
 
     feature, threshold = best
     in_left = XT[feature, idx] < threshold
+    left, right = idx[in_left], idx[~in_left]
+    node = {"leaf": False, "value": value, "feature": feature,
+            "threshold": threshold}
+    if depth + 1 >= max_depth or max(len(left), len(right)) < 2 * min_samples_leaf:
+        # both children are leaves: skip gathering their order lists
+        node["left"] = {"leaf": True, "value": float(r[left].mean())}
+        node["right"] = {"leaf": True, "value": float(r[right].mean())}
+        return node
     go_left = np.zeros(XT.shape[1], dtype=bool)
-    go_left[idx] = in_left
-    # every row of orders holds the same rows, so each keeps n_left of them
+    go_left[left] = True
+    # every row of orders holds the same rows, so each keeps len(left) of them
     sides = go_left[orders]
-    n_left = int(in_left.sum())
-    return {
-        "leaf": False,
-        "value": value,
-        "feature": feature,
-        "threshold": threshold,
-        "left": _build_tree(XT, r, idx[in_left],
-                            orders[sides].reshape(len(orders), n_left),
-                            max_depth, min_samples_leaf, depth + 1),
-        "right": _build_tree(XT, r, idx[~in_left],
-                             orders[~sides].reshape(len(orders), n - n_left),
-                             max_depth, min_samples_leaf, depth + 1),
-    }
+    node["left"] = _build_tree(XT, r, left,
+                               orders[sides].reshape(len(orders), len(left)),
+                               max_depth, min_samples_leaf, depth + 1)
+    node["right"] = _build_tree(XT, r, right,
+                                orders[~sides].reshape(len(orders), len(right)),
+                                max_depth, min_samples_leaf, depth + 1)
+    return node
 
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -260,13 +260,14 @@ class WindowSet:
         return _SampleView(self)
 
 
-def build_windows(frame: TimeSeriesFrame,
-                  covariates,
-                  h: int,
-                  horizon: int,
-                  with_target_history: bool,
-                  plan_ranges) -> WindowSet:
-    """All admissible windows anchored in ``plan_ranges``, in range order.
+def admissible_anchors(frame: TimeSeriesFrame,
+                       covariates,
+                       h: int,
+                       horizon: int,
+                       with_target_history: bool,
+                       plan_ranges) -> tuple[np.ndarray, int]:
+    """Anchors of all admissible windows in ``plan_ranges``, in range order,
+    and the number of candidate anchors (every row of the ranges).
 
     An anchor t is admissible when the span [t-h, t+horizon] stays inside a
     single range, crosses no gap, and touches no missing value it needs:
@@ -274,20 +275,16 @@ def build_windows(frame: TimeSeriesFrame,
     and the target at t (nowcast) or t+1..t+horizon (forecast). Staying
     inside range [rs, re) means rs+h <= t < re-horizon, so only those anchors
     are tested; each other condition is one ``span_clear`` over all of them
-    at once. The windows are then gathered as
-    ``X_all[t[:, None] + arange(-h, 1)]``.
+    at once.
     """
     if h < 0:
         raise BadParams("history length h must be >= 0")
     if horizon < 0:
         raise BadParams("horizon must be >= 0")
-    covariates = tuple(covariates)
     for c in covariates:
         if c == TARGET:
             raise BadParams("target cannot be a covariate")
     n = len(frame)
-    cov_idx = [frame.col_index(c) for c in covariates]
-    X_all = frame.values[:, cov_idx]
     y_all = frame.col(TARGET)
 
     candidates = 0
@@ -301,7 +298,8 @@ def build_windows(frame: TimeSeriesFrame,
         blocks.append(np.arange(rs + h, re_ - horizon))
     t = np.concatenate(blocks)
 
-    ok_hist = np.all(np.isfinite(X_all), axis=1)
+    cov_idx = [frame.col_index(c) for c in covariates]
+    ok_hist = np.all(np.isfinite(frame.values[:, cov_idx]), axis=1)
     if with_target_history:
         ok_hist &= np.isfinite(y_all)
     first_y = t + 1 if horizon else t
@@ -311,7 +309,26 @@ def build_windows(frame: TimeSeriesFrame,
     if not t.size:
         raise NoAdmissibleWindows(
             f"no admissible anchors among {candidates} candidates (h={h}, horizon={horizon})")
+    return t, candidates
 
+
+def build_windows(frame: TimeSeriesFrame,
+                  covariates,
+                  h: int,
+                  horizon: int,
+                  with_target_history: bool,
+                  plan_ranges) -> WindowSet:
+    """All admissible windows anchored in ``plan_ranges``, in range order.
+
+    The anchors are those of ``admissible_anchors``; the windows are then
+    gathered as ``X_all[t[:, None] + arange(-h, 1)]`` from the covariate
+    columns ``X_all``.
+    """
+    covariates = tuple(covariates)
+    t, candidates = admissible_anchors(frame, covariates, h, horizon,
+                                       with_target_history, plan_ranges)
+    X_all = frame.values[:, [frame.col_index(c) for c in covariates]]
+    y_all = frame.col(TARGET)
     rows = t[:, None] + np.arange(-h, 1)
     y = y_all[t] if horizon == 0 else y_all[t[:, None] + np.arange(1, horizon + 1)]
     y_hist = y_all[rows] if with_target_history else None

@@ -84,6 +84,14 @@ class TestAggregateSeeds:
         assert agg.std_mse == 0.0
         assert agg.n_seeds == 10
 
+    def test_identical_inexact_scores_report_the_value_and_std_zero(self):
+        # ten copies of these sum to neither 10x the value nor a zero spread
+        v = 0.2384738857005055
+        reports = [EvalReport("m", "nowcast", "test", v, 0.3, 5, s) for s in range(10)]
+        agg = aggregate_seeds(reports)
+        assert (agg.mean_mse, agg.std_mse) == (v, 0.0)
+        assert (agg.mean_mae, agg.std_mae) == (0.3, 0.0)
+
     def test_mixed_groups_rejected(self):
         with pytest.raises(MixedGroups):
             aggregate_seeds([
@@ -265,3 +273,23 @@ class TestForecastAnchorSets:
         _, actual = _model_pairs(model, frame, plan.test, scaler)
         y = frame.col("nitrate_out")
         assert np.array_equal(actual, y[anchors[:, None] + np.arange(1, 7)].ravel())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("h", [0, 2])
+    def test_model_scores_equal_single_anchor_rollouts(self, seed, h):
+        # scoring scales the frame once and inverts with the same scaler; the
+        # validated single-anchor rollout scales and inverts on its own (one
+        # row against many through the same matrix product: last bits differ)
+        from denitlab.evaluation import _model_pairs
+        from denitlab.models import rollout_forecast
+        frame = _gappy_frame(seed)
+        plan = make_final_split(frame, 0.5, 0.2)
+        spec = ModelSpec("elastic_net", ("nitrate_in", "methanol"), h=h,
+                         task="forecast", hyperparams={"alpha": 1e-3}, seed=0)
+        model, _, scaler = train_on_plan(spec, frame, plan)
+        assert np.any(model.parameters["w"] != 0.0)
+        anchors = self._admitted(frame, plan.test, -h, 6,
+                                 ("nitrate_in", "methanol", "nitrate_out"))
+        preds, _ = _model_pairs(model, frame, plan.test, scaler)
+        np.testing.assert_allclose(preds, np.concatenate(
+            [rollout_forecast(model, frame, int(t)) for t in anchors]), rtol=1e-13)

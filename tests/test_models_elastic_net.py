@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,112 @@ def test_predict_linear_shapes():
     assert out == pytest.approx([1.5, 0.5])
     with pytest.raises(DimensionMismatch):
         predict_linear(np.array([1.0]), 0.0, np.ones((2, 3)))
+
+
+# --- covariance-update solver against the residual-update loop ---------------
+
+def _residual_update_fit(X, y, alpha, l1_ratio, tol, max_iter):
+    """Frozen copy of the earlier solver: each coordinate step is an O(n) dot
+    with the residual, which is then updated in place."""
+    n, n_feat = X.shape
+    w = np.zeros(n_feat)
+    b = 0.0
+    r = y - b
+    col_sq = (X ** 2).mean(axis=0)
+    l1 = alpha * l1_ratio
+    l2 = alpha * (1.0 - l1_ratio)
+
+    def objective():
+        return float(0.5 / n * r @ r
+                     + alpha * (l1_ratio * np.abs(w).sum()
+                                + 0.5 * (1 - l1_ratio) * w @ w))
+
+    def soft_threshold(x, lam):
+        return x - lam if x > lam else x + lam if x < -lam else 0.0
+
+    losses = [objective()]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        max_move = 0.0
+        shift = r.mean()
+        if shift != 0.0:
+            b += shift
+            r -= shift
+            max_move = abs(shift)
+        for j in range(n_feat):
+            if col_sq[j] == 0.0:
+                continue
+            w_old = w[j]
+            rho = (X[:, j] @ r) / n + col_sq[j] * w_old
+            w_new = soft_threshold(rho, l1) / (col_sq[j] + l2)
+            if w_new != w_old:
+                r += X[:, j] * (w_old - w_new)
+                w[j] = w_new
+            max_move = max(max_move, abs(w_new - w_old))
+        losses.append(objective())
+        if max_move < tol:
+            converged = True
+            break
+    return w, b, losses, sweeps, converged
+
+
+def _lagged_design(seed, channels, h, n=300, zero_column=None):
+    """Lag-stacked random-walk channels, as the windows give the tabular
+    models: neighbouring lags of a channel are strongly collinear, and the
+    columns are scaled but not centred (a window set's column means are not
+    the scaler's)."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=(n + h, channels)), axis=0) * 0.1 \
+        + rng.normal(size=(n + h, channels)) * 0.05
+    X = np.concatenate([walk[k:k + n] for k in range(h + 1)], axis=1)
+    X = (X - X.mean(axis=0)) / X.std(axis=0) + rng.normal(size=X.shape[1]) * 0.5
+    y = X @ rng.normal(size=X.shape[1]) * 0.3 + rng.normal(size=n) * 0.5 + 0.2
+    if zero_column is not None:
+        X[:, zero_column] = 0.0
+    return X, y
+
+
+@pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("channels,h,zero_column,max_iter", [
+    (1, 0, None, 5000),   # p = 1
+    (1, 2, None, 5000),   # p = 3
+    (3, 3, None, 5000),   # p = 12
+    (3, 3, 5, 5000),      # p = 12 with an all-zero column
+    (10, 2, None, 5000),  # p = 30
+    (10, 2, None, 7),     # p = 30, stopped by max_iter
+])
+def test_covariance_updates_match_residual_updates(channels, h, zero_column,
+                                                   max_iter, l1_ratio):
+    X, y = _lagged_design(channels * 10 + h, channels, h, zero_column=zero_column)
+    alpha, tol = 1e-2, 1e-7
+    w_ref, b_ref, losses_ref, sweeps_ref, conv_ref = _residual_update_fit(
+        X, y, alpha, l1_ratio, tol, max_iter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        w, b, log, converged = fit_elastic_net(X, y, alpha=alpha, l1_ratio=l1_ratio,
+                                               tol=tol, max_iter=max_iter)
+    assert converged == conv_ref == (max_iter > 7)
+    assert log.stopped_at == sweeps_ref
+    assert log.stop_reason == ("converged" if conv_ref else "max_iter")
+    assert np.abs(w - w_ref).max() <= 1e-10
+    assert abs(b - b_ref) <= 1e-10
+    if zero_column is not None:
+        assert w[zero_column] == 0.0
+    np.testing.assert_allclose(log.train_loss, losses_ref, rtol=1e-12, atol=0)
+
+
+def test_exactly_collinear_design_converges_like_residual_updates():
+    # duplicated lag columns of a sinusoid: G is singular, so rounding in
+    # G @ w that drifted across sweeps would keep moving w along its null
+    # space; the residual form settles at a tight tol in about 7,000 sweeps
+    t = np.arange(400)
+    c = np.sin(2 * np.pi * t / 144)
+    c = (c - c.mean()) / c.std()
+    X = np.column_stack([c[:-1], c[1:], c[:-1], c[1:]])
+    y = np.sin(2 * np.pi * (t[1:] + 1) / 144)
+    _, _, _, sweeps_ref, conv_ref = _residual_update_fit(X, y, 0.0, 0.5, 1e-14, 50000)
+    _, _, log, converged = fit_elastic_net(X, y, alpha=0.0, tol=1e-14, max_iter=50000)
+    assert conv_ref and converged
+    assert abs(log.stopped_at - sweeps_ref) <= 0.01 * sweeps_ref
+    assert log.train_loss[-1] < 1e-24
