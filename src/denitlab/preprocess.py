@@ -321,18 +321,18 @@ def build_windows(frame: TimeSeriesFrame,
     """All admissible windows anchored in ``plan_ranges``, in range order.
 
     The anchors are those of ``admissible_anchors``; the windows are then
-    gathered as ``X_all[t[:, None] + arange(-h, 1)]`` from the covariate
-    columns ``X_all``.
+    gathered from the frame's covariate columns at rows
+    ``t[:, None] + arange(-h, 1)`` in one indexing step.
     """
     covariates = tuple(covariates)
     t, candidates = admissible_anchors(frame, covariates, h, horizon,
                                        with_target_history, plan_ranges)
-    X_all = frame.values[:, [frame.col_index(c) for c in covariates]]
+    cov_idx = np.array([frame.col_index(c) for c in covariates], dtype=np.intp)
     y_all = frame.col(TARGET)
     rows = t[:, None] + np.arange(-h, 1)
     y = y_all[t] if horizon == 0 else y_all[t[:, None] + np.arange(1, horizon + 1)]
     y_hist = y_all[rows] if with_target_history else None
-    arrays = (X_all[rows], y, t, y_hist)
+    arrays = (frame.values[rows[:, :, None], cov_idx], y, t, y_hist)
     for a in arrays:
         if a is not None:
             a.setflags(write=False)
