@@ -281,6 +281,7 @@ def admissible_anchors(frame: TimeSeriesFrame,
         raise BadParams("history length h must be >= 0")
     if horizon < 0:
         raise BadParams("horizon must be >= 0")
+    covariates = tuple(covariates)
     for c in covariates:
         if c == TARGET:
             raise BadParams("target cannot be a covariate")
