@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Range
 from .errors import BadParams, LengthMismatch, NonFinite
-from .preprocess import rolling_median
+from .preprocess import rolling_median, runs
 
 MISSED_TARGET_PEAK = 1
 SPURIOUS_PREDICTED_PEAK = 2
@@ -60,20 +60,6 @@ class AnomalyEvent:
 
     def interval(self) -> Range:
         return (self.start_index, self.end_index)
-
-
-def _runs(flags: np.ndarray) -> list[Range]:
-    runs = []
-    start = None
-    for i, f in enumerate(flags):
-        if f and start is None:
-            start = i
-        elif not f and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags)))
-    return runs
 
 
 def _rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -140,12 +126,12 @@ def detect_anomalies(pred, actual,
     peaks_p = exc_p > params.peak_sigma * mad_p
 
     events: list[AnomalyEvent] = []
-    for s, e in _runs(peaks_a):
+    for s, e in runs(peaks_a):
         a_height = float(exc_a[s:e].max())
         p_height = float(exc_p[s:e].max())
         if p_height < params.follow_ratio * a_height:
             events.append(AnomalyEvent(MISSED_TARGET_PEAK, s, e, a_height))
-    for s, e in _runs(peaks_p):
+    for s, e in runs(peaks_p):
         p_height = float(exc_p[s:e].max())
         a_height = float(exc_a[s:e].max())
         if a_height < params.follow_ratio * p_height:
@@ -155,7 +141,7 @@ def detect_anomalies(pred, actual,
     roll_err = _rolling_mean(err, params.bias_window)
     corr = _diff_corr(pred, actual, params.bias_window)
     biased = (np.abs(roll_err) > params.bias_threshold) & (corr >= DIFF_CORR_MIN)
-    for s, e in _runs(biased):
+    for s, e in runs(biased):
         if e - s >= params.bias_window:
             events.append(AnomalyEvent(SUSTAINED_BIAS, s, e, float(err[s:e].mean())))
 

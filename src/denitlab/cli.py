@@ -33,18 +33,6 @@ from .synthpilot import generate
 
 DATA_ENV = "DENITLAB_DATA"
 
-_CONFIG_ERRORS = (err.InvalidConfig, err.InvalidSpec)
-_DATA_ERRORS = (err.MissingColumn, err.UnparsableTimestamp, err.UnparsableValue,
-                err.NonMonotonicTime, err.OffGridTimestamp, err.FrameTooShort,
-                err.InvalidFractions, err.ZeroVarianceColumn, err.EmptyRanges,
-                err.BadParams, err.MaskTouchesBoundary, err.NoAdmissibleWindows,
-                err.EmptyTraining, err.InsufficientHistory, err.SpecMismatch,
-                err.GuardrailExceeded, err.EmptyTable, err.EmptyReports,
-                err.MixedGroups, err.LengthMismatch, err.NonFinite,
-                err.NonFiniteInput, err.WindowCrossesGap, FileNotFoundError)
-_TRAIN_ERRORS = (err.NonFiniteLoss, err.AllTrialsFailed, err.EmptyWindows,
-                 err.DimensionMismatch, err.TrainingLossRose)
-
 
 def _write_manifest(config: ExperimentConfig, out: Path, command: str) -> None:
     manifest = {
@@ -320,13 +308,13 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](config, out, args)
         _write_manifest(config, out, args.command)
-    except _CONFIG_ERRORS as exc:
+    except err.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as exc:
+    except (err.DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except _TRAIN_ERRORS as exc:
+    except err.TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 4
     return 0

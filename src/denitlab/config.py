@@ -20,7 +20,7 @@ import yaml
 from .anomaly import AnomalyParams
 from .dataset import COVARIATES, SAMPLES_PER_WEEK
 from .errors import BadParams, InvalidConfig
-from .hyperopt import CategoricalDim, GridDim, LogUniformDim, SearchSpace
+from .hyperopt import GridDim, LogUniformDim, SearchSpace
 from .models import ARCHS, TASKS
 from .preprocess import CleaningParams
 from .synthpilot import CarrierSchedule, CleaningSchedule, DosingParams, Fault, \
@@ -152,9 +152,14 @@ def _plain(obj):
     return obj
 
 
-def _build(cls, data: dict, what: str):
+def _mapping(data, what: str) -> dict:
     if not isinstance(data, dict):
         raise InvalidConfig(f"{what} must be a mapping")
+    return dict(data)
+
+
+def _build(cls, data: dict, what: str):
+    data = _mapping(data, what)
     try:
         return cls(**data)
     except (TypeError, BadParams) as exc:
@@ -168,7 +173,7 @@ def _tupled(seq, what: str) -> tuple:
 
 
 def parse_synth(data: dict) -> SynthConfig:
-    data = dict(data)
+    data = _mapping(data, "synth")
     kwargs: dict[str, Any] = {}
     nested = {
         "dosing": DosingParams, "temperature": SinusoidProfile,
@@ -200,15 +205,11 @@ def load_config(path) -> ExperimentConfig:
         raise InvalidConfig(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise InvalidConfig(f"config is not valid YAML: {exc}") from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise InvalidConfig("config root must be a mapping")
-    return config_from_dict(raw)
+    return config_from_dict({} if raw is None else raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    data = dict(raw)
+    data = _mapping(raw, "config root")
     kwargs: dict[str, Any] = {}
     if "synth" in data:
         kwargs["synth"] = parse_synth(data.pop("synth"))
@@ -218,11 +219,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if key in data:
             kwargs[key] = _build(cls, data.pop(key), key)
     if "hyperopt" in data:
-        sub = dict(data.pop("hyperopt"))
+        sub = _mapping(data.pop("hyperopt"), "hyperopt")
         sub.setdefault("space", {})
         kwargs["hyperopt"] = _build(HyperoptSettings, sub, "hyperopt")
     if "ablation" in data:
-        sub = dict(data.pop("ablation"))
+        sub = _mapping(data.pop("ablation"), "ablation")
         for key in ("covariates", "h_values", "seeds"):
             if key in sub:
                 sub[key] = _tupled(sub[key], f"ablation.{key}")
@@ -243,7 +244,7 @@ def _default_h_candidates() -> GridDim:
     return GridDim(values=(0, 2, 5, 11, 23))
 
 
-def _default_covariate_candidates(covariates: tuple[str, ...]) -> CategoricalDim:
+def _default_covariate_candidates(covariates: tuple[str, ...]) -> GridDim:
     """Full set, every leave-one-out subset, and every singleton."""
     full = tuple(covariates)
     candidates = [full]
@@ -252,7 +253,7 @@ def _default_covariate_candidates(covariates: tuple[str, ...]) -> CategoricalDim
             candidates.append(tuple(n for j, n in enumerate(full) if j != i))
     for name in full:
         candidates.append((name,))
-    return CategoricalDim(values=tuple(dict.fromkeys(candidates)))
+    return GridDim(values=tuple(dict.fromkeys(candidates)))
 
 
 def default_dimensions(arch: str) -> dict:
@@ -294,7 +295,7 @@ def _parse_dimension(name: str, value) -> Any:
             vals = value["choice"]
             vals = tuple(tuple(v) if isinstance(v, (list, tuple)) else v
                          for v in vals)
-            return CategoricalDim(vals)
+            return GridDim(vals)
         raise InvalidConfig(f"dimension {name!r} needs grid|log_uniform|choice")
     if isinstance(value, (list, tuple)):
         return GridDim(tuple(value))
@@ -306,8 +307,5 @@ def build_search_space(config: ExperimentConfig, arch: str) -> SearchSpace:
     dims["h"] = _default_h_candidates()
     dims["covariates"] = _default_covariate_candidates(config.covariates)
     for name, value in config.hyperopt.space.get(arch, {}).items():
-        parsed = _parse_dimension(name, value)
-        if name == "covariates" and isinstance(parsed, GridDim):
-            parsed = CategoricalDim(tuple(tuple(v) for v in parsed.values))
-        dims[name] = parsed
+        dims[name] = _parse_dimension(name, value)
     return SearchSpace(arch=arch, dimensions=dims)

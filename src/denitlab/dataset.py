@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -21,6 +22,7 @@ from .errors import (
     InvalidFractions,
     MissingColumn,
     NonMonotonicTime,
+    NotAFile,
     OffGridTimestamp,
     UnparsableTimestamp,
     UnparsableValue,
@@ -184,6 +186,8 @@ def load_csv(path, schema: dict[str, str] | None = None) -> TimeSeriesFrame:
     jumps allowed and recorded as gaps); empty fields are missing values.
     """
     schema = SCHEMA if schema is None else schema
+    if os.path.isdir(path):
+        raise NotAFile(f"dataset path {path} is a directory, not a CSV file")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

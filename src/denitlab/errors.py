@@ -1,77 +1,98 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+Every concrete error derives from exactly one category base, and the
+category alone decides the CLI exit code: ``ConfigError`` 2, ``DataError``
+3, ``TrainingError`` 4.
+"""
 
 
 class DenitlabError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(DenitlabError):
+    """The experiment config or a spec built from it is invalid."""
+
+
+class DataError(DenitlabError):
+    """The data, or a request made of it, cannot be used."""
+
+
+class TrainingError(DenitlabError):
+    """A model could not be trained."""
+
+
 # --- dataset ---------------------------------------------------------------
 
-class MissingColumn(DenitlabError):
+class MissingColumn(DataError):
     pass
 
 
-class UnparsableTimestamp(DenitlabError):
+class UnparsableTimestamp(DataError):
     pass
 
 
-class UnparsableValue(DenitlabError):
+class UnparsableValue(DataError):
     pass
 
 
-class NonMonotonicTime(DenitlabError):
+class NonMonotonicTime(DataError):
     pass
 
 
-class OffGridTimestamp(DenitlabError):
+class OffGridTimestamp(DataError):
     pass
 
 
-class FrameTooShort(DenitlabError):
+class FrameTooShort(DataError):
     pass
 
 
-class InvalidFractions(DenitlabError):
+class InvalidFractions(DataError):
     pass
 
 
-class ZeroVarianceColumn(DenitlabError):
+class ZeroVarianceColumn(DataError):
     pass
 
 
-class EmptyRanges(DenitlabError):
+class EmptyRanges(DataError):
+    pass
+
+
+class NotAFile(DataError):
     pass
 
 
 # --- preprocess / anomaly --------------------------------------------------
 
-class BadParams(DenitlabError):
+class BadParams(DataError):
     pass
 
 
-class MaskTouchesBoundary(DenitlabError):
+class MaskTouchesBoundary(DataError):
     pass
 
 
-class NoAdmissibleWindows(DenitlabError):
+class NoAdmissibleWindows(DataError):
     pass
 
 
 # --- models ----------------------------------------------------------------
 
-class DimensionMismatch(DenitlabError):
+class DimensionMismatch(TrainingError):
     pass
 
 
-class InvalidSpec(DenitlabError):
+class InvalidSpec(ConfigError):
     pass
 
 
-class EmptyWindows(DenitlabError):
+class EmptyWindows(TrainingError):
     pass
 
 
-class NonFiniteLoss(DenitlabError):
+class NonFiniteLoss(TrainingError):
     """Training diverged. Carries the partial training log."""
 
     def __init__(self, message, log=None):
@@ -79,63 +100,59 @@ class NonFiniteLoss(DenitlabError):
         self.log = log
 
 
-class TrainingLossRose(DenitlabError):
+class TrainingLossRose(TrainingError):
     """A full-data boosting stage raised the training loss."""
 
 
-class SpecMismatch(DenitlabError):
-    pass
-
-
-class WindowCrossesGap(DenitlabError):
+class SpecMismatch(DataError):
     pass
 
 
 # --- baselines / evaluation ------------------------------------------------
 
-class EmptyTraining(DenitlabError):
+class EmptyTraining(DataError):
     pass
 
 
-class InsufficientHistory(DenitlabError):
+class InsufficientHistory(DataError):
     pass
 
 
-class LengthMismatch(DenitlabError):
+class LengthMismatch(DataError):
     pass
 
 
-class NonFinite(DenitlabError):
+class NonFinite(DataError):
     pass
 
 
-class MixedGroups(DenitlabError):
+class MixedGroups(DataError):
     pass
 
 
-class EmptyReports(DenitlabError):
+class EmptyReports(DataError):
     pass
 
 
 # --- hyperopt / ablation ---------------------------------------------------
 
-class AllTrialsFailed(DenitlabError):
+class AllTrialsFailed(TrainingError):
     pass
 
 
-class GuardrailExceeded(DenitlabError):
+class GuardrailExceeded(DataError):
     pass
 
 
-class EmptyTable(DenitlabError):
+class EmptyTable(DataError):
     pass
 
 
 # --- synthpilot / cli ------------------------------------------------------
 
-class NonFiniteInput(DenitlabError):
+class NonFiniteInput(DataError):
     pass
 
 
-class InvalidConfig(DenitlabError):
+class InvalidConfig(ConfigError):
     pass

@@ -27,6 +27,8 @@ from .utils import parallel_map
 
 @dataclass(frozen=True)
 class GridDim:
+    """A finite set of candidate values, drawn uniformly."""
+
     values: tuple
 
     def __post_init__(self):
@@ -37,16 +39,8 @@ class GridDim:
         return self.values[int(rng.integers(len(self.values)))]
 
 
-@dataclass(frozen=True)
-class CategoricalDim:
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values:
-            raise InvalidConfig("empty categorical dimension")
-
-    def sample(self, rng: np.random.Generator):
-        return self.values[int(rng.integers(len(self.values)))]
+# perfbench/ imports this name; choice dimensions are plain grids
+CategoricalDim = GridDim
 
 
 @dataclass(frozen=True)

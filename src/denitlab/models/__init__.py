@@ -12,8 +12,8 @@ import json
 
 import numpy as np
 
-from ..dataset import Scaler, TARGET, TimeSeriesFrame, apply_scaler, invert_target
-from ..errors import EmptyWindows, SpecMismatch, WindowCrossesGap
+from ..dataset import Scaler, TARGET, TimeSeriesFrame
+from ..errors import EmptyWindows, SpecMismatch
 from ..preprocess import WindowSet
 from . import elastic_net as _enet
 from . import gbt as _gbt
@@ -23,7 +23,7 @@ from .spec import ARCHS, DEFAULT_HYPERPARAMS, ModelSpec, TASKS, TrainLog, Traine
 __all__ = [
     "ARCHS", "TASKS", "DEFAULT_HYPERPARAMS", "ModelSpec", "TrainLog",
     "TrainedModel", "train_model", "predict_batch",
-    "rollout_forecast", "rollout_forecast_batch", "serialize", "deserialize",
+    "rollout_forecast_batch", "serialize", "deserialize",
     "save_model", "load_model", "loss_and_grad", "network_forward",
 ]
 
@@ -138,28 +138,6 @@ def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
         inputs = np.concatenate([cov[row_idx], y_buf[:, s - 1:h + s, None]], axis=2)
         y_buf[:, h + s] = _predict_stacked(model, inputs)
     return y_buf[:, h + 1:]
-
-
-def rollout_forecast(model: TrainedModel, frame: TimeSeriesFrame,
-                     t: int, steps: int = 6) -> np.ndarray:
-    """Validated single-anchor rollout on an unscaled frame, original units;
-    raises WindowCrossesGap on bad spans."""
-    spec = model.spec
-    if spec.task != "forecast":
-        raise SpecMismatch("rollout requires a forecast-task model")
-    lo, hi = t - spec.h, t + steps
-    if lo < 0 or hi >= len(frame):
-        raise WindowCrossesGap(f"span [{lo}, {hi}] leaves the frame")
-    if any(lo <= b < hi for b in frame.gap_break_indices()):
-        raise WindowCrossesGap(f"span [{lo}, {hi}] crosses a gap")
-    for name in spec.covariates:
-        if not np.all(np.isfinite(frame.col(name)[lo:hi + 1])):
-            raise WindowCrossesGap(f"covariate {name!r} missing inside span")
-    if not np.all(np.isfinite(frame.col(TARGET)[lo:t + 1])):
-        raise WindowCrossesGap("target history missing inside span")
-    scaled = apply_scaler(frame, model.scaler)
-    return invert_target(model.scaler,
-                         rollout_forecast_batch(model, scaled, np.array([t]), steps)[0])
 
 
 # --- serialization ----------------------------------------------------------

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyWindows
+from ..errors import DimensionMismatch, EmptyWindows, InvalidSpec
 from .spec import TrainLog
 
 _LOSS_BATCH = 32  # iterates per residual matrix product in the loss log
@@ -62,6 +62,8 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray,
     Returns ``(w, b, log, converged)``. A fit that exhausts max_iter returns
     the last iterate with ``converged=False`` and a warning, never raises.
     """
+    if max_iter < 1:
+        raise InvalidSpec(f"max_iter must be >= 1, got {max_iter}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1:

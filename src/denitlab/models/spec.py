@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Any
 
 from ..dataset import Scaler
@@ -87,8 +88,8 @@ class ModelSpec:
             raise InvalidSpec(f"unknown arch {self.arch!r}")
         if self.task not in TASKS:
             raise InvalidSpec(f"unknown task {self.task!r}")
-        if self.h < 0:
-            raise InvalidSpec("history length h must be >= 0")
+        if not isinstance(self.h, Integral) or self.h < 0:
+            raise InvalidSpec(f"history length h must be an integer >= 0, got {self.h!r}")
         if not self.covariates and self.task == "nowcast":
             raise InvalidSpec("nowcasting with zero covariates has no inputs")
         object.__setattr__(self, "covariates", tuple(self.covariates))
@@ -96,7 +97,11 @@ class ModelSpec:
         for name, value in self.hyperparams.items():
             if name not in allowed:
                 raise InvalidSpec(f"{self.arch} has no hyperparameter {name!r}")
-            if not _VALIDATORS[name](value):
+            try:
+                ok = _VALIDATORS[name](value)
+            except TypeError:  # not a number
+                ok = False
+            if not ok:
                 raise InvalidSpec(f"hyperparameter {name}={value!r} out of range")
 
     def resolved(self) -> dict[str, Any]:

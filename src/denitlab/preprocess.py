@@ -85,46 +85,31 @@ def rolling_median(x: np.ndarray, window: int) -> np.ndarray:
     """Centered rolling median ignoring NaNs; windows shrink at the edges.
 
     Even window widths are widened by one so the window stays symmetric.
+    The series is padded with NaNs, which the median ignores, so the edge
+    windows are the interior ones cut short.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
     width = window if window % 2 else window + 1
     half = width // 2
+    if not len(x):  # the padding alone is narrower than one window
+        return np.empty(0)
+    padded = np.concatenate([np.full(half, np.nan), x, np.full(half, np.nan)])
+    sw = np.lib.stride_tricks.sliding_window_view(padded, width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
+        return np.nanmedian(sw, axis=1)
 
-    def med(seg: np.ndarray) -> float:
-        seg = seg[np.isfinite(seg)]
-        return float(np.median(seg)) if seg.size else np.nan
 
-    out = np.empty(n)
-    if n >= width:
-        sw = np.lib.stride_tricks.sliding_window_view(x, width)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
-            out[half:n - half] = np.nanmedian(sw, axis=1)
-        edge = half
-    else:
-        edge = n
-    for i in range(min(edge, n)):
-        out[i] = med(x[max(0, i - half):i + half + 1])
-    for i in range(max(n - edge, 0), n):
-        out[i] = med(x[max(0, i - half):i + half + 1])
-    return out
+def runs(flags: np.ndarray) -> list[Range]:
+    """Maximal runs of True in ``flags`` as half-open ``(start, stop)`` pairs."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], flags, [False]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def _flag_runs(flags: np.ndarray, min_run: int) -> list[Range]:
-    runs: list[Range] = []
-    start = None
-    for i, f in enumerate(flags):
-        if f and start is None:
-            start = i
-        elif not f and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags)))
     # merge runs separated by fewer than MERGE_DISTANCE samples, then length-filter
     merged: list[Range] = []
-    for s, e in runs:
+    for s, e in runs(flags):
         if merged and s - merged[-1][1] < MERGE_DISTANCE:
             merged[-1] = (merged[-1][0], e)
         else:
@@ -168,22 +153,22 @@ def interpolate_target(frame: TimeSeriesFrame, mask: CleaningMask) -> TimeSeries
     if not mask.intervals:
         return frame
     values = np.array(frame.values)
-    y = values[:, frame.col_index(TARGET)]
+    col = frame.col_index(TARGET)
     masked = mask.indicator()
-    usable = np.isfinite(y) & ~masked
-    for s, e in mask.intervals:
-        left = s - 1
-        while left >= 0 and not usable[left]:
-            left -= 1
-        right = e
-        while right < len(y) and not usable[right]:
-            right += 1
-        if left < 0 or right >= len(y):
-            raise MaskTouchesBoundary(f"interval [{s}, {e}) has no bracketing valid value")
-        span = right - left
-        for i in range(s, e):
-            w = (i - left) / span
-            y[i] = (1 - w) * y[left] + w * y[right]
+    usable = np.flatnonzero(np.isfinite(values[:, col]) & ~masked)
+    # no usable row lies inside an interval, so its first row and every row
+    # in it share the bracket usable[k - 1] < row < usable[k]
+    k = np.searchsorted(usable, [s for s, _ in mask.intervals])
+    unbracketed = np.flatnonzero((k == 0) | (k == len(usable)))
+    if unbracketed.size:
+        s, e = mask.intervals[unbracketed[0]]
+        raise MaskTouchesBoundary(f"interval [{s}, {e}) has no bracketing valid value")
+    rows = np.flatnonzero(masked)
+    k = np.searchsorted(usable, rows)
+    left, right = usable[k - 1], usable[k]
+    w = (rows - left) / (right - left)
+    y = values[:, col]
+    values[rows, col] = (1 - w) * y[left] + w * y[right]
     return frame.with_values(values)
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 import yaml
 
+from denitlab import cli, errors
 from denitlab.cli import main
 
 
@@ -257,6 +258,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override,code", [
+        ({"h": "x"}, 2),
+        ({"hyperparams": {"elastic_net": {"alpha": "x"}}}, 2),
+        ({"synth": "abc"}, 2),
+        ({"hyperopt": "abc"}, 2),
+        ({"ablation": "abc"}, 2),
+        ({"dataset": "{tmp_path}"}, 3),
+    ], ids=["h", "hyperparam", "synth", "hyperopt", "ablation", "dataset-dir"])
+    def test_malformed_input_exits_with_one_line(self, tmp_path, capsys,
+                                                 override, code):
+        override = {k: v.format(tmp_path=tmp_path) if k == "dataset" else v
+                    for k, v in override.items()}
+        cfg = write_config(tmp_path / "bad.yaml", **override)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_arch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.yaml", archs=["perceptron"])
         assert main(["train", "--config", str(cfg),
@@ -286,3 +305,32 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 4
         assert "training loss rose" in capsys.readouterr().err
+
+
+_CATEGORY_EXIT_CODES = {errors.ConfigError: 2, errors.DataError: 3,
+                        errors.TrainingError: 4}
+
+
+def _toolkit_errors():
+    """Concrete error classes defined in ``denitlab.errors``."""
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.DenitlabError)
+            and c.__module__ == errors.__name__
+            and c not in (errors.DenitlabError, *_CATEGORY_EXIT_CODES)]
+
+
+class TestErrorCategories:
+    @pytest.mark.parametrize("cls", _toolkit_errors(), ids=lambda c: c.__name__)
+    def test_one_category_sets_the_exit_code(self, cls, config_path, tmp_path,
+                                             capsys, monkeypatch):
+        categories = [b for b in _CATEGORY_EXIT_CODES if issubclass(cls, b)]
+        assert len(categories) == 1
+
+        def fail(config, out, args):
+            raise cls("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", fail)
+        assert main(["report", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == \
+            _CATEGORY_EXIT_CODES[categories[0]]
+        assert capsys.readouterr().err.endswith(": boom\n")

@@ -277,11 +277,12 @@ class TestForecastAnchorSets:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("h", [0, 2])
     def test_model_scores_equal_single_anchor_rollouts(self, seed, h):
-        # scoring scales the frame once and inverts with the same scaler; the
-        # validated single-anchor rollout scales and inverts on its own (one
-        # row against many through the same matrix product: last bits differ)
+        # scoring rolls out every anchor in one batch; here each anchor rolls
+        # out alone (one row against many through the same matrix product:
+        # last bits differ)
+        from denitlab.dataset import apply_scaler, invert_target
         from denitlab.evaluation import _model_pairs
-        from denitlab.models import rollout_forecast
+        from denitlab.models import rollout_forecast_batch
         frame = _gappy_frame(seed)
         plan = make_final_split(frame, 0.5, 0.2)
         spec = ModelSpec("elastic_net", ("nitrate_in", "methanol"), h=h,
@@ -291,5 +292,8 @@ class TestForecastAnchorSets:
         anchors = self._admitted(frame, plan.test, -h, 6,
                                  ("nitrate_in", "methanol", "nitrate_out"))
         preds, _ = _model_pairs(model, frame, plan.test, scaler)
+        scaled = apply_scaler(frame, model.scaler)
         np.testing.assert_allclose(preds, np.concatenate(
-            [rollout_forecast(model, frame, int(t)) for t in anchors]), rtol=1e-13)
+            [invert_target(model.scaler,
+                           rollout_forecast_batch(model, scaled, np.array([t]))[0])
+             for t in anchors]), rtol=1e-13)

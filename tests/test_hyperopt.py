@@ -6,7 +6,7 @@ import pytest
 from denitlab.dataset import make_cv_folds, make_final_split
 from denitlab.errors import InvalidConfig
 from denitlab.hyperopt import (
-    CategoricalDim, GridDim, LogUniformDim, SearchSpace, finalize, search,
+    GridDim, LogUniformDim, SearchSpace, finalize, search,
 )
 from denitlab.models import ModelSpec, serialize
 from denitlab.synthpilot import generate
@@ -23,7 +23,7 @@ def _frame_and_folds(days=12, seed=0):
 def _space(covariate_choices):
     return SearchSpace(arch="elastic_net", dimensions={
         "h": GridDim((0, 1)),
-        "covariates": CategoricalDim(tuple(tuple(c) for c in covariate_choices)),
+        "covariates": GridDim(tuple(tuple(c) for c in covariate_choices)),
         "alpha": LogUniformDim(1e-6, 1e-2),
         "l1_ratio": GridDim((0.0, 0.5)),
     })

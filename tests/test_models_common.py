@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from denitlab.dataset import Scaler, apply_scaler, fit_scaler, make_final_split
-from denitlab.errors import SpecMismatch, WindowCrossesGap
+from denitlab.dataset import Scaler, apply_scaler, fit_scaler, invert_target, \
+    make_final_split
+from denitlab.errors import SpecMismatch
 from denitlab.models import (
-    ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast,
+    ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast_batch,
     serialize, train_model,
 )
 from denitlab.pipeline import spec_windows, train_on_plan
@@ -86,6 +87,13 @@ class TestSerialization:
             deserialize('{"format": "something-else"}')
 
 
+def rollout(model, frame, t, steps=6):
+    """Rollout at the single anchor t, scaled and inverted with the model's scaler."""
+    scaled = apply_scaler(frame, model.scaler)
+    return invert_target(model.scaler,
+                         rollout_forecast_batch(model, scaled, np.array([t]), steps)[0])
+
+
 class TestRollout:
     def test_divergent_toy_model_doubles(self):
         # hand-built forecast model: prediction = 2 * last observed target
@@ -95,7 +103,7 @@ class TestRollout:
                                    "converged": True},
             scaler=identity_scaler(["nitrate_out"]))
         frame = make_frame({"nitrate_out": [1.0] + [0.0] * 6})
-        preds = rollout_forecast(model, frame, t=0, steps=6)
+        preds = rollout(model, frame, t=0, steps=6)
         assert preds == pytest.approx([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 
     def test_perfect_one_step_model_gives_zero_six_step_mse(self):
@@ -111,7 +119,7 @@ class TestRollout:
                                       "max_iter": 200000}, seed=0)
         model, _, scaler = train_on_plan(spec, frame, plan)
         t = plan.test[0][0] + 10
-        preds = rollout_forecast(model, frame, t=t, steps=6)
+        preds = rollout(model, frame, t=t, steps=6)
         actual = frame.col("nitrate_out")[t + 1:t + 7]
         assert np.abs(preds - actual).max() < 1e-6
 
@@ -125,20 +133,14 @@ class TestRollout:
                                    "converged": True},
             scaler=identity_scaler(["nitrate_out"]))
         frame = make_frame({"nitrate_out": [4.2] * 12})
-        preds = rollout_forecast(model, frame, t=5, steps=6)
+        preds = rollout(model, frame, t=5, steps=6)
         assert preds == pytest.approx(seasonal_predict(frame.col("nitrate_out")[:6], 6))
-
-    def test_span_leaving_frame_rejected(self):
-        model = constant_model(0.0, task="forecast", covariates=())
-        frame = make_frame({"nitrate_out": [1.0] * 5})
-        with pytest.raises(WindowCrossesGap):
-            rollout_forecast(model, frame, t=2, steps=6)
 
     def test_nowcast_model_cannot_roll_out(self):
         model = constant_model(0.0)
         frame = make_frame({"nitrate_in": [1.0] * 10, "nitrate_out": [1.0] * 10})
         with pytest.raises(SpecMismatch):
-            rollout_forecast(model, frame, t=2, steps=6)
+            rollout(model, frame, t=2, steps=6)
 
 
 class TestTrainModelContract:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from denitlab.errors import DimensionMismatch
+from denitlab.errors import DimensionMismatch, InvalidSpec
 from denitlab.models.elastic_net import fit_elastic_net, predict_linear, \
     stationarity_gap
 
@@ -78,6 +78,12 @@ def test_non_convergence_warns_and_flags():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fit_elastic_net(np.ones((3, 2)), np.ones(4))
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_below_one_rejected(max_iter):
+    with pytest.raises(InvalidSpec):
+        fit_elastic_net(np.ones((3, 2)), np.ones(3), max_iter=max_iter)
 
 
 def test_predict_linear_shapes():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denitlab.dataset import Gap
 from denitlab.errors import BadParams, MaskTouchesBoundary, NoAdmissibleWindows
 from denitlab.preprocess import (
     CleaningMask, CleaningParams, build_windows, detect_cleaning,
-    interpolate_target, rolling_median,
+    interpolate_target, rolling_median, runs,
 )
 
 from conftest import make_frame
@@ -63,6 +63,37 @@ class TestDetectCleaning:
             seg = seg[np.isfinite(seg)]
             assert got[i] == pytest.approx(np.median(seg))
 
+    def test_rolling_median_of_empty_series_is_empty(self):
+        assert rolling_median(np.array([]), 25).shape == (0,)
+
+
+def _loop_runs(flags):
+    """Run-finding as a scan over the flags: the reference for ``runs``."""
+    found = []
+    start = None
+    for i, f in enumerate(flags):
+        if f and start is None:
+            start = i
+        elif not f and start is not None:
+            found.append((start, i))
+            start = None
+    if start is not None:
+        found.append((start, len(flags)))
+    return found
+
+
+class TestRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), max_size=80))
+    @example([])
+    @example([True] * 7)
+    @example([False] * 7)
+    def test_matches_loop(self, flags):
+        got = runs(np.array(flags, dtype=bool))
+        assert got == _loop_runs(flags)
+        # bounds reach JSON artifacts, which take Python ints only
+        assert all(type(i) is int for run in got for i in run)
+
 
 class TestInterpolateTarget:
     def test_straight_line_fill(self):
@@ -82,6 +113,16 @@ class TestInterpolateTarget:
             interpolate_target(frame, CleaningMask(intervals=((0, 1),), length=3))
         with pytest.raises(MaskTouchesBoundary):
             interpolate_target(frame, CleaningMask(intervals=((2, 3),), length=3))
+
+    @pytest.mark.parametrize("intervals,named", [
+        (((0, 1), (3, 4)), "[0, 1)"),
+        (((1, 2), (3, 4)), "[3, 4)"),
+    ])
+    def test_first_unbracketed_interval_named(self, intervals, named):
+        frame = make_frame({"nitrate_out": [4.0, 5.0, 6.0, 7.0]})
+        with pytest.raises(MaskTouchesBoundary) as exc:
+            interpolate_target(frame, CleaningMask(intervals=intervals, length=4))
+        assert str(exc.value) == f"interval {named} has no bracketing valid value"
 
     def test_idempotent(self, small_frame):
         frame, schedule = small_frame
