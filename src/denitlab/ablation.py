@@ -17,11 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import FoldPlan, TimeSeriesFrame
-from .errors import EmptyTable, EmptyWindows, GuardrailExceeded, \
-    NoAdmissibleWindows, NonFiniteLoss, TrainingLossRose
-from .evaluation import evaluate
+from .errors import EmptyTable, GuardrailExceeded
 from .models import ModelSpec
-from .pipeline import train_on_plan
+from .pipeline import score_on_plan
 from .utils import parallel_map
 
 MAX_SWEEP_COVARIATES = 16
@@ -100,15 +98,11 @@ def _score_subset(base_spec: ModelSpec, covariates: tuple[str, ...],
     val_scores, test_scores = [], []
     for seed in seeds:
         spec = replace(base_spec, covariates=covariates, seed=seed)
-        try:
-            model, _, scaler = train_on_plan(spec, frame, plan)
-            val_scores.append(evaluate(model, frame, plan, spec.task,
-                                       split="validation", scaler=scaler).mse)
-            test_scores.append(evaluate(model, frame, plan, spec.task,
-                                        split="test", scaler=scaler).mse)
-        except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows,
-                EmptyWindows):
+        scores = score_on_plan(spec, frame, plan, ("validation", "test"))
+        if scores is None:
             return None, None, "training failed"
+        val_scores.append(scores[0])
+        test_scores.append(scores[1])
     return (sum(val_scores) / len(val_scores),
             sum(test_scores) / len(test_scores), "")
 
@@ -172,13 +166,7 @@ def history_sweep(base_spec: ModelSpec, h_values, frame: TimeSeriesFrame,
     h_values = [int(h) for h in h_values]
 
     def score(h: int):
-        spec = replace(base_spec, h=h)
-        try:
-            model, _, scaler = train_on_plan(spec, frame, plan)
-            return evaluate(model, frame, plan, spec.task, split="test",
-                            scaler=scaler).mse
-        except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows,
-                EmptyWindows):
-            return None
+        scores = score_on_plan(replace(base_spec, h=h), frame, plan, ("test",))
+        return None if scores is None else scores[0]
 
     return list(zip(h_values, parallel_map(score, h_values, jobs=jobs)))

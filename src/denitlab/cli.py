@@ -24,11 +24,11 @@ from .ablation import covariate_sweep, history_sweep, importance
 from .anomaly import detect_anomalies, events_to_json
 from .baselines import BaselineSpec
 from .config import ExperimentConfig, build_search_space, load_config
-from .evaluation import EvalReport, aggregate_seeds, evaluate, forecast_horizon_breakdown
+from .evaluation import EvalReport, aggregate_seeds, evaluate, \
+    forecast_horizon_breakdown, model_pairs
 from .hyperopt import search
-from .models import ModelSpec, load_model, save_model, predict_batch
+from .models import ModelSpec, load_model, save_model
 from .pipeline import prepare_frame, train_on_plan
-from .preprocess import build_windows
 from .synthpilot import generate
 
 DATA_ENV = "DENITLAB_DATA"
@@ -101,7 +101,7 @@ def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
     logs = {}
     first = True
     for spec in _model_specs(config, out):
-        model, log, _ = train_on_plan(spec, frame, plan)
+        model, log = train_on_plan(spec, frame, plan)
         save_model(model, _model_path(out, spec))
         if first:
             save_model(model, out / "model.bin")
@@ -213,13 +213,8 @@ def cmd_anomaly(config: ExperimentConfig, out: Path, args) -> None:
     model = load_model(out / "model.bin")
     if model.spec.task != "nowcast":
         raise err.SpecMismatch("anomaly analysis expects a nowcast model")
-    scaled = ds.apply_scaler(frame, model.scaler)
-    ranges = getattr(plan, config.anomaly.split)
-    ws = build_windows(scaled, model.spec.covariates, model.spec.h, horizon=0,
-                       with_target_history=False, plan_ranges=ranges)
-    anchors = ws.t
-    preds = ds.invert_target(model.scaler, predict_batch(model, ws))
-    actual = frame.col(ds.TARGET)[anchors]
+    anchors, preds, actual = model_pairs(model, frame,
+                                         getattr(plan, config.anomaly.split))
     events = detect_anomalies(preds, actual, config.anomaly.params())
     stamps = frame.timestamps()
     anchor_stamps = [stamps[int(a)] for a in anchors]

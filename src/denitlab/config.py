@@ -127,9 +127,13 @@ class ExperimentConfig:
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
         _check_seeds(self.seeds, "seeds")
-        for arch in self.hyperparams:
+        for arch, overrides in self.hyperparams.items():
             if arch not in ARCHS:
                 raise InvalidConfig(f"hyperparams for unknown arch {arch!r}")
+            if not isinstance(overrides, dict):
+                raise InvalidConfig(f"hyperparams.{arch} must be a mapping")
+        for arch in _mapping(self.hyperopt.space, "hyperopt.space"):
+            build_search_space(self, arch)  # a malformed space fails at load
 
     def resolved_dict(self) -> dict:
         doc = asdict(self)
@@ -306,6 +310,13 @@ def build_search_space(config: ExperimentConfig, arch: str) -> SearchSpace:
     dims = default_dimensions(arch)
     dims["h"] = _default_h_candidates()
     dims["covariates"] = _default_covariate_candidates(config.covariates)
-    for name, value in config.hyperopt.space.get(arch, {}).items():
+    space = _mapping(config.hyperopt.space.get(arch, {}), f"hyperopt.space.{arch}")
+    for name, value in space.items():
         dims[name] = _parse_dimension(name, value)
+    covariates = dims["covariates"]
+    if not isinstance(covariates, GridDim) or not all(
+            isinstance(c, (list, tuple)) and all(isinstance(n, str) for n in c)
+            for c in covariates.values):
+        raise InvalidConfig(f"hyperopt.space.{arch}.covariates candidates must be "
+                            f"lists of column names")
     return SearchSpace(arch=arch, dimensions=dims)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import BaselineSpec, running_mean_predict, seasonal_predict, \
     training_mean_predict, trend_n_predict
-from .dataset import TARGET, FoldPlan, Scaler, TimeSeriesFrame, apply_scaler, invert_target
+from .dataset import TARGET, FoldPlan, TimeSeriesFrame, apply_scaler, invert_target
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch
@@ -23,23 +23,24 @@ from .preprocess import admissible_anchors, build_windows, span_clear, unbroken_
 FORECAST_HORIZON = 6
 
 
-def mse(pred, actual) -> float:
+def _checked_pair(pred, actual) -> tuple[np.ndarray, np.ndarray]:
+    """Both as float arrays of one non-empty shape, every value finite."""
     pred = np.asarray(pred, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if pred.shape != actual.shape or pred.size == 0:
         raise LengthMismatch(f"{pred.shape} vs {actual.shape}")
     if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(actual))):
         raise NonFinite("metrics require finite values")
+    return pred, actual
+
+
+def mse(pred, actual) -> float:
+    pred, actual = _checked_pair(pred, actual)
     return float(((pred - actual) ** 2).mean())
 
 
 def mae(pred, actual) -> float:
-    pred = np.asarray(pred, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if pred.shape != actual.shape or pred.size == 0:
-        raise LengthMismatch(f"{pred.shape} vs {actual.shape}")
-    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(actual))):
-        raise NonFinite("metrics require finite values")
+    pred, actual = _checked_pair(pred, actual)
     return float(np.abs(pred - actual).mean())
 
 
@@ -87,17 +88,21 @@ def _finite_rows(frame: TimeSeriesFrame, names) -> np.ndarray:
     return np.all(np.isfinite(frame.values[:, idx]), axis=1)
 
 
-def _model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges,
-                 scaler: Scaler):
-    """(pred, actual) in original units for one model over the given ranges."""
+def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
+    """(anchors, pred, actual) in original units for one model over the ranges.
+
+    A nowcast gives one prediction per anchor; a forecast gives the
+    ``FORECAST_HORIZON`` rollout steps of each anchor, flattened anchor-major.
+    """
     spec = model.spec
+    scaler = model.scaler
     scaled = apply_scaler(frame, scaler)
     y = frame.col(TARGET)
     if spec.task == "nowcast":
         ws = build_windows(scaled, spec.covariates, spec.h, horizon=0,
                            with_target_history=False, plan_ranges=ranges)
         preds = invert_target(scaler, predict_batch(model, ws))
-        return preds, y[ws.t]
+        return ws.t, preds, y[ws.t]
 
     anchors, _ = admissible_anchors(scaled, spec.covariates, spec.h,
                                     horizon=FORECAST_HORIZON, with_target_history=True,
@@ -112,7 +117,7 @@ def _model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges,
     preds = invert_target(scaler, rollout_forecast_batch(model, scaled, anchors,
                                                          FORECAST_HORIZON))
     future = anchors[:, None] + np.arange(1, FORECAST_HORIZON + 1)
-    return preds.ravel(), y[future].ravel()
+    return anchors, preds.ravel(), y[future].ravel()
 
 
 def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
@@ -164,21 +169,18 @@ def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
 
 
 def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,
-             split: str = "test", scaler: Scaler | None = None,
-             seed: int | None = None) -> EvalReport:
+             split: str = "test") -> EvalReport:
     """Score a TrainedModel or BaselineSpec on one split, original units."""
     if isinstance(predictor, TrainedModel):
         if predictor.spec.task != task:
             raise SpecMismatch(f"model trained for {predictor.spec.task}, asked {task}")
-        scaler = scaler if scaler is not None else predictor.scaler
-        preds, actual = _model_pairs(predictor, frame, _split_ranges(plan, split),
-                                     scaler)
+        _, preds, actual = model_pairs(predictor, frame, _split_ranges(plan, split))
         model_id = predictor.spec.arch
-        seed = predictor.spec.seed if seed is None else seed
+        seed = predictor.spec.seed
     elif isinstance(predictor, BaselineSpec):
         preds, actual = _baseline_pairs(predictor, frame, plan, split, task)
         model_id = predictor.name
-        seed = 0 if seed is None else seed
+        seed = 0
     else:
         raise SpecMismatch(f"cannot evaluate {type(predictor).__name__}")
     return EvalReport(model_id=model_id, task=task, split=split,
@@ -187,11 +189,9 @@ def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,
 
 
 def forecast_horizon_breakdown(model: TrainedModel, frame: TimeSeriesFrame,
-                               plan: FoldPlan, split: str = "test",
-                               scaler: Scaler | None = None) -> list[float]:
+                               plan: FoldPlan, split: str = "test") -> list[float]:
     """Per-step MSE over the same anchors the pooled forecast metric uses."""
-    scaler = scaler if scaler is not None else model.scaler
-    preds, actual = _model_pairs(model, frame, _split_ranges(plan, split), scaler)
+    _, preds, actual = model_pairs(model, frame, _split_ranges(plan, split))
     preds = preds.reshape(-1, FORECAST_HORIZON)
     actual = actual.reshape(-1, FORECAST_HORIZON)
     return [mse(preds[:, k], actual[:, k]) for k in range(FORECAST_HORIZON)]

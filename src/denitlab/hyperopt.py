@@ -3,9 +3,10 @@ across the blocked cross-validation folds.
 
 Random search keeps trials independent (hence trivially parallel) and makes
 the whole procedure a pure function of (space, data, seed). Trials that
-diverge score +inf instead of aborting the search. The winning spec is then
-retrained once on the final 72/8 split, early-stopped on its validation
-range; that model is what gets evaluated on test.
+fail (``pipeline.score_on_plan`` gives None) score +inf instead of aborting
+the search. The winning spec is then retrained once on the final 72/8 split,
+early-stopped on its validation range, by the CLI ``train`` command with
+``use_best_specs``; that model is what gets evaluated on test.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from typing import Any
 
 import numpy as np
 
-from .dataset import FoldPlan, TimeSeriesFrame, make_final_split
-from .errors import AllTrialsFailed, EmptyWindows, InvalidConfig, \
-    NoAdmissibleWindows, NonFiniteLoss, TrainingLossRose
-from .evaluation import evaluate
+from .dataset import FoldPlan, TimeSeriesFrame
+from .errors import AllTrialsFailed, InvalidConfig
 from .models import ModelSpec
-from .pipeline import train_on_plan
+# perfbench/test_spans.py checks that the tracer patches hyperopt.train_on_plan
+from .pipeline import score_on_plan, train_on_plan  # noqa: F401
 from .utils import parallel_map
 
 
@@ -89,13 +89,8 @@ class Trial:
 
 
 def _score_fold(spec: ModelSpec, frame: TimeSeriesFrame, fold: FoldPlan) -> float:
-    try:
-        model, _, scaler = train_on_plan(spec, frame, fold)
-        report = evaluate(model, frame, fold, spec.task, split="validation",
-                          scaler=scaler)
-        return report.mse
-    except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows, EmptyWindows):
-        return math.inf
+    scores = score_on_plan(spec, frame, fold, ("validation",))
+    return math.inf if scores is None else scores[0]
 
 
 def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
@@ -127,10 +122,3 @@ def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
         raise AllTrialsFailed(f"all {budget} trials diverged")
     return best.spec, trials
 
-
-def finalize(best_spec: ModelSpec, frame: TimeSeriesFrame,
-             plan: FoldPlan | None = None):
-    """Single training on the final split, early-stopped on its validation range."""
-    plan = make_final_split(frame) if plan is None else plan
-    model, log, _ = train_on_plan(best_spec, frame, plan)
-    return model, log

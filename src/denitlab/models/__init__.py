@@ -57,8 +57,8 @@ def _tabular(X3: np.ndarray) -> np.ndarray:
 
 
 def train_model(spec: ModelSpec, train_windows: WindowSet,
-                val_windows: WindowSet | None, scaler: Scaler,
-                init: dict | None = None) -> tuple[TrainedModel, TrainLog]:
+                val_windows: WindowSet | None, scaler: Scaler
+                ) -> tuple[TrainedModel, TrainLog]:
     """Fit one model on pre-scaled windows.
 
     Validation windows drive early stopping for the network archs and are
@@ -88,7 +88,7 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
         _check_window_set(spec, val_windows)
         Xv = stack_inputs(spec, val_windows)
         yv = training_targets(val_windows)
-        params, log = train_network(spec, X3, y, Xv, yv, init=init)
+        params, log = train_network(spec, X3, y, Xv, yv)
     return TrainedModel(spec=spec, parameters=params, scaler=scaler), log
 
 

@@ -118,9 +118,6 @@ class ModelSpec:
     def uses_target_history(self) -> bool:
         return self.task == "forecast"
 
-    def n_input_channels(self) -> int:
-        return len(self.covariates) + (1 if self.uses_target_history else 0)
-
     def with_seed(self, seed: int) -> "ModelSpec":
         return replace(self, seed=seed)
 

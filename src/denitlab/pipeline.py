@@ -8,8 +8,10 @@ evaluated by six-step rollouts elsewhere.
 
 from __future__ import annotations
 
-from .dataset import FoldPlan, Scaler, TimeSeriesFrame, apply_scaler, fit_scaler
-from .errors import NoAdmissibleWindows
+from .dataset import FoldPlan, TimeSeriesFrame, apply_scaler, fit_scaler
+from .errors import EmptyWindows, NoAdmissibleWindows, NonFiniteLoss, \
+    TrainingLossRose
+from .evaluation import evaluate
 from .models import ModelSpec, TrainLog, TrainedModel, train_model
 from .preprocess import CleaningMask, CleaningParams, WindowSet, build_windows, \
     detect_cleaning, interpolate_target
@@ -24,18 +26,16 @@ def prepare_frame(frame: TimeSeriesFrame,
     return interpolate_target(frame, mask), mask
 
 
-def spec_windows(spec: ModelSpec, scaled: TimeSeriesFrame, ranges,
-                 training: bool = True) -> WindowSet:
-    """Windows matching a spec: horizon 1 for forecast training, 0 for nowcast."""
-    horizon = 1 if (spec.task == "forecast" and training) else 0
+def spec_windows(spec: ModelSpec, scaled: TimeSeriesFrame, ranges) -> WindowSet:
+    """Training windows matching a spec: horizon 1 for forecast, 0 for nowcast."""
+    horizon = 1 if spec.task == "forecast" else 0
     return build_windows(scaled, spec.covariates, spec.h, horizon=horizon,
                          with_target_history=spec.uses_target_history,
                          plan_ranges=ranges)
 
 
-def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan,
-                  init: dict | None = None
-                  ) -> tuple[TrainedModel, TrainLog, Scaler]:
+def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan
+                  ) -> tuple[TrainedModel, TrainLog]:
     """Standardize on the plan's train ranges, window, and fit one model."""
     scaler = fit_scaler(frame, plan.train)
     scaled = apply_scaler(frame, scaler)
@@ -47,5 +47,20 @@ def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan,
         except NoAdmissibleWindows:
             raise NoAdmissibleWindows(
                 f"validation ranges admit no windows for h={spec.h}") from None
-    model, log = train_model(spec, train_ws, val_ws, scaler, init=init)
-    return model, log, scaler
+    return train_model(spec, train_ws, val_ws, scaler)
+
+
+def score_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan,
+                  splits) -> tuple[float, ...] | None:
+    """Train on the plan, then the original-unit MSE on each split, in order.
+
+    This is the one place a trial's failure is decided: a training that
+    diverges or finds no windows gives None, so a search or sweep can score
+    it and go on; any other error propagates.
+    """
+    try:
+        model, _ = train_on_plan(spec, frame, plan)
+        return tuple(evaluate(model, frame, plan, spec.task, split=split).mse
+                     for split in splits)
+    except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows, EmptyWindows):
+        return None

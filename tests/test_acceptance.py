@@ -18,7 +18,7 @@ from denitlab.anomaly import AnomalyParams, detect_anomalies
 from denitlab.baselines import BaselineSpec, running_mean_predict, trend_n_predict
 from denitlab.dataset import make_cv_folds, make_final_split
 from denitlab.evaluation import aggregate_seeds, evaluate
-from denitlab.hyperopt import search, finalize
+from denitlab.hyperopt import search
 from denitlab.models import ModelSpec, serialize
 from denitlab.models.elastic_net import fit_elastic_net
 from denitlab.models.gbt import fit_gbt
@@ -89,7 +89,7 @@ def test_criterion_2_learned_models_halve_seasonal_baseline():
         space = build_search_space(config, arch)
         best, _ = search(space, frame, folds, "forecast", budget=50,
                          search_seed=0)
-        model, _ = finalize(best, frame, plan)
+        model, _ = train_on_plan(best, frame, plan)
         got = evaluate(model, frame, plan, "forecast", split="test").mse
         assert got < 0.5 * seasonal, \
             f"{arch}: {got:.4f} not below half of seasonal {seasonal:.4f}"
@@ -262,8 +262,8 @@ def test_criterion_3l_seed_determinism_bit_identical():
                               "max_epochs": 2})]:
         spec = ModelSpec(arch, ("nitrate_in", "methanol"), h=1, task="nowcast",
                          hyperparams=hp, seed=17)
-        m1, _, _ = train_on_plan(spec, frame, plan)
-        m2, _, _ = train_on_plan(spec, frame, plan)
+        m1, _ = train_on_plan(spec, frame, plan)
+        m2, _ = train_on_plan(spec, frame, plan)
         assert serialize(m1) == serialize(m2)
     _ok("3l identical seeds produce bit-identical artifacts")
 
@@ -283,18 +283,18 @@ def test_criterion_4_end_to_end_synthetic_pipeline():
     plan = make_final_split(cleaned)
     spec = ModelSpec("elastic_net", ds.COVARIATES, h=2, task="nowcast",
                      hyperparams={"alpha": 1e-3}, seed=0)
-    model, _, scaler = train_on_plan(spec, cleaned, plan)
+    model, _ = train_on_plan(spec, cleaned, plan)
     en = evaluate(model, cleaned, plan, "nowcast", split="test")
     tm = evaluate(BaselineSpec("training_mean"), cleaned, plan, "nowcast",
                   split="test")
     assert en.mse < tm.mse  # (a)
 
-    scaled = ds.apply_scaler(cleaned, scaler)
+    scaled = ds.apply_scaler(cleaned, model.scaler)
     ws = build_windows(scaled, spec.covariates, spec.h, horizon=0,
                        with_target_history=False, plan_ranges=plan.test)
     anchors = ws.t
     from denitlab.models import predict_batch
-    preds = ds.invert_target(scaler, predict_batch(model, ws))
+    preds = ds.invert_target(model.scaler, predict_batch(model, ws))
     actual = cleaned.col(ds.TARGET)[anchors]
     events = detect_anomalies(preds, actual, AnomalyParams())
     fault_lo, fault_hi = fault.start, fault.start + fault.duration
@@ -319,7 +319,7 @@ def test_criterion_5_multi_seed_reporting():
         for seed in seeds:
             spec = ModelSpec(arch, ("nitrate_in", "methanol"), h=1,
                              task="nowcast", hyperparams=hp, seed=seed)
-            model, _, scaler = train_on_plan(spec, frame, plan)
+            model, _ = train_on_plan(spec, frame, plan)
             out.append(evaluate(model, frame, plan, "nowcast", split="test"))
         return out
 

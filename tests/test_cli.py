@@ -232,6 +232,14 @@ class TestAblateAnomalyHyperopt:
         assert (out / "model.bin").exists()
 
 
+def _covariate_grid(grid):
+    """Overrides under which ``hyperopt`` samples a spec from this covariates grid."""
+    return {"synth": {"days": 10, "seed": 3},
+            "folds": {"n_folds": 2, "train_block": 432, "val_block": 144},
+            "hyperopt": {"budget": 1, "space": {"elastic_net": {
+                "covariates": {"grid": grid}}}}}
+
+
 class TestExitCodes:
     def test_dataset_missing_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "d.yaml")
@@ -249,8 +257,12 @@ class TestExitCodes:
         ("anomaly", {"anomaly": {"split": "nope"}}),
         ("train", {"cleaning": {"window": 0}}),
         ("train", {"anomaly": {"peak_window": 1}}),
+        ("train", {"hyperparams": {"elastic_net": 5}}),
+        ("hyperopt", _covariate_grid([5])),
+        ("hyperopt", _covariate_grid(["temperature"])),
     ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
-            "anomaly-peak-window"])
+            "anomaly-peak-window", "hyperparams-not-mapping",
+            "covariates-candidate-not-list", "covariates-candidate-string"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),

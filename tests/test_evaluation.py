@@ -121,7 +121,7 @@ class TestEvaluate:
         plan = make_final_split(frame)
         spec = ModelSpec("elastic_net", ("nitrate_in",), h=0, task="nowcast",
                          hyperparams={"alpha": 1e-6}, seed=0)
-        model, _, scaler = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         model_report = evaluate(model, frame, plan, "nowcast", split="test")
         base_report = evaluate(BaselineSpec("training_mean"), frame, plan,
                                "nowcast", split="test")
@@ -139,7 +139,7 @@ class TestEvaluate:
         plan = make_final_split(frame)
         spec = ModelSpec("elastic_net", ("nitrate_in",), h=0, task="nowcast",
                          seed=0)
-        model, _, _ = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         with pytest.raises(SpecMismatch):
             evaluate(model, frame, plan, "forecast")
 
@@ -148,7 +148,7 @@ class TestEvaluate:
         plan = make_final_split(frame)
         spec = ModelSpec("elastic_net", ("nitrate_in",), h=1, task="forecast",
                          hyperparams={"alpha": 1e-3, "max_iter": 20000}, seed=0)
-        model, _, _ = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         report = evaluate(model, frame, plan, "forecast", split="test")
         assert report.n_points % 6 == 0
         breakdown = forecast_horizon_breakdown(model, frame, plan, split="test")
@@ -187,7 +187,7 @@ class TestEvaluate:
         spec = ModelSpec("elastic_net", ("nitrate_in",), h=0, task="nowcast",
                          hyperparams={"alpha": 0.0, "tol": 1e-14,
                                       "max_iter": 100000}, seed=0)
-        model, _, _ = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         report = evaluate(model, frame, plan, "nowcast", split="test")
         assert report.mse < 1e-12
 
@@ -257,7 +257,7 @@ class TestForecastAnchorSets:
     @pytest.mark.parametrize("h", [0, 2])
     def test_model_rollout_anchors_match_scan(self, seed, h):
         from denitlab.dataset import Scaler
-        from denitlab.evaluation import _model_pairs
+        from denitlab.evaluation import model_pairs
         from denitlab.models import TrainedModel
         frame = _gappy_frame(seed)
         plan = make_final_split(frame, 0.5, 0.2)
@@ -270,7 +270,8 @@ class TestForecastAnchorSets:
                              scaler=scaler)
         anchors = self._admitted(frame, plan.test, -h, 6,
                                  ("methanol", "nitrate_out"))
-        _, actual = _model_pairs(model, frame, plan.test, scaler)
+        got, _, actual = model_pairs(model, frame, plan.test)
+        assert np.array_equal(got, anchors)
         y = frame.col("nitrate_out")
         assert np.array_equal(actual, y[anchors[:, None] + np.arange(1, 7)].ravel())
 
@@ -281,17 +282,17 @@ class TestForecastAnchorSets:
         # out alone (one row against many through the same matrix product:
         # last bits differ)
         from denitlab.dataset import apply_scaler, invert_target
-        from denitlab.evaluation import _model_pairs
+        from denitlab.evaluation import model_pairs
         from denitlab.models import rollout_forecast_batch
         frame = _gappy_frame(seed)
         plan = make_final_split(frame, 0.5, 0.2)
         spec = ModelSpec("elastic_net", ("nitrate_in", "methanol"), h=h,
                          task="forecast", hyperparams={"alpha": 1e-3}, seed=0)
-        model, _, scaler = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         assert np.any(model.parameters["w"] != 0.0)
         anchors = self._admitted(frame, plan.test, -h, 6,
                                  ("nitrate_in", "methanol", "nitrate_out"))
-        preds, _ = _model_pairs(model, frame, plan.test, scaler)
+        _, preds, _ = model_pairs(model, frame, plan.test)
         scaled = apply_scaler(frame, model.scaler)
         np.testing.assert_allclose(preds, np.concatenate(
             [invert_target(model.scaler,

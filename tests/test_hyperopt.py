@@ -6,9 +6,10 @@ import pytest
 from denitlab.dataset import make_cv_folds, make_final_split
 from denitlab.errors import InvalidConfig
 from denitlab.hyperopt import (
-    GridDim, LogUniformDim, SearchSpace, finalize, search,
+    GridDim, LogUniformDim, SearchSpace, search,
 )
 from denitlab.models import ModelSpec, serialize
+from denitlab.pipeline import train_on_plan
 from denitlab.synthpilot import generate
 
 from conftest import learnable_config
@@ -115,7 +116,7 @@ class TestFinalize:
         frame, _ = _frame_and_folds()
         spec = ModelSpec("recurrent", ("nitrate_in",), h=1, task="nowcast",
                          hyperparams={"hidden": 4, "max_epochs": 3}, seed=0)
-        model, log = finalize(spec, frame)
+        model, log = train_on_plan(spec, frame, make_final_split(frame))
         assert log.stop_reason in ("early_stop", "max_iter", "converged")
         assert log.stopped_at == len(log.train_loss) - 1
 
@@ -124,8 +125,8 @@ class TestFinalize:
         spec = ModelSpec("tcn", ("nitrate_in", "methanol"), h=2, task="nowcast",
                          hyperparams={"hidden": 4, "levels": 1, "kernel_size": 2,
                                       "max_epochs": 3}, seed=8)
-        m1, _ = finalize(spec, frame)
-        m2, _ = finalize(spec, frame)
+        m1, _ = train_on_plan(spec, frame, make_final_split(frame))
+        m2, _ = train_on_plan(spec, frame, make_final_split(frame))
         assert serialize(m1) == serialize(m2)
 
     def test_independent_of_fold_ordering(self):
@@ -133,6 +134,6 @@ class TestFinalize:
         spec = ModelSpec("elastic_net", ("nitrate_in",), h=0, task="nowcast",
                          seed=0)
         plan = make_final_split(frame)
-        m1, _ = finalize(spec, frame, plan)
-        m2, _ = finalize(spec, frame, plan)
+        m1, _ = train_on_plan(spec, frame, plan)
+        m2, _ = train_on_plan(spec, frame, plan)
         assert serialize(m1) == serialize(m2)

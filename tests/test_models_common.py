@@ -44,8 +44,8 @@ class TestPredict:
         spec = ModelSpec("recurrent", ("nitrate_in", "methanol"), h=2,
                          task="nowcast",
                          hyperparams={"hidden": 4, "max_epochs": 2}, seed=0)
-        model, _, scaler = train_on_plan(spec, frame, plan)
-        ws = spec_windows(spec, apply_scaler(frame, scaler), plan.test)
+        model, _ = train_on_plan(spec, frame, plan)
+        ws = spec_windows(spec, apply_scaler(frame, model.scaler), plan.test)
         assert np.array_equal(predict_batch(model, ws), predict_batch(model, ws))
 
     def test_shape_mismatch_rejected(self):
@@ -77,9 +77,9 @@ class TestSerialization:
         plan = make_final_split(frame)
         spec = ModelSpec(arch, ("nitrate_in", "methanol", "water_flow"), h=2,
                          task="nowcast", hyperparams=hp, seed=5)
-        model, _, scaler = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         clone = deserialize(serialize(model))
-        ws = spec_windows(spec, apply_scaler(frame, scaler), plan.test)
+        ws = spec_windows(spec, apply_scaler(frame, model.scaler), plan.test)
         assert np.array_equal(predict_batch(model, ws), predict_batch(clone, ws))
 
     def test_rejects_foreign_documents(self):
@@ -117,7 +117,7 @@ class TestRollout:
         spec = ModelSpec("elastic_net", ("nitrate_in",), h=1, task="forecast",
                          hyperparams={"alpha": 0.0, "tol": 1e-14,
                                       "max_iter": 200000}, seed=0)
-        model, _, scaler = train_on_plan(spec, frame, plan)
+        model, _ = train_on_plan(spec, frame, plan)
         t = plan.test[0][0] + 10
         preds = rollout(model, frame, t=t, steps=6)
         actual = frame.col("nitrate_out")[t + 1:t + 7]
