@@ -62,14 +62,26 @@ class AnomalyEvent:
         return (self.start_index, self.end_index)
 
 
-def _rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
-    n = len(x)
-    width = window if window % 2 else window + 1
-    half = width // 2
+def _centred_window(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open bounds [lo, hi) of the centred window at each of n indices.
+
+    Even widths are widened by one so the window stays symmetric; windows
+    shrink at the edges.
+    """
+    half = (window if window % 2 else window + 1) // 2
+    j = np.arange(n)
+    return np.maximum(j - half, 0), np.minimum(j + half + 1, n)
+
+
+def _window_sum(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of x over each [lo, hi), from one prefix sum."""
     cs = np.concatenate([[0.0], np.cumsum(x)])
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    return (cs[hi] - cs[lo]) / (hi - lo)
+    return cs[hi] - cs[lo]
+
+
+def _rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
+    lo, hi = _centred_window(len(x), window)
+    return _window_sum(x, lo, hi) / (hi - lo)
 
 
 def _peak_excess(x: np.ndarray, window: int):
@@ -81,31 +93,38 @@ def _peak_excess(x: np.ndarray, window: int):
 def _diff_corr(pred: np.ndarray, actual: np.ndarray, window: int) -> np.ndarray:
     """Rolling correlation of first differences, mapped back to sample indices.
 
-    Degenerate windows score 1 when both difference windows are identical
-    (flat but perfectly tracking) and 0 otherwise.
+    Over each centred window of the differences, the correlation is
+    cov / sqrt(vp * va) from windowed sums of dp, da, dp^2, da^2 and dp*da
+    (each difference series taken about its mean).
+    A window where either difference series never changes is degenerate: it
+    scores 1 when the two difference windows are identical (flat but
+    perfectly tracking) and 0 otherwise. Those conditions are windowed
+    counts, so they are exact. The one-pass variance cancels in a window
+    whose differences agree to rounding (a straight-line stretch), and can
+    come out 0 or negative there; such a window is degenerate too.
     """
-    n = len(pred)
     dp = np.diff(pred)
     da = np.diff(actual)
-    m = len(dp)
-    width = window if window % 2 else window + 1
-    half = width // 2
-    corr_d = np.empty(m)
-    for j in range(m):
-        lo = max(0, j - half)
-        hi = min(m, j + half + 1)
-        p = dp[lo:hi]
-        a = da[lo:hi]
-        sp = p.std()
-        sa = a.std()
-        if sp == 0.0 or sa == 0.0:
-            corr_d[j] = 1.0 if np.array_equal(p, a) else 0.0
-        else:
-            corr_d[j] = float(((p - p.mean()) * (a - a.mean())).mean() / (sp * sa))
-    out = np.empty(n)
-    out[0] = corr_d[0]
-    out[1:] = corr_d
-    return out
+    lo, hi = _centred_window(len(dp), window)
+    k = hi - lo
+    # moments about the series means, so that a trend's offset in the
+    # differences does not cancel in every window's variance
+    cp = dp - dp.mean()
+    ca = da - da.mean()
+    mp = _window_sum(cp, lo, hi) / k
+    ma = _window_sum(ca, lo, hi) / k
+    cov = _window_sum(cp * ca, lo, hi) / k - mp * ma
+    vp = _window_sum(cp * cp, lo, hi) / k - mp * mp
+    va = _window_sum(ca * ca, lo, hi) / k - ma * ma
+
+    def changes(d):  # how often d[i] != d[i-1] with both i-1 and i in the window
+        return _window_sum(np.concatenate([[False], d[1:] != d[:-1]]), lo + 1, hi)
+
+    den = vp * va
+    corr_d = (_window_sum(dp != da, lo, hi) == 0).astype(float)  # degenerate score
+    live = (changes(dp) > 0) & (changes(da) > 0) & (den > 0)
+    corr_d[live] = cov[live] / np.sqrt(den[live])
+    return np.concatenate([corr_d[:1], corr_d])
 
 
 def detect_anomalies(pred, actual,

@@ -40,11 +40,12 @@ class BaselineSpec:
 
     @property
     def history_needed(self) -> int:
+        """Target rows, ending at the anchor, that must be valid."""
         if self.kind == "seasonal":
             return self.horizon
         if self.kind == "trend_n":
             return self.n
-        return 0
+        return 1
 
 
 def training_mean_predict(train_targets: np.ndarray, query_count: int) -> np.ndarray:
@@ -80,26 +81,32 @@ def running_mean_predict(observed: np.ndarray) -> np.ndarray:
 
 
 def seasonal_predict(history: np.ndarray, horizon: int = 6) -> np.ndarray:
-    """The next block repeats the immediately preceding horizon-length block."""
+    """The next block repeats the immediately preceding horizon-length block.
+
+    History runs along the last axis: a (B, L) history gives (B, horizon).
+    """
     history = np.asarray(history, dtype=float)
-    if len(history) < horizon:
-        raise InsufficientHistory(f"need {horizon} past values, have {len(history)}")
-    return np.array(history[-horizon:])
+    if history.shape[-1] < horizon:
+        raise InsufficientHistory(f"need {horizon} past values, have {history.shape[-1]}")
+    return np.array(history[..., -horizon:])
 
 
 def trend_n_predict(history: np.ndarray, n: int, horizon: int = 6) -> np.ndarray:
-    """Least-squares line through the last n points, extrapolated forward."""
+    """Least-squares line through the last n points, extrapolated forward.
+
+    History runs along the last axis: a (B, L) history gives (B, horizon).
+    """
     history = np.asarray(history, dtype=float)
     if n < 2:
         raise InsufficientHistory("trend needs n >= 2")
-    if len(history) < n:
-        raise InsufficientHistory(f"need {n} past values, have {len(history)}")
-    ys = history[-n:]
+    if history.shape[-1] < n:
+        raise InsufficientHistory(f"need {n} past values, have {history.shape[-1]}")
+    ys = history[..., -n:]
     xs = np.arange(n, dtype=float)
     x_mean = xs.mean()
-    y_mean = ys.mean()
+    y_mean = ys.mean(axis=-1, keepdims=True)
     denom = ((xs - x_mean) ** 2).sum()
-    slope = ((xs - x_mean) * (ys - y_mean)).sum() / denom
+    slope = ((xs - x_mean) * (ys - y_mean)).sum(axis=-1, keepdims=True) / denom
     intercept = y_mean - slope * x_mean
     future = np.arange(n, n + horizon, dtype=float)
     return intercept + slope * future

@@ -60,6 +60,14 @@ def _load_frame(config: ExperimentConfig, dataset_override: str | None):
     return prepare_frame(frame, config.cleaning)
 
 
+def _load_planned(config: ExperimentConfig, dataset_override: str | None):
+    """The cleaned frame, its cleaning mask and the final train/val/test plan."""
+    frame, mask = _load_frame(config, dataset_override)
+    plan = ds.make_final_split(frame, config.final_split.train_fraction,
+                               config.final_split.val_fraction)
+    return frame, mask, plan
+
+
 def _model_specs(config: ExperimentConfig, out: Path) -> list[ModelSpec]:
     specs = []
     for arch in config.archs:
@@ -93,10 +101,8 @@ def cmd_synth(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
-    frame, mask = _load_frame(config, args.dataset)
+    frame, mask, plan = _load_planned(config, args.dataset)
     (out / "cleaning_mask.json").write_text(mask.to_json())
-    plan = ds.make_final_split(frame, config.final_split.train_fraction,
-                               config.final_split.val_fraction)
     (out / "models").mkdir(exist_ok=True)
     logs = {}
     first = True
@@ -117,10 +123,9 @@ def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
     (out / "train_logs.json").write_text(json.dumps(logs, indent=2))
 
 
-def _report_rows(config: ExperimentConfig, out: Path, frame, plan) -> list[EvalReport]:
+def _report_rows(config: ExperimentConfig, models, frame, plan) -> list[EvalReport]:
     rows: list[EvalReport] = []
-    for spec in _model_specs(config, out):
-        model = load_model(_model_path(out, spec))
+    for model in models:
         for split in ("train", "validation", "test"):
             rows.append(evaluate(model, frame, plan, config.task, split=split))
     if config.task == "nowcast":
@@ -135,10 +140,9 @@ def _report_rows(config: ExperimentConfig, out: Path, frame, plan) -> list[EvalR
 
 
 def cmd_evaluate(config: ExperimentConfig, out: Path, args) -> None:
-    frame, _ = _load_frame(config, args.dataset)
-    plan = ds.make_final_split(frame, config.final_split.train_fraction,
-                               config.final_split.val_fraction)
-    rows = _report_rows(config, out, frame, plan)
+    frame, _, plan = _load_planned(config, args.dataset)
+    models = [load_model(_model_path(out, spec)) for spec in _model_specs(config, out)]
+    rows = _report_rows(config, models, frame, plan)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model_id", "task", "split", "seed", "mse", "mae", "n_points"])
@@ -146,11 +150,8 @@ def cmd_evaluate(config: ExperimentConfig, out: Path, args) -> None:
             writer.writerow([r.model_id, r.task, r.split, r.seed,
                              repr(r.mse), repr(r.mae), r.n_points])
     if config.task == "forecast":
-        horizons = {}
-        for spec in _model_specs(config, out):
-            model = load_model(_model_path(out, spec))
-            horizons[f"{spec.arch}_seed{spec.seed}"] = \
-                forecast_horizon_breakdown(model, frame, plan)
+        horizons = {f"{m.spec.arch}_seed{m.spec.seed}":
+                    forecast_horizon_breakdown(m, frame, plan) for m in models}
         (out / "horizons.json").write_text(json.dumps(horizons, indent=2))
     print(f"wrote {out / 'report.csv'} ({len(rows)} rows)")
 
@@ -181,9 +182,7 @@ def cmd_hyperopt(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
-    frame, _ = _load_frame(config, args.dataset)
-    plan = ds.make_final_split(frame, config.final_split.train_fraction,
-                               config.final_split.val_fraction)
+    frame, _, plan = _load_planned(config, args.dataset)
     arch = config.archs[0]
     base = ModelSpec(arch=arch, covariates=config.ablation.covariates,
                      h=config.h, task=config.task,
@@ -207,15 +206,13 @@ def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def cmd_anomaly(config: ExperimentConfig, out: Path, args) -> None:
-    frame, _ = _load_frame(config, args.dataset)
-    plan = ds.make_final_split(frame, config.final_split.train_fraction,
-                               config.final_split.val_fraction)
+    frame, _, plan = _load_planned(config, args.dataset)
     model = load_model(out / "model.bin")
     if model.spec.task != "nowcast":
         raise err.SpecMismatch("anomaly analysis expects a nowcast model")
     anchors, preds, actual = model_pairs(model, frame,
                                          getattr(plan, config.anomaly.split))
-    events = detect_anomalies(preds, actual, config.anomaly.params())
+    events = detect_anomalies(preds, actual, config.anomaly)
     stamps = frame.timestamps()
     anchor_stamps = [stamps[int(a)] for a in anchors]
     doc = json.loads(events_to_json(events, anchor_stamps))

@@ -77,25 +77,14 @@ class AblationSettings:
 
 
 @dataclass(frozen=True)
-class AnomalySettings:
-    peak_window: int = 49
-    peak_sigma: float = 5.0
-    follow_ratio: float = 0.5
-    bias_window: int = 36
-    bias_threshold: float = 1.0
+class AnomalySettings(AnomalyParams):
     split: str = "test"
 
     def __post_init__(self):
         if self.split not in SPLITS:
             raise InvalidConfig(f"anomaly.split must be one of {'|'.join(SPLITS)}, "
                                 f"got {self.split!r}")
-        self.params()  # range checks at load; _build turns BadParams into InvalidConfig
-
-    def params(self) -> AnomalyParams:
-        return AnomalyParams(peak_window=self.peak_window, peak_sigma=self.peak_sigma,
-                             follow_ratio=self.follow_ratio,
-                             bias_window=self.bias_window,
-                             bias_threshold=self.bias_threshold)
+        super().__post_init__()  # range checks; _build turns BadParams into InvalidConfig
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .dataset import TARGET, FoldPlan, TimeSeriesFrame, apply_scaler, invert_tar
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch
-from .preprocess import admissible_anchors, build_windows, span_clear, unbroken_rows
+from .preprocess import admissible_anchors, build_windows, span_clear
 
 FORECAST_HORIZON = 6
 
@@ -107,10 +107,11 @@ def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
     anchors, _ = admissible_anchors(scaled, spec.covariates, spec.h,
                                     horizon=FORECAST_HORIZON, with_target_history=True,
                                     plan_ranges=ranges)
-    # the rollout also consumes covariates over (t, t+horizon]; drop anchors
+    # step s of the rollout reads covariates at t-h+s-1 .. t+s-1, so the
+    # rollout also consumes covariates over [t+1, t+horizon-1]; drop anchors
     # where those are missing (admissibility only vets [t-h, t])
     okcov = _finite_rows(frame, spec.covariates)
-    keep = span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON)
+    keep = span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON - 1)
     anchors = anchors[keep]
     if anchors.size == 0:
         raise NoAdmissibleWindows("no forecast anchors with known future covariates")
@@ -122,50 +123,33 @@ def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
 
 def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
                     split: str, task: str):
-    y = frame.col(TARGET)
-    ranges = _split_ranges(plan, split)
-    ok_y = np.isfinite(y)
+    """(pred, actual) in original units for one baseline over a split.
 
-    if task == "nowcast":
-        if spec.kind == "training_mean":
-            train_y = np.concatenate([y[s:e] for s, e in plan.train])
-            anchors = np.concatenate([np.arange(s, e) for s, e in ranges])
-            anchors = anchors[ok_y[anchors]]
-            if anchors.size == 0:
-                raise NoAdmissibleWindows("no finite targets on split")
-            return training_mean_predict(train_y, len(anchors)), y[anchors]
-        if spec.kind == "running_mean":
-            series = np.concatenate([y[s:e] for s, e in ranges])
-            preds = running_mean_predict(series)
-            keep = np.isfinite(series)
-            return preds[keep], series[keep]
+    The anchors are those of ``admissible_anchors`` with no covariates, the
+    last ``history_needed`` target rows as history, and the ``horizon``
+    following rows (forecast) or the anchor itself (nowcast) as truth. A
+    forecast pools the horizon blocks of every anchor, anchor-major.
+    """
+    if task == "nowcast" and spec.kind not in ("training_mean", "running_mean"):
         raise SpecMismatch(f"{spec.name} is a forecasting baseline")
-
-    # forecasting: one horizon-block per admissible anchor, all steps pooled
-    horizon = spec.horizon
+    if task != "nowcast" and spec.kind == "running_mean":
+        raise SpecMismatch(f"{spec.name} is not a forecasting baseline")
+    y = frame.col(TARGET)
     need = spec.history_needed
+    horizon = 0 if task == "nowcast" else spec.horizon
+    anchors, _ = admissible_anchors(frame, (), need - 1, horizon, with_target_history=True,
+                                    plan_ranges=_split_ranges(plan, split))
+    actual = y[anchors] if task == "nowcast" else \
+        y[anchors[:, None] + np.arange(1, horizon + 1)].ravel()
     if spec.kind == "training_mean":
         train_y = np.concatenate([y[s:e] for s, e in plan.train])
-        mean_block = training_mean_predict(train_y, horizon)
-    elif spec.kind == "running_mean":
-        raise SpecMismatch(f"{spec.name} is not a forecasting baseline")
-    anchors = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        np.arange(rs + max(need - 1, 0), re_ - horizon) for rs, re_ in ranges])
-    lo = anchors - need + 1  # earliest row a block touches
-    hi = anchors + horizon
-    keep = span_clear(ok_y, lo, hi) & span_clear(unbroken_rows(frame), lo, hi - 1)
-    anchors, lo = anchors[keep], lo[keep]
-    if anchors.size == 0:
-        raise NoAdmissibleWindows("no admissible forecast anchors for baseline")
-    actual = y[anchors[:, None] + np.arange(1, horizon + 1)].ravel()
-    if spec.kind == "training_mean":
-        return np.tile(mean_block, anchors.size), actual
+        return training_mean_predict(train_y, actual.size), actual
+    if spec.kind == "running_mean":
+        return running_mean_predict(actual), actual
+    history = y[anchors[:, None] + np.arange(1 - need, 1)]
     if spec.kind == "seasonal":
-        blocks = [seasonal_predict(y[a:t + 1], horizon) for a, t in zip(lo, anchors)]
-    else:
-        blocks = [trend_n_predict(y[a:t + 1], spec.n, horizon)
-                  for a, t in zip(lo, anchors)]
-    return np.concatenate(blocks), actual
+        return seasonal_predict(history, horizon).ravel(), actual
+    return trend_n_predict(history, spec.n, horizon).ravel(), actual
 
 
 def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,

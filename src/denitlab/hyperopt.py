@@ -114,11 +114,8 @@ def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
         fold_mses = tuple(scores[i * len(folds) + k] for k in range(len(folds)))
         trials.append(Trial(index=i, spec=specs[i], fold_val_mse=fold_mses))
 
-    best = None
-    for t in trials:
-        if best is None or t.mean_val_mse < best.mean_val_mse:
-            best = t
-    if best is None or not math.isfinite(best.mean_val_mse):
+    best = min(trials, key=lambda t: t.mean_val_mse)
+    if not math.isfinite(best.mean_val_mse):
         raise AllTrialsFailed(f"all {budget} trials diverged")
     return best.spec, trials
 

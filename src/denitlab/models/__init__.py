@@ -118,7 +118,7 @@ def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
     Like ``predict_batch``, this works in the scaled domain: ``scaled`` is the
     frame standardized by the model's scaler, and the forecasts come back
     scaled (``invert_target`` maps them to original units). Covariates over
-    (t, t+steps] are treated as known measurements; the target history
+    (t, t+steps-1] are treated as known measurements; the target history
     channel is fed the model's own predictions. The caller must supply
     admissible anchors (validated spans).
     """

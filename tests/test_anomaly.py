@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from denitlab.anomaly import (
     MISSED_TARGET_PEAK, SPURIOUS_PREDICTED_PEAK, SUSTAINED_BIAS, AnomalyParams,
-    detect_anomalies, events_to_json,
+    _diff_corr, detect_anomalies, events_to_json,
 )
 from denitlab.errors import BadParams, LengthMismatch, NonFinite
 
@@ -137,3 +137,93 @@ def test_json_export():
     doc = json.loads(events_to_json(events))
     assert doc[0]["class"] == 1
     assert doc[0]["start"] == 60
+
+
+def _diff_corr_loop(pred, actual, window):
+    """Frozen per-window reference for ``_diff_corr``: two-pass statistics of
+    each centred window of the first differences, one window at a time."""
+    n = len(pred)
+    dp = np.diff(pred)
+    da = np.diff(actual)
+    m = len(dp)
+    width = window if window % 2 else window + 1
+    half = width // 2
+    corr_d = np.empty(m)
+    for j in range(m):
+        lo = max(0, j - half)
+        hi = min(m, j + half + 1)
+        p = dp[lo:hi]
+        a = da[lo:hi]
+        sp = p.std()
+        sa = a.std()
+        if sp == 0.0 or sa == 0.0:
+            corr_d[j] = 1.0 if np.array_equal(p, a) else 0.0
+        else:
+            corr_d[j] = float(((p - p.mean()) * (a - a.mean())).mean() / (sp * sa))
+    out = np.empty(n)
+    out[0] = corr_d[0]
+    out[1:] = corr_d
+    return out
+
+
+def _window_stds(x, window):
+    """Std of each centred window of the first differences of x, per sample."""
+    d = np.diff(x)
+    half = (window if window % 2 else window + 1) // 2
+    s = np.array([d[max(0, j - half):j + half + 1].std() for j in range(len(d))])
+    return np.concatenate([s[:1], s])
+
+
+class TestDiffCorr:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600),
+           window=st.integers(2, 60))
+    def test_matches_loop_oracle(self, seed, n, window):
+        # drifting, trending series with a noisy, offset prediction
+        rng = np.random.default_rng(seed)
+        scale = 10 ** rng.uniform(-3, 1)
+        actual = scale * (np.cumsum(rng.normal(size=n))
+                          + rng.normal(0, 5) * np.arange(n))
+        pred = actual + scale * rng.uniform(0.05, 2) * rng.normal(size=n) \
+            + rng.normal(0, 2)
+        want = _diff_corr_loop(pred, actual, window)
+        got = _diff_corr(pred, actual, window)
+        # windowed sums taken from prefix sums over the whole series carry an
+        # absolute error of about n * eps * var(d); relative to a window's
+        # own variance that bounds the correlation's error, which is far
+        # below 1e-9 unless the window's differences nearly coincide
+        sp, sa = _window_stds(pred, window), _window_stds(actual, window)
+        flat = (sp == 0) | (sa == 0)
+        assert np.array_equal(got[flat], want[flat])
+        sp, sa = sp[~flat], sa[~flat]
+        bound = n * np.finfo(float).eps * (np.var(np.diff(pred)) / sp ** 2
+                                           + np.var(np.diff(actual)) / sa ** 2)
+        assert np.all(np.abs(got - want)[~flat] <= 1e-9 + bound)
+
+    def test_constant_windows_match_loop_exactly(self):
+        # differences flat and equal (score 1), flat and unequal (score 0),
+        # one side flat (score 0), then noise; the loop's std is exactly 0
+        # wherever a window's differences are all equal
+        rng = np.random.default_rng(3)
+        dp = np.concatenate([np.zeros(40), np.ones(40), np.full(40, 2.0),
+                             np.full(40, 2.0), rng.normal(size=40)])
+        da = np.concatenate([np.zeros(40), np.ones(40), np.ones(40),
+                             rng.normal(size=40), rng.normal(size=40)])
+        pred = np.concatenate([[0.0], np.cumsum(dp)])
+        actual = np.concatenate([[0.0], np.cumsum(da)])
+        window = 12
+        want = _diff_corr_loop(pred, actual, window)
+        got = _diff_corr(pred, actual, window)
+        flat = (_window_stds(pred, window) == 0) | (_window_stds(actual, window) == 0)
+        assert set(want[flat]) == {0.0, 1.0}
+        assert np.array_equal(got[flat], want[flat])
+        np.testing.assert_allclose(got[~flat], want[~flat], rtol=0, atol=1e-9)
+
+    def test_straight_stretch_scores_are_finite(self):
+        # on the straight stretch the differences agree only to rounding, so
+        # the windowed variance cancels to 0 or below there; such windows
+        # are degenerate
+        walk = np.cumsum(np.random.default_rng(0).normal(size=100))
+        pred = np.concatenate([walk, walk[-1] + 0.1 * np.arange(1, 101)])
+        corr = _diff_corr(pred, wiggly(200), 12)
+        assert np.all(np.isfinite(corr))

@@ -103,6 +103,26 @@ class TestTrendN:
         assert got == pytest.approx(expected, abs=1e-6, rel=1e-6)
 
 
+class TestBatchedHistory:
+    """A (B, L) history gives the (B, horizon) stack of the row-by-row calls."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(6, 15), st.integers(0, 2 ** 32 - 1))
+    def test_two_dimensional_calls_equal_row_by_row(self, batch, length, seed):
+        hist = np.random.default_rng(seed).normal(10.0, 3.0, size=(batch, length))
+        for n in (2, 3, 6):
+            assert np.array_equal(trend_n_predict(hist, n, 6),
+                                  np.stack([trend_n_predict(row, n, 6) for row in hist]))
+        assert np.array_equal(seasonal_predict(hist, 6),
+                              np.stack([seasonal_predict(row, 6) for row in hist]))
+
+    def test_short_history_rejected_along_last_axis(self):
+        with pytest.raises(InsufficientHistory):
+            seasonal_predict(np.zeros((10, 5)), 6)
+        with pytest.raises(InsufficientHistory):
+            trend_n_predict(np.zeros((10, 2)), n=3)
+
+
 def test_spec_names_match_reporting_convention():
     assert BaselineSpec("training_mean").name == "BaselineTrainingMean"
     assert BaselineSpec("running_mean").name == "BaselineTestRunningMean"

@@ -253,6 +253,48 @@ class TestForecastAnchorSets:
                 [y[t + 1:t + 7] for t in anchors]))
             assert np.array_equal(preds, np.concatenate(blocks))
 
+    def test_training_mean_forecast_needs_anchor_target_and_no_gap_after_it(self):
+        # the anchor's own target must be valid and no gap may separate it
+        # from t+1, as for every other forecast row
+        from denitlab.dataset import Gap
+        from denitlab.evaluation import _baseline_pairs
+        y = np.arange(100.0)
+        y[80] = np.nan
+        frame = make_frame({"nitrate_in": np.ones(100), "nitrate_out": y},
+                           gaps=(Gap(90, 2),))
+        plan = make_final_split(frame, 0.5, 0.2)
+        assert plan.test == ((70, 100),)
+        _, actual = _baseline_pairs(BaselineSpec("training_mean"), frame, plan,
+                                    "test", "forecast")
+        anchors = actual.reshape(-1, 6)[:, 0] - 1  # y[t + 1] == t + 1
+        # parent rule (t+1 .. t+6 only) also admitted 80 and 90
+        assert np.array_equal(anchors, np.r_[70:74, 81:85, 91:94])
+
+    def test_rollout_reads_covariates_through_t_plus_five(self):
+        # step s reads covariate rows t-h+s-1 .. t+s-1, so a blank covariate
+        # at row 50 spoils anchors 45..49 (future) and 50..52 (history) only
+        from denitlab.dataset import Scaler, apply_scaler
+        from denitlab.evaluation import model_pairs
+        from denitlab.models import TrainedModel, rollout_forecast_batch
+        rng = np.random.default_rng(0)
+        methanol = 10 + rng.normal(size=60)
+        methanol[50] = np.nan
+        frame = make_frame({"methanol": methanol,
+                            "nitrate_out": 10 + rng.normal(size=60)})
+        scaler = Scaler(names=frame.names, mean=np.zeros(2), std=np.ones(2),
+                        fitted_on=((0, 1),), target_index=1)
+        spec = ModelSpec("elastic_net", ("methanol",), h=2, task="forecast")
+        model = TrainedModel(spec=spec, parameters={"w": np.full(6, 0.1), "b": 0.0,
+                                                    "converged": True},
+                             scaler=scaler)
+        rolled = rollout_forecast_batch(model, apply_scaler(frame, scaler),
+                                        np.array([44, 45]))
+        assert np.all(np.isfinite(rolled[0]))
+        assert np.isnan(rolled[1, -1]) and np.all(np.isfinite(rolled[1, :-1]))
+        anchors, preds, _ = model_pairs(model, frame, ((30, 60),))
+        assert np.array_equal(anchors, np.r_[32:45, 53])
+        assert np.all(np.isfinite(preds))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("h", [0, 2])
     def test_model_rollout_anchors_match_scan(self, seed, h):
@@ -268,8 +310,9 @@ class TestForecastAnchorSets:
                              parameters={"w": np.zeros(2 * (h + 1)), "b": 0.0,
                                          "converged": True},
                              scaler=scaler)
-        anchors = self._admitted(frame, plan.test, -h, 6,
-                                 ("methanol", "nitrate_out"))
+        anchors = np.intersect1d(
+            self._admitted(frame, plan.test, -h, 6, ("nitrate_out",)),
+            self._admitted(frame, plan.test, -h, 5, ("methanol",)))
         got, _, actual = model_pairs(model, frame, plan.test)
         assert np.array_equal(got, anchors)
         y = frame.col("nitrate_out")
@@ -290,8 +333,9 @@ class TestForecastAnchorSets:
                          task="forecast", hyperparams={"alpha": 1e-3}, seed=0)
         model, _ = train_on_plan(spec, frame, plan)
         assert np.any(model.parameters["w"] != 0.0)
-        anchors = self._admitted(frame, plan.test, -h, 6,
-                                 ("nitrate_in", "methanol", "nitrate_out"))
+        anchors = np.intersect1d(
+            self._admitted(frame, plan.test, -h, 6, ("nitrate_out",)),
+            self._admitted(frame, plan.test, -h, 5, ("nitrate_in", "methanol")))
         _, preds, _ = model_pairs(model, frame, plan.test)
         scaled = apply_scaler(frame, model.scaler)
         np.testing.assert_allclose(preds, np.concatenate(
