@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from importlib import metadata
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -23,9 +24,7 @@ from .errors import BadParams, InvalidConfig
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
 from .models import ARCHS, TASKS
 from .preprocess import CleaningParams
-from .synthpilot import CarrierSchedule, CleaningSchedule, DosingParams, Fault, \
-    NitrateInProfile, PressureParams, ReactionParams, SinusoidProfile, SpikyProfile, \
-    SynthConfig
+from .synthpilot import SynthConfig
 
 
 def _package_version() -> str:
@@ -36,12 +35,6 @@ def _package_version() -> str:
 
 
 SPLITS = ("train", "validation", "test")
-
-
-def _check_seeds(seeds, what: str) -> None:
-    for seed in seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InvalidConfig(f"{what} must be integers, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +64,6 @@ class AblationSettings:
     h_values: tuple[int, ...] = ()
     multi_seed: bool = False      # one seed per subset unless flipped
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-
-    def __post_init__(self):
-        _check_seeds(self.seeds, "ablation.seeds")
 
 
 @dataclass(frozen=True)
@@ -115,19 +105,16 @@ class ExperimentConfig:
                 raise InvalidConfig(f"unknown arch {arch!r}")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
-        _check_seeds(self.seeds, "seeds")
         for arch, overrides in self.hyperparams.items():
             if arch not in ARCHS:
                 raise InvalidConfig(f"hyperparams for unknown arch {arch!r}")
             if not isinstance(overrides, dict):
                 raise InvalidConfig(f"hyperparams.{arch} must be a mapping")
-        for arch in _mapping(self.hyperopt.space, "hyperopt.space"):
+        for arch in self.hyperopt.space:
             build_search_space(self, arch)  # a malformed space fails at load
 
     def resolved_dict(self) -> dict:
-        doc = asdict(self)
-        doc["synth"] = None if self.synth is None else asdict(self.synth)
-        return _plain(doc)
+        return _plain(asdict(self))
 
     def run_id(self) -> str:
         payload = json.dumps({"config": self.resolved_dict(),
@@ -145,49 +132,47 @@ def _plain(obj):
     return obj
 
 
-def _mapping(data, what: str) -> dict:
+def _typed(tp, value, what: str):
+    """``value`` checked against the annotation ``tp``: a dataclass is built
+    from a mapping and a tuple from a list; scalars are never converted."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in args if arg is not type(None))
+        return _typed(tp, value, what)
+    if is_dataclass(tp):
+        return _build(tp, value, what)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise InvalidConfig(f"{what} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise InvalidConfig(f"{what} must have {len(args)} entries")
+        return tuple(_typed(arg, v, f"{what}[]") for arg, v in zip(args, value))
+    if tp is float and type(value) is int:
+        return value
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
+        raise InvalidConfig(f"{what} must be {tp.__name__}, got {value!r}")
+    return value
+
+
+def _build(cls, data, what: str):
+    """Dataclass ``cls`` from a mapping, each field checked by ``_typed``."""
     if not isinstance(data, dict):
-        raise InvalidConfig(f"{what} must be a mapping")
-    return dict(data)
-
-
-def _build(cls, data: dict, what: str):
-    data = _mapping(data, what)
+        raise InvalidConfig(f"{what or 'config root'} must be a mapping")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        path = f"{what}.{name}" if what else str(name)
+        if name not in hints:
+            raise InvalidConfig(f"unknown field {path}")
+        kwargs[name] = _typed(hints[name], value, path)
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, BadParams) as exc:
-        raise InvalidConfig(f"{what}: {exc}") from None
-
-
-def _tupled(seq, what: str) -> tuple:
-    if not isinstance(seq, (list, tuple)):
-        raise InvalidConfig(f"{what} must be a list")
-    return tuple(seq)
-
-
-def parse_synth(data: dict) -> SynthConfig:
-    data = _mapping(data, "synth")
-    kwargs: dict[str, Any] = {}
-    nested = {
-        "dosing": DosingParams, "temperature": SinusoidProfile,
-        "flow": SinusoidProfile, "nitrate_in": NitrateInProfile,
-        "oxygen": SpikyProfile, "ammonium": SpikyProfile,
-        "ortho_phosphate": SpikyProfile, "turbidity": SpikyProfile,
-        "pressure": PressureParams, "carrier": CarrierSchedule,
-        "cleaning": CleaningSchedule, "reaction": ReactionParams,
-    }
-    for key, cls in nested.items():
-        if key in data:
-            sub = data.pop(key)
-            if key == "carrier" and "refills" in sub:
-                sub = dict(sub)
-                sub["refills"] = tuple(tuple(r) for r in sub["refills"])
-            kwargs[key] = _build(cls, sub, f"synth.{key}")
-    if "faults" in data:
-        kwargs["faults"] = tuple(_build(Fault, f, "synth.faults[]")
-                                 for f in data.pop("faults"))
-    kwargs.update(data)
-    return _build(SynthConfig, kwargs, "synth")
+        raise InvalidConfig(f"{what or 'config'}: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -198,37 +183,7 @@ def load_config(path) -> ExperimentConfig:
         raise InvalidConfig(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise InvalidConfig(f"config is not valid YAML: {exc}") from None
-    return config_from_dict({} if raw is None else raw)
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    data = _mapping(raw, "config root")
-    kwargs: dict[str, Any] = {}
-    if "synth" in data:
-        kwargs["synth"] = parse_synth(data.pop("synth"))
-    for key, cls in (("cleaning", CleaningParams), ("folds", FoldSettings),
-                     ("final_split", FinalSplitSettings),
-                     ("anomaly", AnomalySettings)):
-        if key in data:
-            kwargs[key] = _build(cls, data.pop(key), key)
-    if "hyperopt" in data:
-        sub = _mapping(data.pop("hyperopt"), "hyperopt")
-        sub.setdefault("space", {})
-        kwargs["hyperopt"] = _build(HyperoptSettings, sub, "hyperopt")
-    if "ablation" in data:
-        sub = _mapping(data.pop("ablation"), "ablation")
-        for key in ("covariates", "h_values", "seeds"):
-            if key in sub:
-                sub[key] = _tupled(sub[key], f"ablation.{key}")
-        kwargs["ablation"] = _build(AblationSettings, sub, "ablation")
-    for key in ("archs", "seeds", "covariates"):
-        if key in data:
-            kwargs[key] = _tupled(data.pop(key), key)
-    kwargs.update(data)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from None
+    return _build(ExperimentConfig, {} if raw is None else raw, "")
 
 
 # --- search-space defaults ---------------------------------------------------
@@ -279,27 +234,27 @@ def default_dimensions(arch: str) -> dict:
 
 def _parse_dimension(name: str, value) -> Any:
     if isinstance(value, dict):
-        if "grid" in value:
-            return GridDim(tuple(value["grid"]))
-        if "log_uniform" in value:
-            lo, hi = value["log_uniform"]
+        if "grid" in value or "choice" in value:
+            value = value["grid"] if "grid" in value else value["choice"]
+        elif "log_uniform" in value:
+            lo, hi = _typed(tuple[float, float], value["log_uniform"],
+                            f"dimension {name!r} log_uniform")
             return LogUniformDim(float(lo), float(hi))
-        if "choice" in value:
-            vals = value["choice"]
-            vals = tuple(tuple(v) if isinstance(v, (list, tuple)) else v
-                         for v in vals)
-            return GridDim(vals)
-        raise InvalidConfig(f"dimension {name!r} needs grid|log_uniform|choice")
-    if isinstance(value, (list, tuple)):
-        return GridDim(tuple(value))
-    raise InvalidConfig(f"cannot parse dimension {name!r}: {value!r}")
+        else:
+            raise InvalidConfig(f"dimension {name!r} needs grid|log_uniform|choice")
+    if not isinstance(value, (list, tuple)):
+        raise InvalidConfig(f"cannot parse dimension {name!r}: {value!r}")
+    return GridDim(tuple(tuple(v) if isinstance(v, (list, tuple)) else v
+                         for v in value))
 
 
 def build_search_space(config: ExperimentConfig, arch: str) -> SearchSpace:
     dims = default_dimensions(arch)
     dims["h"] = _default_h_candidates()
     dims["covariates"] = _default_covariate_candidates(config.covariates)
-    space = _mapping(config.hyperopt.space.get(arch, {}), f"hyperopt.space.{arch}")
+    space = config.hyperopt.space.get(arch, {})
+    if not isinstance(space, dict):
+        raise InvalidConfig(f"hyperopt.space.{arch} must be a mapping")
     for name, value in space.items():
         dims[name] = _parse_dimension(name, value)
     covariates = dims["covariates"]

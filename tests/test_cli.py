@@ -260,9 +260,36 @@ class TestExitCodes:
         ("train", {"hyperparams": {"elastic_net": 5}}),
         ("hyperopt", _covariate_grid([5])),
         ("hyperopt", _covariate_grid(["temperature"])),
+        ("train", {"synth": {"days": 8, "faults": 5}}),
+        ("train", {"synth": {"days": 8, "carrier": {"refills": 5}}}),
+        ("train", {"synth": {"days": 8, "carrier": {"refills": [[3]]}}}),
+        ("train", {"synth": {"days": 8, "carrier": 5}}),
+        ("train", {"synth": {"days": 8.5}}),
+        ("train", {"synth": {"days": 8, "start_time": 5}}),
+        ("train", {"synth": {"days": 8, "temperature": {
+            "base": 12.0, "amplitude": 4.0, "period_samples": 105120, "noise": "x"}}}),
+        ("train", {"synth": {"days": 8, "oxygen": {
+            "base": 7.0, "noise": 0.3, "spike_duration": 12.5}}}),
+        ("ablate", {"ablation": {"h_values": ["x"]}}),
+        ("ablate", {"jobs": 2.5, "ablation": {"covariates": ["methanol"]}}),
+        # a large int: no open file descriptor of the test process has that number
+        ("train", {"dataset": 987654}),
+        ("train", {"cleaning": {"window": 2.5}}),
+        ("hyperopt", {"folds": {"n_folds": "x"}}),
+        ("train", {"final_split": {"train_fraction": "x"}}),
+        ("train", {"hyperparams": 5}),
+        ("train", {"h": True}),
+        ("ablate", {"ablation": {"multi_seed": "no", "covariates": ["methanol"]}}),
     ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
             "anomaly-peak-window", "hyperparams-not-mapping",
-            "covariates-candidate-not-list", "covariates-candidate-string"])
+            "covariates-candidate-not-list", "covariates-candidate-string",
+            "synth-faults-not-list", "refills-not-list", "refill-one-entry",
+            "synth-carrier-not-mapping", "synth-days-float", "synth-start-time-int",
+            "synth-profile-noise-string", "synth-spike-duration-float",
+            "ablation-h-values-string", "jobs-float", "dataset-int",
+            "cleaning-window-float", "folds-n-folds-string",
+            "final-split-fraction-string", "hyperparams-int", "h-bool",
+            "ablation-multi-seed-string"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),

@@ -1,0 +1,93 @@
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from denitlab.config import load_config
+from denitlab.errors import InvalidConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted(ROOT.glob("configs/*.yaml")) + [ROOT / "perfbench/cli_gappy_nowcast.yaml"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_manifest_config_loads_back(path, tmp_path):
+    """``resolved_dict()`` is what manifest.json records; fed back as a
+    config (JSON is YAML) it gives the same experiment."""
+    config = load_config(path)
+    copy_path = tmp_path / "manifest_config.json"
+    copy_path.write_text(json.dumps(config.resolved_dict()))
+    again = load_config(copy_path)
+    assert again == config
+    assert again.run_id() == config.run_id()
+
+
+def _valid_config() -> dict:
+    """Every field of every section, nested synth fields included."""
+    doc = load_config(ROOT / "configs/synth_e2e.yaml").resolved_dict()
+    doc["dataset"] = "data.csv"
+    doc["synth"]["carrier"]["refills"] = [[2, 3.5]]
+    doc["hyperopt"]["space"] = {"elastic_net": {
+        "alpha": {"log_uniform": [1.0e-4, 1.0]},
+        "l1_ratio": {"grid": [0.1, 0.5]},
+        "covariates": {"choice": [["methanol"], ["nitrate_in", "methanol"]]}}}
+    return doc
+
+
+VALID = _valid_config()
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = list(_leaves(VALID))
+
+KINDS = {
+    str: st.text(max_size=8),
+    float: st.floats(),
+    bool: st.booleans(),
+    list: st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    dict: st.dictionaries(st.text(min_size=1, max_size=4), st.integers(-3, 3),
+                          max_size=2),
+}
+
+
+def test_valid_config_loads():
+    assert len(LEAVES) > 100
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.yaml"
+        path.write_text(yaml.safe_dump(VALID))
+        load_config(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_leaf_of_another_kind_is_accepted_or_a_config_error(data):
+    path = data.draw(st.sampled_from(LEAVES))
+    doc = copy.deepcopy(VALID)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = type(parent[path[-1]])
+    parent[path[-1]] = data.draw(st.one_of(
+        [strategy for k, strategy in KINDS.items() if k is not kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.yaml"
+        config_path.write_text(yaml.safe_dump(doc))
+        try:
+            load_config(config_path)
+        except InvalidConfig:
+            pass
