@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field, is_dataclass
 from importlib import metadata
 from types import UnionType
@@ -175,10 +176,22 @@ def _build(cls, data, what: str):
         raise InvalidConfig(f"{what or 'config'}: {exc}") from None
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading, plus YAML 1.2's floats written with an exponent
+    and no dot (``1e-05``, ``1e+16``), which is how ``json.dumps`` writes small
+    and large floats: a manifest's ``config`` then loads back as written."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError:
         raise InvalidConfig(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:

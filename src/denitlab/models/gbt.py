@@ -20,6 +20,16 @@ order). Splits, tie-breaks and every float thus match a splitter that
 re-sorts at every node, bit for bit. A node whose children will both be
 leaves (the next level is the last, or neither child has rows enough to
 split) gathers no lists for them and takes their means straight away.
+
+The presort also flags each feature that has two equal values (``==``, so
+``-0.0`` ties ``0.0`` and NaN ties nothing). A subset of a tie-free column is
+tie-free, so an unflagged feature has no ties at any node of the tree (a
+flagged one may lose its ties in a child, which costs only the check). A
+node's admissible left sizes are one range, ``min_samples_leaf`` to
+``n - min_samples_leaf``, so each feature's candidate left sums are a slice
+of its cumulative sums, and the threshold reads just the two values either
+side of the winner. Only a flagged feature gathers its sorted values, to
+rule out the candidates that fall between equal values.
 """
 
 from __future__ import annotations
@@ -31,11 +41,12 @@ from .spec import TrainLog
 
 
 def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
-                orders: np.ndarray, max_depth: int, min_samples_leaf: int,
-                depth: int = 0) -> dict:
+                orders: np.ndarray, tied: np.ndarray, max_depth: int,
+                min_samples_leaf: int, depth: int = 0) -> dict:
     """Grow the subtree over rows ``idx`` (ascending) of ``XT.T`` and ``r``.
 
-    Row ``j`` of ``orders`` holds the same rows sorted stably by feature ``j``.
+    Row ``j`` of ``orders`` holds the same rows sorted stably by feature ``j``;
+    ``tied[j]`` is false only if feature ``j`` has no two equal values there.
     """
     rn = r[idx]
     value = float(rn.mean())
@@ -46,28 +57,28 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
     parent_sse = float(((rn - value) ** 2).sum())
     best_gain = 0.0
     best: tuple[int, float] | None = None
-    positions = np.arange(1, n)
-    in_range = (positions >= min_samples_leaf) \
-        & (positions <= n - min_samples_leaf)
+    # candidate split after sorted position i-1 (left size i); thresholds ascend
+    lo = max(min_samples_leaf, 1)  # a left side of no rows is no split
+    hi = n - lo
+    i = np.arange(lo, hi + 1)
+    n_right = n - i
     for j, (x, order) in enumerate(zip(XT, orders)):
-        xs = x[order]
         rs = r[order]
-        cs = np.cumsum(rs)
-        css = np.cumsum(rs ** 2)
+        cs = rs.cumsum()
+        css = (rs ** 2).cumsum()
         total, total_sq = cs[-1], css[-1]
-        # candidate split after position i-1 (left size i); thresholds ascend
-        valid = (xs[:-1] != xs[1:]) & in_range
-        if not valid.any():
-            continue
-        i = positions[valid]
-        cl, cql = cs[:-1][valid], css[:-1][valid]  # left sums at each i
+        cl, cql = cs[lo - 1:hi], css[lo - 1:hi]  # left sums at each i
         left_sse = cql - cl ** 2 / i
-        right_sse = (total_sq - cql) - (total - cl) ** 2 / (n - i)
+        right_sse = (total_sq - cql) - (total - cl) ** 2 / n_right
         gains = parent_sse - left_sse - right_sse
-        k = int(np.argmax(gains))  # first maximum = lowest threshold
+        if tied[j]:  # no threshold falls between equal values
+            xs = x[order[lo - 1:hi + 1]]
+            gains[xs[:-1] == xs[1:]] = -np.inf
+        k = int(gains.argmax())  # first maximum = lowest threshold
         if gains[k] > best_gain:
-            thr = 0.5 * (xs[i[k] - 1] + xs[i[k]])
-            if xs[i[k] - 1] < thr <= xs[i[k]]:  # guard fp-collapsed midpoints
+            below, above = x[order[lo - 1 + k]], x[order[lo + k]]
+            thr = 0.5 * (below + above)
+            if below < thr <= above:  # guard fp-collapsed midpoints
                 best_gain = float(gains[k])
                 best = (j, float(thr))
     if best is None:
@@ -89,18 +100,22 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
     sides = go_left[orders]
     node["left"] = _build_tree(XT, r, left,
                                orders[sides].reshape(len(orders), len(left)),
-                               max_depth, min_samples_leaf, depth + 1)
+                               tied, max_depth, min_samples_leaf, depth + 1)
     node["right"] = _build_tree(XT, r, right,
                                 orders[~sides].reshape(len(orders), len(right)),
-                                max_depth, min_samples_leaf, depth + 1)
+                                tied, max_depth, min_samples_leaf, depth + 1)
     return node
 
 
-def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``X.T`` made contiguous, and per feature the row ids of ``X`` in
-    stable (value, row) order, as int32 to halve the index memory."""
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``X.T`` made contiguous; per feature the row ids of ``X`` in stable
+    (value, row) order, as int32 to halve the index memory; and per feature
+    whether any two of its values are equal (``==``: ``-0.0`` ties ``0.0``,
+    NaN ties nothing)."""
     XT = np.ascontiguousarray(X.T)
-    return XT, np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    orders = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    xs = np.take_along_axis(XT, orders, axis=1)
+    return XT, orders, (xs[:, :-1] == xs[:, 1:]).any(axis=1)
 
 
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
@@ -143,17 +158,18 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
 
     if not degenerate:
         if subsample >= 1.0:  # every tree sees all rows: sort once per fit
-            XT, orders = _presort(X)
+            XT, orders, tied = _presort(X)
         for _ in range(n_trees):
             if subsample < 1.0:
                 # choice() returns rows unordered: sort X[rows] in its own order
                 rows = rng.choice(n, size=max(1, int(subsample * n)), replace=False)
-                XT, orders = _presort(X[rows])
+                XT, orders, tied = _presort(X[rows])
                 rt = r[rows]
             else:
                 rt = r
             root = np.arange(len(rt), dtype=np.int32)
-            tree = _build_tree(XT, rt, root, orders, max_depth, min_samples_leaf)
+            tree = _build_tree(XT, rt, root, orders, tied, max_depth,
+                               min_samples_leaf)
             r -= learning_rate * _tree_predict(tree, X)
             trees.append(tree)
             losses.append(float((r ** 2).mean()))

@@ -8,8 +8,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from denitlab.cli import _write_manifest
 from denitlab.config import load_config
 from denitlab.errors import InvalidConfig
+from denitlab.models import ModelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted(ROOT.glob("configs/*.yaml")) + [ROOT / "perfbench/cli_gappy_nowcast.yaml"]
@@ -25,6 +27,30 @@ def test_manifest_config_loads_back(path, tmp_path):
     again = load_config(copy_path)
     assert again == config
     assert again.run_id() == config.run_id()
+
+
+def test_manifest_exponent_floats_load_back(tmp_path):
+    """``json.dumps`` writes 1.0e-5 as ``1e-05`` and 1.0e16 as ``1e+16``;
+    YAML 1.1 would read both as strings."""
+    path = tmp_path / "config.yaml"
+    path.write_text((ROOT / "configs/synth_e2e.yaml").read_text().replace(
+        "elastic_net: {alpha: 1.0e-3}", "elastic_net: {alpha: 1.0e-5}"))
+    config = load_config(path)
+    assert config.hyperparams["elastic_net"]["alpha"] == 1.0e-5
+    _write_manifest(config, tmp_path, "train")
+    recorded = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert "1e-05" in json.dumps(recorded)
+    copy_path = tmp_path / "manifest_config.yaml"
+    copy_path.write_text(json.dumps(recorded))
+    again = load_config(copy_path)
+    ModelSpec(arch="elastic_net", covariates=again.covariates, h=again.h,
+              task=again.task, hyperparams=again.hyperparams["elastic_net"])
+    assert again == config
+    assert again.run_id() == config.run_id()
+    copy_path.write_text("hyperopt: {space: {elastic_net: {alpha: "
+                         "{log_uniform: [1e-05, 1e+16]}}}}")
+    space = load_config(copy_path).hyperopt.space
+    assert space == {"elastic_net": {"alpha": {"log_uniform": [1.0e-5, 1.0e16]}}}
 
 
 def _valid_config() -> dict:

@@ -104,14 +104,42 @@ def _equivalence_case(name):
     if name == "single_feature":
         X, y = _problem(3)
         return X[:, :1], y
+    if name == "one_tie_at_best_split":
+        # tie-free columns, but column 0's best root split now falls between
+        # two equal values, so the scan must pass it over
+        X, y, k, _ = _step_problem(5)
+        X[k, 0] = X[k - 1, 0]
+        return X, y
+    if name == "signed_zero_at_best_split":
+        # -0.0 == 0.0: the pair ties though its bits differ
+        X, y, k, threshold = _step_problem(6)
+        X[:, 0] -= threshold
+        X[k - 1, 0], X[k, 0] = -0.0, 0.0
+        return X, y
     assert name == "fewer_rows_than_two_leaves"
     return _problem(4, n=9)
+
+
+def _step_problem(seed, n=120, p=5):
+    """Tie-free normal columns and a target that steps on column 0, rows in
+    column-0 order (a tie made in column 0 keeps the rows in sorted order);
+    also the threshold of column 0's best root split, found by the oracle on
+    that column alone, and the first row above it."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = 3.0 * (X[:, 0] > 0.3) + np.sin(X[:, 1]) + rng.normal(0, 0.3, n)
+    order = np.argsort(X[:, 0])
+    X, y = X[order], y[order]
+    threshold = _oracle_build_tree(X[:, :1], y - y.mean(), 1, 1)["threshold"]
+    return X, y, int(np.sum(X[:, 0] < threshold)), threshold
 
 
 @pytest.mark.parametrize("min_samples_leaf", [1, 5])
 @pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", ["heavy_ties", "constant_column",
-                                  "single_feature", "fewer_rows_than_two_leaves"])
+                                  "single_feature", "fewer_rows_than_two_leaves",
+                                  "one_tie_at_best_split",
+                                  "signed_zero_at_best_split"])
 def test_presorted_trees_match_resorting_oracle(case, max_depth,
                                                min_samples_leaf):
     X, y = _equivalence_case(case)
@@ -129,6 +157,23 @@ def test_presorted_subsampled_trees_match_resorting_oracle(seed):
     X[:, 1] = np.round(X[:, 1] * 2)  # ties inside each subsample too
     kwargs = dict(n_trees=10, max_depth=3, learning_rate=0.2,
                   min_samples_leaf=3, subsample=0.6, seed=seed)
+    params, log = fit_gbt(X, y, **kwargs)
+    oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
+    assert params == oracle_params
+    assert log.train_loss == oracle_losses
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_subsample_that_drops_the_only_tie_matches_resorting_oracle(seed):
+    X, y = _equivalence_case("one_tie_at_best_split")
+    kwargs = dict(n_trees=10, max_depth=3, learning_rate=0.2,
+                  min_samples_leaf=3, subsample=0.6, seed=seed)
+    # replay the row draws: some trees see both tied rows, some do not
+    rng = np.random.default_rng(seed)
+    tied = {bool(gbt._presort(X[rng.choice(len(y), size=int(0.6 * len(y)),
+                                            replace=False)])[2][0])
+            for _ in range(kwargs["n_trees"])}
+    assert tied == {False, True}
     params, log = fit_gbt(X, y, **kwargs)
     oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
     assert params == oracle_params
