@@ -9,27 +9,28 @@ threshold, so a fit is a deterministic function of (data, params, seed).
 Split search uses the presorted column layout of XGBoost's exact greedy
 algorithm (Chen & Guestrin, KDD 2016, section 4.1). Each feature is
 stable-sorted once per fit, or once per tree when rows are subsampled, into
-an int32 list of row ids in (value, row) order. A split node hands each child
-the ids of every list that fall on its side, in list order, so no node sorts
-again: after the one sort, a tree level costs O(n * p) gathers and
-cumulative sums for n rows and p features. A stable filter of a stable sort
-is the stable sort of the subset, so every node scans the same values in the
-same order as a fresh stable argsort of its rows would, and its mean and sum
-read the residuals in ascending row order (numpy's pairwise sums depend on
-order). Splits, tie-breaks and every float thus match a splitter that
-re-sorts at every node, bit for bit. A node whose children will both be
-leaves (the next level is the last, or neither child has rows enough to
-split) gathers no lists for them and takes their means straight away.
+a list of row ids in (value, row) order. A split node hands each child the
+ids of every list that fall on its side, in list order, so no node sorts
+again. A stable filter of a stable sort is the stable sort of the subset, so
+every node scans the same values in the same order as a fresh stable argsort
+of its rows would, and its mean reads the residuals in ascending row order
+(numpy's pairwise sums depend on order): every float matches a splitter
+that re-sorts at every node, bit for bit. A node whose children will both be
+leaves gathers no lists for them. The lists keep ``argsort``'s ``intp`` ids
+and gathers use ``take``: on 2,713 rows, one core, ``r[order]`` takes 8.0 us
+with int32 ids, as it converts them on each call, and ``r.take(order)`` 2.4 us.
 
-The presort also flags each feature that has two equal values (``==``, so
-``-0.0`` ties ``0.0`` and NaN ties nothing). A subset of a tie-free column is
-tie-free, so an unflagged feature has no ties at any node of the tree (a
-flagged one may lose its ties in a child, which costs only the check). A
-node's admissible left sizes are one range, ``min_samples_leaf`` to
-``n - min_samples_leaf``, so each feature's candidate left sums are a slice
-of its cumulative sums, and the threshold reads just the two values either
-side of the winner. Only a flagged feature gathers its sorted values, to
-rule out the candidates that fall between equal values.
+A split of n rows into n_L and n_R with residual sums S_L and S_R scores
+``S_L**2/n_L + S_R**2/n_R``; the winner's gain (its variance reduction) is
+that score less the parent's ``S**2/n`` (XGBoost's eq. 7 with lambda = 0,
+scikit-learn's ``proxy_impurity_improvement``). A feature needs just one
+cumulative sum of its sorted residuals, no sums of squares; its left sums
+for left sizes ``min_samples_leaf`` to ``n - min_samples_leaf`` are a slice.
+
+The presort also flags each feature with two equal values (``==``: ``-0.0``
+ties ``0.0``, NaN ties nothing). A subset of a tie-free column is tie-free,
+so only a flagged feature gathers its sorted values, to rule out the
+candidates that fall between equal values.
 """
 
 from __future__ import annotations
@@ -48,56 +49,56 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
     Row ``j`` of ``orders`` holds the same rows sorted stably by feature ``j``;
     ``tied[j]`` is false only if feature ``j`` has no two equal values there.
     """
-    rn = r[idx]
+    rn = r.take(idx)
     value = float(rn.mean())
     n = len(rn)
     if depth >= max_depth or n < 2 * min_samples_leaf or np.all(rn == rn[0]):
         return {"leaf": True, "value": value}
 
-    parent_sse = float(((rn - value) ** 2).sum())
     best_gain = 0.0
     best: tuple[int, float] | None = None
     # candidate split after sorted position i-1 (left size i); thresholds ascend
     lo = max(min_samples_leaf, 1)  # a left side of no rows is no split
     hi = n - lo
-    i = np.arange(lo, hi + 1)
+    i = np.arange(lo, hi + 1, dtype=float)
     n_right = n - i
     for j, (x, order) in enumerate(zip(XT, orders)):
-        rs = r[order]
-        cs = rs.cumsum()
-        css = (rs ** 2).cumsum()
-        total, total_sq = cs[-1], css[-1]
-        cl, cql = cs[lo - 1:hi], css[lo - 1:hi]  # left sums at each i
-        left_sse = cql - cl ** 2 / i
-        right_sse = (total_sq - cql) - (total - cl) ** 2 / n_right
-        gains = parent_sse - left_sse - right_sse
+        cs = r.take(order).cumsum()
+        total, cl = cs[-1], cs[lo - 1:hi]  # cl: left sums at each i
+        scores = cl * cl  # S_L**2/n_L + S_R**2/n_R, in place
+        scores /= i
+        cr = total - cl
+        cr *= cr
+        cr /= n_right
+        scores += cr
         if tied[j]:  # no threshold falls between equal values
-            xs = x[order[lo - 1:hi + 1]]
-            gains[xs[:-1] == xs[1:]] = -np.inf
-        k = int(gains.argmax())  # first maximum = lowest threshold
-        if gains[k] > best_gain:
+            xs = x.take(order[lo - 1:hi + 1])
+            scores[xs[:-1] == xs[1:]] = -np.inf
+        k = int(scores.argmax())  # first maximum = lowest threshold
+        gain = scores[k] - total * total / n  # the variance reduction
+        if gain > best_gain:
             below, above = x[order[lo - 1 + k]], x[order[lo + k]]
             thr = 0.5 * (below + above)
             if below < thr <= above:  # guard fp-collapsed midpoints
-                best_gain = float(gains[k])
+                best_gain = float(gain)
                 best = (j, float(thr))
     if best is None:
         return {"leaf": True, "value": value}
 
     feature, threshold = best
-    in_left = XT[feature, idx] < threshold
+    in_left = XT[feature].take(idx) < threshold
     left, right = idx[in_left], idx[~in_left]
     node = {"leaf": False, "value": value, "feature": feature,
             "threshold": threshold}
     if depth + 1 >= max_depth or max(len(left), len(right)) < 2 * min_samples_leaf:
         # both children are leaves: skip gathering their order lists
-        node["left"] = {"leaf": True, "value": float(r[left].mean())}
-        node["right"] = {"leaf": True, "value": float(r[right].mean())}
+        node["left"] = {"leaf": True, "value": float(r.take(left).mean())}
+        node["right"] = {"leaf": True, "value": float(r.take(right).mean())}
         return node
     go_left = np.zeros(XT.shape[1], dtype=bool)
     go_left[left] = True
     # every row of orders holds the same rows, so each keeps len(left) of them
-    sides = go_left[orders]
+    sides = go_left.take(orders)
     node["left"] = _build_tree(XT, r, left,
                                orders[sides].reshape(len(orders), len(left)),
                                tied, max_depth, min_samples_leaf, depth + 1)
@@ -109,11 +110,10 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``X.T`` made contiguous; per feature the row ids of ``X`` in stable
-    (value, row) order, as int32 to halve the index memory; and per feature
-    whether any two of its values are equal (``==``: ``-0.0`` ties ``0.0``,
-    NaN ties nothing)."""
+    (value, row) order; and per feature whether any two of its values are
+    equal (``==``: ``-0.0`` ties ``0.0``, NaN ties nothing)."""
     XT = np.ascontiguousarray(X.T)
-    orders = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    orders = np.argsort(XT, axis=1, kind="stable")
     xs = np.take_along_axis(XT, orders, axis=1)
     return XT, orders, (xs[:, :-1] == xs[:, 1:]).any(axis=1)
 
@@ -167,7 +167,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
                 rt = r[rows]
             else:
                 rt = r
-            root = np.arange(len(rt), dtype=np.int32)
+            root = np.arange(len(rt))
             tree = _build_tree(XT, rt, root, orders, tied, max_depth,
                                min_samples_leaf)
             r -= learning_rate * _tree_predict(tree, X)

@@ -14,6 +14,55 @@ def _oracle_build_tree(X, r, max_depth, min_samples_leaf, depth=0):
     if depth >= max_depth or n < 2 * min_samples_leaf or np.all(r == r[0]):
         return {"leaf": True, "value": value}
 
+    best_gain = 0.0
+    best = None
+    positions = np.arange(1, n)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        cs = np.cumsum(r[order])
+        total = cs[-1]
+        valid = (xs[:-1] != xs[1:]) \
+            & (positions >= min_samples_leaf) \
+            & (positions <= n - min_samples_leaf)
+        if not valid.any():
+            continue
+        i = positions[valid]
+        # closed-form split score S_L^2/n_L + S_R^2/n_R; the gain subtracts
+        # the parent's S^2/n from the best score
+        scores = cs[i - 1] ** 2 / i + (total - cs[i - 1]) ** 2 / (n - i)
+        k = int(np.argmax(scores))
+        gain = scores[k] - total * total / n
+        if gain > best_gain:
+            thr = 0.5 * (xs[i[k] - 1] + xs[i[k]])
+            if xs[i[k] - 1] < thr <= xs[i[k]]:
+                best_gain = float(gain)
+                best = (j, float(thr))
+    if best is None:
+        return {"leaf": True, "value": value}
+
+    feature, threshold = best
+    mask = X[:, feature] < threshold
+    return {
+        "leaf": False,
+        "value": value,
+        "feature": feature,
+        "threshold": threshold,
+        "left": _oracle_build_tree(X[mask], r[mask], max_depth,
+                                   min_samples_leaf, depth + 1),
+        "right": _oracle_build_tree(X[~mask], r[~mask], max_depth,
+                                    min_samples_leaf, depth + 1),
+    }
+
+
+def _sse_oracle_build_tree(X, r, max_depth, min_samples_leaf, depth=0):
+    """Frozen: the re-sorting splitter scored by the parent SSE minus both
+    children's SSEs, each from cumulative sums and sums of squares."""
+    value = float(r.mean())
+    n = len(r)
+    if depth >= max_depth or n < 2 * min_samples_leaf or np.all(r == r[0]):
+        return {"leaf": True, "value": value}
+
     parent_sse = float(((r - value) ** 2).sum())
     best_gain = 0.0
     best = None
@@ -50,15 +99,16 @@ def _oracle_build_tree(X, r, max_depth, min_samples_leaf, depth=0):
         "value": value,
         "feature": feature,
         "threshold": threshold,
-        "left": _oracle_build_tree(X[mask], r[mask], max_depth,
-                                   min_samples_leaf, depth + 1),
-        "right": _oracle_build_tree(X[~mask], r[~mask], max_depth,
-                                    min_samples_leaf, depth + 1),
+        "left": _sse_oracle_build_tree(X[mask], r[mask], max_depth,
+                                       min_samples_leaf, depth + 1),
+        "right": _sse_oracle_build_tree(X[~mask], r[~mask], max_depth,
+                                        min_samples_leaf, depth + 1),
     }
 
 
 def _oracle_fit_gbt(X, y, n_trees=100, max_depth=3, learning_rate=0.1,
-                    min_samples_leaf=5, subsample=1.0, seed=0):
+                    min_samples_leaf=5, subsample=1.0, seed=0,
+                    build_tree=_oracle_build_tree):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     init = float(y.mean())
@@ -74,13 +124,16 @@ def _oracle_fit_gbt(X, y, n_trees=100, max_depth=3, learning_rate=0.1,
                                   replace=False)
             else:
                 rows = np.arange(n)
-            tree = _oracle_build_tree(X[rows], r[rows], max_depth,
-                                      min_samples_leaf)
+            tree = build_tree(X[rows], r[rows], max_depth, min_samples_leaf)
             r -= learning_rate * gbt._tree_predict(tree, X)
             trees.append(tree)
             losses.append(float((r ** 2).mean()))
     params = {"init": init, "trees": trees, "learning_rate": learning_rate}
     return params, tuple(losses)
+
+
+def _sse_oracle_fit_gbt(X, y, **kwargs):
+    return _oracle_fit_gbt(X, y, build_tree=_sse_oracle_build_tree, **kwargs)
 
 
 def _problem(seed, n=120, p=5):
@@ -149,6 +202,26 @@ def test_presorted_trees_match_resorting_oracle(case, max_depth,
     oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
     assert params == oracle_params
     assert log.train_loss == oracle_losses
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["heavy_ties", "constant_column",
+                                  "single_feature", "fewer_rows_than_two_leaves",
+                                  "one_tie_at_best_split",
+                                  "signed_zero_at_best_split"])
+def test_training_losses_match_frozen_sse_oracle(case, max_depth,
+                                                 min_samples_leaf):
+    # the two scores round differently, so where two splits tie in exact
+    # arithmetic they can pick different ones; in these full-sample cases
+    # every such pair parts the training rows alike, so the losses agree bit
+    # for bit (under subsampling the rows left out could be routed apart)
+    X, y = _equivalence_case(case)
+    kwargs = dict(n_trees=12, max_depth=max_depth, learning_rate=0.3,
+                  min_samples_leaf=min_samples_leaf)
+    _, log = fit_gbt(X, y, **kwargs)
+    _, sse_losses = _sse_oracle_fit_gbt(X, y, **kwargs)
+    assert log.train_loss == sse_losses
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -257,6 +330,25 @@ def test_split_tiebreak_prefers_lowest_feature():
     params, _ = fit_gbt(X, y, n_trees=1, max_depth=1, learning_rate=1.0,
                         min_samples_leaf=1)
     assert params["trees"][0]["feature"] == 0
+
+
+def test_copied_feature_never_wins_a_split():
+    # column 1 copies column 0, so every split of one ties the other's exactly
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(200, 4))
+    X[:, 1] = X[:, 0]
+    y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 2] + rng.normal(0, 0.3, 200)
+    params, _ = fit_gbt(X, y, n_trees=20, max_depth=4, learning_rate=0.3,
+                        min_samples_leaf=2)
+
+    def split_features(node):
+        if not node["leaf"]:
+            yield node["feature"]
+            yield from split_features(node["left"])
+            yield from split_features(node["right"])
+
+    used = [f for tree in params["trees"] for f in split_features(tree)]
+    assert 0 in used and 1 not in used
 
 
 def test_dimension_mismatch():
