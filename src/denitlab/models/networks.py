@@ -3,6 +3,18 @@
 Plain SGD with momentum (no adaptive optimizer, keeping every gradient
 auditable), seeded shuffling, and early stopping on validation loss: the
 returned parameters are the snapshot with minimum validation MSE.
+
+Whole-batch forwards (the per-epoch train and validation losses, batch
+prediction, rollout) run in blocks of ``FORWARD_BLOCK_ROWS`` rows. Over all
+3,133 training windows of a hyperopt fold, every temporary of one forward is
+larger than glibc's 128 KiB mmap threshold, so each costs an allocator round
+trip and fresh page faults; that, not arithmetic, is where the time goes. On
+a 2-core Xeon with one BLAS thread, the recurrent forward at hidden 8 took
+4.0 ms in one batch and 2.5 ms in 512-row blocks; with the process's
+``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` raised, the one
+batch ran about as fast as the blocks.
+Each row goes through the same operations either way, so the predictions
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +26,9 @@ from . import recurrent, tcn
 from .spec import ModelSpec, TrainLog
 
 CONVERGE_TOL = 1e-12
+
+#: Rows per block of a whole-batch forward (see the module docstring).
+FORWARD_BLOCK_ROWS = 512
 
 _BACKENDS = {"recurrent": recurrent, "tcn": tcn}
 
@@ -33,8 +48,11 @@ def loss_and_grad(arch: str, params: dict, X: np.ndarray, y: np.ndarray):
 
 
 def network_forward(arch: str, params: dict, X: np.ndarray) -> np.ndarray:
-    yhat, _ = _BACKENDS[arch].forward(params, X)
-    return yhat
+    """Predictions for every row of X, computed block by block; an empty
+    batch still runs one (empty) block."""
+    forward = _BACKENDS[arch].forward
+    return np.concatenate([forward(params, X[lo:lo + FORWARD_BLOCK_ROWS])[0]
+                           for lo in range(0, max(len(X), 1), FORWARD_BLOCK_ROWS)])
 
 
 def _snapshot(params: dict) -> dict:

@@ -12,11 +12,16 @@ import numpy as np
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp(-|z|) is exp(-z) for z >= 0
-    and exp(z) below, so both branches are the usual stable forms."""
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    """Logistic function without overflow: with e = exp(-|z|) it is
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, both the usual stable
+    forms; e is built in place and the two branches share one division."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def init_params(n_in: int, seq_len: int, hp: dict, rng: np.random.Generator) -> dict:

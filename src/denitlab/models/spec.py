@@ -48,22 +48,32 @@ DEFAULT_HYPERPARAMS: dict[str, dict[str, Any]] = {
     },
 }
 
+
+def _is_count(value) -> bool:
+    """An integer that is not a bool (``True`` is an Integral)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _count_at_least(lo: int):
+    return lambda v: _is_count(v) and v >= lo
+
+
 _VALIDATORS = {
     "alpha": lambda v: v >= 0,
     "l1_ratio": lambda v: 0 <= v <= 1,
     "tol": lambda v: v > 0,
-    "max_iter": lambda v: v >= 1,
-    "n_trees": lambda v: v >= 0,
-    "max_depth": lambda v: v >= 1,
+    "max_iter": _count_at_least(1),
+    "n_trees": _count_at_least(0),
+    "max_depth": _count_at_least(1),
     "learning_rate": lambda v: v > 0,
-    "min_samples_leaf": lambda v: v >= 1,
+    "min_samples_leaf": _count_at_least(1),
     "subsample": lambda v: 0 < v <= 1,
-    "hidden": lambda v: v >= 1,
-    "levels": lambda v: v >= 1,
-    "kernel_size": lambda v: v >= 1,
-    "batch_size": lambda v: v >= 1,
-    "max_epochs": lambda v: v >= 1,
-    "patience": lambda v: v >= 1,
+    "hidden": _count_at_least(1),
+    "levels": _count_at_least(1),
+    "kernel_size": _count_at_least(1),
+    "batch_size": _count_at_least(1),
+    "max_epochs": _count_at_least(1),
+    "patience": _count_at_least(1),
     "momentum": lambda v: 0 <= v < 1,
 }
 
@@ -88,7 +98,7 @@ class ModelSpec:
             raise InvalidSpec(f"unknown arch {self.arch!r}")
         if self.task not in TASKS:
             raise InvalidSpec(f"unknown task {self.task!r}")
-        if not isinstance(self.h, Integral) or self.h < 0:
+        if not _is_count(self.h) or self.h < 0:
             raise InvalidSpec(f"history length h must be an integer >= 0, got {self.h!r}")
         if not self.covariates and self.task == "nowcast":
             raise InvalidSpec("nowcasting with zero covariates has no inputs")

@@ -40,7 +40,8 @@ def _conv_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, dilation: int) ->
     """Causal dilated conv; tap k reaches back (K-1-k)*dilation steps."""
     B, T, _ = x.shape
     K = W.shape[0]
-    z = np.tile(b, (B, T, 1))
+    z = np.empty((B, T, len(b)))
+    z[...] = b
     for k in range(K):
         shift = (K - 1 - k) * dilation
         if shift < T:
@@ -82,7 +83,7 @@ def forward(params: dict, X: np.ndarray):
 
 def backward(params: dict, cache: dict, dyhat: np.ndarray) -> dict:
     levels = _n_levels(params)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = {}
     top = cache["top"]
     grads["head_w"] = top[:, -1, :].T @ dyhat
     grads["head_b"] = np.array([dyhat.sum()])

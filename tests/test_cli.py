@@ -280,6 +280,12 @@ class TestExitCodes:
         ("train", {"hyperparams": 5}),
         ("train", {"h": True}),
         ("ablate", {"ablation": {"multi_seed": "no", "covariates": ["methanol"]}}),
+        ("train", {"archs": ["tcn"], "hyperparams": {"tcn": {"hidden": 2.5}}}),
+        ("train", {"archs": ["tcn"], "hyperparams": {"tcn": {"hidden": True}}}),
+        ("train", {"archs": ["recurrent"],
+                   "hyperparams": {"recurrent": {"batch_size": 8.5}}}),
+        ("train", {"archs": ["gbt"], "hyperparams": {"gbt": {"n_trees": 2.5}}}),
+        ("train", {"archs": ["gbt"], "hyperparams": {"gbt": {"max_depth": 1.5}}}),
     ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
             "anomaly-peak-window", "hyperparams-not-mapping",
             "covariates-candidate-not-list", "covariates-candidate-string",
@@ -289,7 +295,9 @@ class TestExitCodes:
             "ablation-h-values-string", "jobs-float", "dataset-int",
             "cleaning-window-float", "folds-n-folds-string",
             "final-split-fraction-string", "hyperparams-int", "h-bool",
-            "ablation-multi-seed-string"])
+            "ablation-multi-seed-string", "tcn-hidden-float", "tcn-hidden-bool",
+            "recurrent-batch-size-float", "gbt-n-trees-float",
+            "gbt-max-depth-float"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),

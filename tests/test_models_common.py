@@ -3,11 +3,12 @@ import pytest
 
 from denitlab.dataset import Scaler, apply_scaler, fit_scaler, invert_target, \
     make_final_split
-from denitlab.errors import SpecMismatch
+from denitlab.errors import InvalidSpec, SpecMismatch
 from denitlab.models import (
     ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast_batch,
     serialize, train_model,
 )
+from denitlab.models.spec import DEFAULT_HYPERPARAMS
 from denitlab.pipeline import spec_windows, train_on_plan
 from denitlab.preprocess import build_windows
 
@@ -154,3 +155,31 @@ class TestTrainModelContract:
         wrong = ModelSpec("elastic_net", ("methanol",), h=1, task="nowcast")
         with pytest.raises(SpecMismatch):
             train_model(wrong, ws, None, scaler)
+
+
+COUNT_HYPERPARAMS = ("max_iter", "n_trees", "max_depth", "min_samples_leaf",
+                     "hidden", "levels", "kernel_size", "batch_size",
+                     "max_epochs", "patience")
+
+
+class TestSpecValidation:
+    @staticmethod
+    def spec(name, value):
+        arch = next(a for a, hp in DEFAULT_HYPERPARAMS.items() if name in hp)
+        return ModelSpec(arch, ("nitrate_in",), h=1, task="nowcast",
+                         hyperparams={name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True],
+                             ids=["fraction", "whole-float", "bool"])
+    @pytest.mark.parametrize("name", COUNT_HYPERPARAMS)
+    def test_count_hyperparameter_must_be_an_integer(self, name, value):
+        with pytest.raises(InvalidSpec):
+            self.spec(name, value)
+
+    @pytest.mark.parametrize("name", COUNT_HYPERPARAMS)
+    def test_count_hyperparameter_accepts_numpy_integers(self, name):
+        assert self.spec(name, np.int64(3)).hyperparams[name] == 3
+
+    def test_bool_history_length_rejected(self):
+        with pytest.raises(InvalidSpec):
+            ModelSpec("elastic_net", ("nitrate_in",), h=True, task="nowcast")

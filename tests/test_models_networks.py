@@ -3,7 +3,10 @@ import pytest
 
 from denitlab.errors import EmptyWindows, NonFiniteLoss
 from denitlab.models import ModelSpec, loss_and_grad
-from denitlab.models.networks import _BACKENDS, train_network
+from denitlab.models.networks import (
+    _BACKENDS, FORWARD_BLOCK_ROWS, network_forward, train_network,
+)
+from denitlab.models.recurrent import _sigmoid
 
 HPS = {
     "recurrent": {"hidden": 6},
@@ -126,3 +129,41 @@ def test_returned_params_hit_minimum_validation_loss(arch, seed):
     params, log = train_network(spec, X, y, X[:16], y[:16])
     got = mse_loss(network_forward(arch, params, X[:16]), y[:16])
     assert got == pytest.approx(min(log.val_loss))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "tcn"])
+@pytest.mark.parametrize("hidden", [8, 64])
+@pytest.mark.parametrize("n", [0, 1, FORWARD_BLOCK_ROWS, 2 * FORWARD_BLOCK_ROWS + 7])
+def test_blocked_forward_equals_one_batch_forward(arch, hidden, n):
+    rng = np.random.default_rng(hidden + n)
+    hp = {**HPS[arch], "hidden": hidden}
+    params = _BACKENDS[arch].init_params(4, 3, hp, rng)
+    for k in params:
+        params[k] = params[k] + rng.normal(0, 0.1, params[k].shape)
+    X = rng.normal(0, 2, size=(n, 3, 4))
+    one_batch, _ = _BACKENDS[arch].forward(params, X)
+    blocked = network_forward(arch, params, X)
+    assert blocked.shape == (n,)
+    assert np.array_equal(bits(blocked), bits(one_batch))
+
+
+def _two_division_sigmoid(z):
+    """The logistic function as written before the one-division form."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def test_sigmoid_matches_two_division_form_bitwise():
+    mag = np.geomspace(1e-3, 800, 4001)
+    special = [0.0, np.inf, 5e-324, 1e308]
+    z = np.concatenate([mag, -mag, special, np.negative(special)])
+    assert np.array_equal(bits(_sigmoid(z)), bits(_two_division_sigmoid(z)))
+    # the forward passes a column slice of the packed gate pre-activations
+    packed = z[:4000].reshape(1000, 4)[:, :3]
+    assert np.array_equal(bits(_sigmoid(packed)), bits(_two_division_sigmoid(packed)))
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
