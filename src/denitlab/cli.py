@@ -297,7 +297,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = replace(config, seeds=(args.seed,))
         out = Path(args.out if args.out is not None else config.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise err.InvalidConfig(
+                f"output directory {out} cannot be made: {exc.strerror}") from None
         _COMMANDS[args.command](config, out, args)
         _write_manifest(config, out, args.command)
     except err.ConfigError as exc:

@@ -19,6 +19,12 @@ that re-sorts at every node, bit for bit. A node whose children will both be
 leaves gathers no lists for them. The lists keep ``argsort``'s ``intp`` ids
 and gathers use ``take``: on 2,713 rows, one core, ``r[order]`` takes 8.0 us
 with int32 ids, as it converts them on each call, and ``r.take(order)`` 2.4 us.
+Partitions use ``compress`` rather than boolean indexing, which gives the
+same elements in the same order: splitting 30 lists of 2,706 ids in random
+halves, one core, ``orders[sides]`` took about 530 us and
+``orders.compress(sides.ravel())`` about 240 us. ``compress`` gathers through
+an index array of the kept positions, so a fit's peak memory is about 1 MiB
+higher at this size.
 
 A split of n rows into n_L and n_R with residual sums S_L and S_R scores
 ``S_L**2/n_L + S_R**2/n_R``; the winner's gain (its variance reduction) is
@@ -87,7 +93,7 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
 
     feature, threshold = best
     in_left = XT[feature].take(idx) < threshold
-    left, right = idx[in_left], idx[~in_left]
+    left, right = idx.compress(in_left), idx.compress(~in_left)
     node = {"leaf": False, "value": value, "feature": feature,
             "threshold": threshold}
     if depth + 1 >= max_depth or max(len(left), len(right)) < 2 * min_samples_leaf:
@@ -98,12 +104,13 @@ def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
     go_left = np.zeros(XT.shape[1], dtype=bool)
     go_left[left] = True
     # every row of orders holds the same rows, so each keeps len(left) of them
-    sides = go_left.take(orders)
+    sides = go_left.take(orders).ravel()
+    p = len(orders)
     node["left"] = _build_tree(XT, r, left,
-                               orders[sides].reshape(len(orders), len(left)),
+                               orders.compress(sides).reshape(p, len(left)),
                                tied, max_depth, min_samples_leaf, depth + 1)
     node["right"] = _build_tree(XT, r, right,
-                                orders[~sides].reshape(len(orders), len(right)),
+                                orders.compress(~sides).reshape(p, len(right)),
                                 tied, max_depth, min_samples_leaf, depth + 1)
     return node
 
@@ -127,8 +134,8 @@ def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
             out[idx] = nd["value"]
             continue
         mask = X[idx, nd["feature"]] < nd["threshold"]
-        stack.append((nd["left"], idx[mask]))
-        stack.append((nd["right"], idx[~mask]))
+        stack.append((nd["left"], idx.compress(mask)))
+        stack.append((nd["right"], idx.compress(~mask)))
     return out
 
 

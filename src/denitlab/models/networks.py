@@ -4,17 +4,23 @@ Plain SGD with momentum (no adaptive optimizer, keeping every gradient
 auditable), seeded shuffling, and early stopping on validation loss: the
 returned parameters are the snapshot with minimum validation MSE.
 
-Whole-batch forwards (the per-epoch train and validation losses, batch
-prediction, rollout) run in blocks of ``FORWARD_BLOCK_ROWS`` rows. Over all
-3,133 training windows of a hyperopt fold, every temporary of one forward is
-larger than glibc's 128 KiB mmap threshold, so each costs an allocator round
-trip and fresh page faults; that, not arithmetic, is where the time goes. On
-a 2-core Xeon with one BLAS thread, the recurrent forward at hidden 8 took
-4.0 ms in one batch and 2.5 ms in 512-row blocks; with the process's
-``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` raised, the one
-batch ran about as fast as the blocks.
-Each row goes through the same operations either way, so the predictions
-are bit-identical.
+The training log's ``train_loss`` entry 0 is the MSE over the whole training
+set before any update. Entry e >= 1 is the mean of epoch e's mini-batch
+losses, each weighted by its batch size, taken while the parameters moved
+(as Keras and Lightning report an epoch); ``CONVERGE_TOL`` applies to it.
+Only the validation loss, which drives early stopping and the returned
+snapshot, is a forward over a whole set after each epoch.
+
+Whole-batch forwards (the loss before training, the per-epoch validation
+loss, batch prediction, rollout) run in blocks of ``FORWARD_BLOCK_ROWS``
+rows. Over all 3,133 training windows of a hyperopt fold, every temporary
+of one forward is larger than glibc's 128 KiB mmap threshold, so each costs
+an allocator round trip and fresh page faults; that, not arithmetic, is
+where the time goes. On a 2-core Xeon with one BLAS thread, the recurrent
+forward at hidden 8 took 4.0 ms in one batch and 2.5 ms in 512-row blocks;
+with the process's ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_``
+raised, the one batch ran about as fast as the blocks. Each row goes through
+the same operations either way, so the predictions are bit-identical.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ def train_network(spec: ModelSpec,
 
     One seeded generator drives weight init then every epoch's shuffle, so a
     fixed (spec, data) pair trains to bit-identical parameters. Entry 0 of the
-    log is the pre-training state.
+    log is the pre-training state; ``train_loss[e]`` for e >= 1 is epoch e's
+    size-weighted mean mini-batch loss.
     """
     if len(X_train) == 0 or len(X_val) == 0:
         raise EmptyWindows("network training needs non-empty train and val windows")
@@ -81,11 +88,8 @@ def train_network(spec: ModelSpec,
             params[k] = np.array(v, dtype=float)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def full_losses():
-        return (mse_loss(network_forward(spec.arch, params, X_train), y_train),
-                mse_loss(network_forward(spec.arch, params, X_val), y_val))
-
-    tr, vl = full_losses()
+    tr = mse_loss(network_forward(spec.arch, params, X_train), y_train)
+    vl = mse_loss(network_forward(spec.arch, params, X_val), y_val)
     train_losses, val_losses = [tr], [vl]
     best_val = vl
     best_params = _snapshot(params)
@@ -99,6 +103,7 @@ def train_network(spec: ModelSpec,
         lr, momentum = hp["learning_rate"], hp["momentum"]
         for epoch in range(1, hp["max_epochs"] + 1):
             perm = rng.permutation(len(X_train))
+            epoch_sse = 0.0
             for lo in range(0, len(perm), hp["batch_size"]):
                 batch = perm[lo:lo + hp["batch_size"]]
                 loss, grads = loss_and_grad(spec.arch, params, X_train[batch], y_train[batch])
@@ -107,10 +112,12 @@ def train_network(spec: ModelSpec,
                         f"training loss diverged in epoch {epoch}",
                         log=TrainLog(tuple(train_losses), tuple(val_losses),
                                      len(train_losses) - 1, "max_iter"))
+                epoch_sse += loss * len(batch)
                 for k in params:
                     velocity[k] = momentum * velocity[k] - lr * grads[k]
                     params[k] += velocity[k]
-            tr, vl = full_losses()
+            tr = epoch_sse / len(X_train)
+            vl = mse_loss(network_forward(spec.arch, params, X_val), y_val)
             if not (np.isfinite(tr) and np.isfinite(vl)):
                 raise NonFiniteLoss(
                     f"loss non-finite after epoch {epoch}",

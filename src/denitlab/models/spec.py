@@ -153,7 +153,11 @@ class ModelSpec:
 class TrainLog:
     """Per-iteration training (and optional validation) losses.
 
-    Entry 0 is the state before any update; iteration i appends entry i.
+    Entry 0 is the state before any update; iteration i appends entry i. For
+    the networks an iteration is an epoch: ``train_loss[0]`` is the loss over
+    the whole training set before training, ``train_loss[e]`` the mean of
+    epoch e's mini-batch losses weighted by batch size, and ``val_loss[e]``
+    the validation-set loss after epoch e.
     """
 
     train_loss: tuple[float, ...]

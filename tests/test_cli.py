@@ -353,6 +353,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 4
         assert "training loss rose" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+    def test_out_naming_a_file_is_config_error(self, config_path, tmp_path,
+                                               capsys, below):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert main(["train", "--config", str(config_path),
+                     "--out", str(target.joinpath(*below))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert target.read_text() == "not a directory\n"
+
 
 _CATEGORY_EXIT_CODES = {errors.ConfigError: 2, errors.DataError: 3,
                         errors.TrainingError: 4}

@@ -59,7 +59,7 @@ def test_zero_targets_with_zero_head_converges_at_epoch_zero(arch):
     spec = ModelSpec(arch, ("a", "b", "c"), h=3, task="nowcast",
                      hyperparams=HPS[arch], seed=0)
     zero_head = {"head_w": np.zeros(HPS[arch]["hidden"]), "head_b": np.zeros(1)}
-    params, log = train_network(spec, X, y, X[:8], y[:8], init=zero_head)
+    params, log = _check_against_oracle(spec, X, y, X[:8], y[:8], init=zero_head)
     assert log.train_loss[0] == 0.0
     assert log.stopped_at == 0
     assert log.stop_reason == "converged"
@@ -167,3 +167,150 @@ def test_sigmoid_matches_two_division_form_bitwise():
     packed = z[:4000].reshape(1000, 4)[:, :3]
     assert np.array_equal(bits(_sigmoid(packed)), bits(_two_division_sigmoid(packed)))
     assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def _oracle_train_network(spec, X_train, y_train, X_val, y_val, init=None):
+    """The trainer as it was when every epoch ended with a forward over the
+    whole training set, kept as the oracle for the one that reads its epoch
+    loss from the mini-batches. It also records the size-weighted mean of
+    each completed epoch's batch losses.
+
+    Returns ``(best_params, log, epoch_means, error)``; on divergence
+    ``best_params`` and ``log`` are None and ``error`` is the NonFiniteLoss.
+    """
+    from denitlab.models.networks import CONVERGE_TOL, mse_loss
+    from denitlab.models.spec import TrainLog
+
+    hp = spec.resolved()
+    rng = np.random.default_rng(spec.seed)
+    backend = _BACKENDS[spec.arch]
+    params = backend.init_params(X_train.shape[2], spec.window_length, hp, rng)
+    if init is not None:
+        for k, v in init.items():
+            params[k] = np.array(v, dtype=float)
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def full_losses():
+        return (mse_loss(network_forward(spec.arch, params, X_train), y_train),
+                mse_loss(network_forward(spec.arch, params, X_val), y_val))
+
+    def diverged(message):
+        return None, None, epoch_means, NonFiniteLoss(
+            message, log=TrainLog(tuple(train_losses), tuple(val_losses),
+                                  len(train_losses) - 1, "max_iter"))
+
+    tr, vl = full_losses()
+    train_losses, val_losses, epoch_means = [tr], [vl], []
+    best_val = vl
+    best_params = {k: v.copy() for k, v in params.items()}
+    epochs_since_best = 0
+    stop_reason = "max_iter"
+    if tr <= CONVERGE_TOL:
+        stop_reason = "converged"
+    else:
+        lr, momentum = hp["learning_rate"], hp["momentum"]
+        for epoch in range(1, hp["max_epochs"] + 1):
+            perm = rng.permutation(len(X_train))
+            weighted = 0.0
+            for lo in range(0, len(perm), hp["batch_size"]):
+                batch = perm[lo:lo + hp["batch_size"]]
+                loss, grads = loss_and_grad(spec.arch, params, X_train[batch],
+                                            y_train[batch])
+                if not np.isfinite(loss):
+                    return diverged(f"training loss diverged in epoch {epoch}")
+                weighted += loss * len(batch)
+                for k in params:
+                    velocity[k] = momentum * velocity[k] - lr * grads[k]
+                    params[k] += velocity[k]
+            tr, vl = full_losses()
+            if not (np.isfinite(tr) and np.isfinite(vl)):
+                return diverged(f"loss non-finite after epoch {epoch}")
+            epoch_means.append(weighted / len(X_train))
+            train_losses.append(tr)
+            val_losses.append(vl)
+            if vl < best_val:
+                best_val = vl
+                best_params = {k: v.copy() for k, v in params.items()}
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+            if tr <= CONVERGE_TOL:
+                stop_reason = "converged"
+                break
+            if epochs_since_best >= hp["patience"]:
+                stop_reason = "early_stop"
+                break
+    log = TrainLog(tuple(train_losses), tuple(val_losses),
+                   len(train_losses) - 1, stop_reason)
+    return best_params, log, epoch_means, None
+
+
+def _assert_log_matches_oracle(log, oracle_log, epoch_means):
+    assert log.stopped_at == oracle_log.stopped_at
+    assert log.stop_reason == oracle_log.stop_reason
+    assert np.array_equal(bits(log.val_loss), bits(oracle_log.val_loss))
+    assert bits(log.train_loss[0]) == bits(oracle_log.train_loss[0])
+    assert len(log.train_loss) == len(epoch_means) + 1
+    assert np.array_equal(bits(log.train_loss[1:]), bits(epoch_means))
+
+
+def _check_against_oracle(spec, X, y, X_val, y_val, init=None):
+    params, log = train_network(spec, X, y, X_val, y_val, init=init)
+    o_params, o_log, epoch_means, error = _oracle_train_network(
+        spec, X, y, X_val, y_val, init=init)
+    assert error is None
+    assert params.keys() == o_params.keys()
+    for k in params:
+        assert np.array_equal(bits(params[k]), bits(o_params[k])), k
+    _assert_log_matches_oracle(log, o_log, epoch_means)
+    return params, log
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "tcn"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_epoch_loss_from_batches_matches_oracle(arch, seed):
+    X, y = _toy_data(seed=seed, n=96)
+    spec = ModelSpec(arch, ("a", "b", "c"), h=3, task="nowcast",
+                     hyperparams={**HPS[arch], "max_epochs": 5, "patience": 2,
+                                  "learning_rate": 5e-3, "batch_size": 16},
+                     seed=seed)
+    _check_against_oracle(spec, X, y, X[:24], y[:24])
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "tcn"])
+def test_early_stop_with_patience_one_matches_oracle(arch):
+    X, y = _toy_data(seed=5)
+    spec = ModelSpec(arch, ("a", "b", "c"), h=3, task="nowcast",
+                     hyperparams={**HPS[arch], "max_epochs": 60, "patience": 1,
+                                  "learning_rate": 0.2, "batch_size": 8},
+                     seed=2)
+    _, log = _check_against_oracle(spec, X, y, X[:16], y[:16])
+    assert log.stop_reason == "early_stop"
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "tcn"])
+def test_max_iter_run_with_ragged_last_batch_matches_oracle(arch):
+    X, y = _toy_data(seed=6, n=61)  # 61 rows: batches of 16, 16, 16 and 13
+    spec = ModelSpec(arch, ("a", "b", "c"), h=3, task="nowcast",
+                     hyperparams={**HPS[arch], "max_epochs": 4, "patience": 10,
+                                  "learning_rate": 5e-3, "batch_size": 16},
+                     seed=4)
+    _, log = _check_against_oracle(spec, X, y, X[:12], y[:12])
+    assert log.stop_reason == "max_iter" and log.stopped_at == 4
+
+
+def test_diverging_fit_log_matches_oracle():
+    X, y = _toy_data(seed=4)
+    spec = ModelSpec("recurrent", ("a", "b", "c"), h=3, task="nowcast",
+                     hyperparams={"hidden": 8, "learning_rate": 10.0,
+                                  "momentum": 0.9, "max_epochs": 400,
+                                  "patience": 400, "batch_size": 4},
+                     seed=0)
+    args = (spec, X, y * 1e120, X[:8], y[:8] * 1e120)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLoss) as exc_info:
+            train_network(*args)
+        _, _, epoch_means, error = _oracle_train_network(*args)
+    assert isinstance(error, NonFiniteLoss)
+    assert str(exc_info.value) == str(error)
+    _assert_log_matches_oracle(exc_info.value.log, error.log, epoch_means)
