@@ -49,7 +49,7 @@ class LogUniformDim:
     hi: float
 
     def __post_init__(self):
-        if not 0 < self.lo <= self.hi:
+        if not 0 < self.lo <= self.hi < math.inf:
             raise InvalidConfig(f"log-uniform range [{self.lo}, {self.hi}] invalid")
 
     def sample(self, rng: np.random.Generator):

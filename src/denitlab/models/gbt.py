@@ -1,42 +1,38 @@
 """Gradient-boosted regression trees on squared loss, built from scratch.
 
 Stagewise boosting: start from the target mean, then repeatedly fit a
-depth-limited regression tree to the current residuals (exact greedy splits
-over sorted feature values, variance-reduction criterion) and add it with a
-learning rate. Split ties break on lowest feature index, then lowest
-threshold, so a fit is a deterministic function of (data, params, seed).
+depth-limited regression tree to the current residuals (greedy splits,
+variance-reduction criterion) and add it with a learning rate. Split ties
+break on lowest feature index, then lowest threshold, so a fit is a
+deterministic function of (data, params, seed).
 
-Split search uses the presorted column layout of XGBoost's exact greedy
-algorithm (Chen & Guestrin, KDD 2016, section 4.1). Each feature is
-stable-sorted once per fit, or once per tree when rows are subsampled, into
-a list of row ids in (value, row) order. A split node hands each child the
-ids of every list that fall on its side, in list order, so no node sorts
-again. A stable filter of a stable sort is the stable sort of the subset, so
-every node scans the same values in the same order as a fresh stable argsort
-of its rows would, and its mean reads the residuals in ascending row order
-(numpy's pairwise sums depend on order): every float matches a splitter
-that re-sorts at every node, bit for bit. A node whose children will both be
-leaves gathers no lists for them. The lists keep ``argsort``'s ``intp`` ids
-and gathers use ``take``: on 2,713 rows, one core, ``r[order]`` takes 8.0 us
-with int32 ids, as it converts them on each call, and ``r.take(order)`` 2.4 us.
-Partitions use ``compress`` rather than boolean indexing, which gives the
-same elements in the same order: splitting 30 lists of 2,706 ids in random
-halves, one core, ``orders[sides]`` took about 530 us and
-``orders.compress(sides.ravel())`` about 240 us. ``compress`` gathers through
-an index array of the kept positions, so a fit's peak memory is about 1 MiB
-higher at this size.
+Split search runs on histograms, as in LightGBM (Ke et al., NeurIPS 2017)
+and XGBoost's ``hist`` method. Once per fit, each feature is coded into at
+most ``MAX_BINS`` bins: a feature with that many distinct values or fewer
+gets one bin per value (``==``: ``-0.0`` shares the bin of ``0.0``), any
+other into quantile bins of near-equal row counts. A node takes the
+per-bin residual sums and row counts of every feature from one
+``bincount`` over its rows. The larger child's histogram is its parent's
+less the smaller child's, so only the root and the smaller children count
+their rows, and a node whose children will both be leaves builds none.
 
 A split of n rows into n_L and n_R with residual sums S_L and S_R scores
 ``S_L**2/n_L + S_R**2/n_R``; the winner's gain (its variance reduction) is
 that score less the parent's ``S**2/n`` (XGBoost's eq. 7 with lambda = 0,
-scikit-learn's ``proxy_impurity_improvement``). A feature needs just one
-cumulative sum of its sorted residuals, no sums of squares; its left sums
-for left sizes ``min_samples_leaf`` to ``n - min_samples_leaf`` are a slice.
+scikit-learn's ``proxy_impurity_improvement``), so a histogram needs no sums
+of squares. A feature's candidates are the bin boundaries after each bin
+that holds rows of the node, and its left sums are the cumulative sums
+along its bins. A threshold is the midpoint between the largest training
+value of the left bin and the smallest of the node's next non-empty bin,
+so ``x < threshold`` sends every training row of the node the way its bin
+code does.
 
-The presort also flags each feature with two equal values (``==``: ``-0.0``
-ties ``0.0``, NaN ties nothing). A subset of a tie-free column is tie-free,
-so only a flagged feature gathers its sorted values, to rule out the
-candidates that fall between equal values.
+With one row per non-empty bin, the cumulative sums add the same residuals
+in the same order as a scan over the sorted rows (an empty bin adds
+``+0.0``), and the candidates and thresholds are those of the exact greedy
+splitter: on tie-free columns of at most ``MAX_BINS`` values the trees are
+the exact splitter's bit for bit. A bin of tied rows sums them first, so
+the scores can differ from the exact splitter's in their last bits.
 """
 
 from __future__ import annotations
@@ -46,83 +42,140 @@ import numpy as np
 from ..errors import DimensionMismatch, EmptyWindows, TrainingLossRose
 from .spec import TrainLog
 
+#: Most bins a feature is coded into; a feature with more distinct values
+#: gets quantile bins.
+MAX_BINS = 256
 
-def _build_tree(XT: np.ndarray, r: np.ndarray, idx: np.ndarray,
-                orders: np.ndarray, tied: np.ndarray, max_depth: int,
-                min_samples_leaf: int, depth: int = 0) -> dict:
-    """Grow the subtree over rows ``idx`` (ascending) of ``XT.T`` and ``r``.
 
-    Row ``j`` of ``orders`` holds the same rows sorted stably by feature ``j``;
-    ``tied[j]`` is false only if feature ``j`` has no two equal values there.
+class _Bins:
+    """Every feature of a design coded into bins once per fit.
+
+    ``codes[i, j]`` is the bin of row ``i`` in feature ``j``, offset by
+    ``j * MAX_BINS`` so that one ``bincount`` covers all features;
+    ``lo[j, b]`` and ``hi[j, b]`` are the smallest and largest value in bin
+    ``b`` of feature ``j`` (NaN past its last bin).
     """
+
+    def __init__(self, X: np.ndarray):
+        n, p = X.shape
+        self.codes = np.empty((n, p), dtype=np.intp)
+        self.lo = np.full((p, MAX_BINS), np.nan)
+        self.hi = np.full((p, MAX_BINS), np.nan)
+        for j, x in enumerate(X.T):
+            values, code, counts = np.unique(x, return_inverse=True,
+                                             return_counts=True)
+            lo = hi = values
+            if len(values) > MAX_BINS:
+                # a value's bin is the rank of its first row scaled to MAX_BINS;
+                # renumbering drops the bins a heavily repeated value skips
+                first_rank = np.cumsum(counts) - counts
+                _, start, group = np.unique(first_rank * MAX_BINS // n,
+                                            return_index=True, return_inverse=True)
+                lo = values[start]
+                hi = values[np.append(start[1:], len(values)) - 1]
+                code = group[code]
+            self.codes[:, j] = code + j * MAX_BINS
+            self.lo[j, :len(lo)] = lo
+            self.hi[j, :len(hi)] = hi
+        # reused by every histogram of the fit: fresh arrays of this size cost
+        # page faults on each node
+        self._codes = np.empty(n * p, dtype=np.intp)
+        self._weights = np.empty(n * p)
+
+    def histogram(self, codes: np.ndarray, r: np.ndarray,
+                  idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bin residual sums and row counts, shaped ``(p, MAX_BINS)``, of
+        rows ``idx`` (all rows if None) of ``codes`` (rows of ``self.codes``)
+        and their residuals ``r``."""
+        p = codes.shape[1]
+        if idx is not None:
+            # node row ids are in range; mode="raise" would copy through a buffer
+            codes = np.take(codes, idx, axis=0, mode="clip",
+                            out=self._codes[:len(idx) * p].reshape(len(idx), p))
+            r = r.take(idx)
+        weights = self._weights[:codes.size]
+        weights.reshape(codes.shape)[...] = r[:, None]
+        size = p * MAX_BINS
+        sums = np.bincount(codes.ravel(), weights, size)
+        counts = np.bincount(codes.ravel(), minlength=size)
+        return sums.reshape(p, MAX_BINS), counts.reshape(p, MAX_BINS)
+
+    def best_split(self, sums: np.ndarray, counts: np.ndarray, n: int,
+                   min_samples_leaf: int) -> tuple[int, float] | None:
+        """The (feature, threshold) of the largest positive gain over the
+        histogram of ``n`` rows, or None."""
+        if not len(sums):  # no features
+            return None
+        # a candidate is the boundary after a bin; the one after the last bin
+        # has no rows on its right, but scoring it keeps the arrays contiguous
+        cl = sums.cumsum(axis=1)
+        total = cl[:, -1:]
+        n_left = counts.cumsum(axis=1).astype(float)  # exact counts
+        n_right = n - n_left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = cl * cl  # S_L**2/n_L + S_R**2/n_R, in place
+            scores /= n_left
+            cr = total - cl
+            cr *= cr
+            cr /= n_right
+            scores += cr
+        least = max(min_samples_leaf, 1)  # a side of no rows is no split
+        invalid = n_left < least
+        invalid |= n_right < least
+        invalid |= counts == 0  # repeats the boundary before it
+        np.copyto(scores, -np.inf, where=invalid)
+        k = scores.argmax(axis=1)  # first maximum = lowest threshold
+        total = total[:, 0]
+        gain = scores[np.arange(len(k)), k]
+        gain -= total * total / n  # the variance reduction
+        # highest gain first, and the lowest feature among equal gains
+        for j in np.argsort(-gain, kind="stable"):
+            if not gain[j] > 0.0:
+                break
+            b = k[j]
+            # the node's next non-empty bin holds the smallest value to the right
+            right = b + 1 + int((counts[j, b + 1:] > 0).argmax())
+            below, above = self.hi[j, b], self.lo[j, right]
+            threshold = 0.5 * (below + above)
+            if below < threshold <= above:  # guard fp-collapsed midpoints
+                return int(j), float(threshold)
+        return None
+
+
+def _build_tree(X: np.ndarray, codes: np.ndarray, r: np.ndarray,
+                bins: _Bins, idx: np.ndarray,
+                hist: tuple[np.ndarray, np.ndarray], max_depth: int,
+                min_samples_leaf: int, depth: int = 0) -> dict:
+    """Grow the subtree over rows ``idx`` (ascending) of ``X``, their bin
+    ``codes`` and residuals ``r``; ``hist`` is the histogram of those rows."""
     rn = r.take(idx)
     value = float(rn.mean())
     n = len(rn)
     if depth >= max_depth or n < 2 * min_samples_leaf or np.all(rn == rn[0]):
         return {"leaf": True, "value": value}
-
-    best_gain = 0.0
-    best: tuple[int, float] | None = None
-    # candidate split after sorted position i-1 (left size i); thresholds ascend
-    lo = max(min_samples_leaf, 1)  # a left side of no rows is no split
-    hi = n - lo
-    i = np.arange(lo, hi + 1, dtype=float)
-    n_right = n - i
-    for j, (x, order) in enumerate(zip(XT, orders)):
-        cs = r.take(order).cumsum()
-        total, cl = cs[-1], cs[lo - 1:hi]  # cl: left sums at each i
-        scores = cl * cl  # S_L**2/n_L + S_R**2/n_R, in place
-        scores /= i
-        cr = total - cl
-        cr *= cr
-        cr /= n_right
-        scores += cr
-        if tied[j]:  # no threshold falls between equal values
-            xs = x.take(order[lo - 1:hi + 1])
-            scores[xs[:-1] == xs[1:]] = -np.inf
-        k = int(scores.argmax())  # first maximum = lowest threshold
-        gain = scores[k] - total * total / n  # the variance reduction
-        if gain > best_gain:
-            below, above = x[order[lo - 1 + k]], x[order[lo + k]]
-            thr = 0.5 * (below + above)
-            if below < thr <= above:  # guard fp-collapsed midpoints
-                best_gain = float(gain)
-                best = (j, float(thr))
+    best = bins.best_split(*hist, n, min_samples_leaf)
     if best is None:
         return {"leaf": True, "value": value}
 
     feature, threshold = best
-    in_left = XT[feature].take(idx) < threshold
+    in_left = X[idx, feature] < threshold
     left, right = idx.compress(in_left), idx.compress(~in_left)
     node = {"leaf": False, "value": value, "feature": feature,
             "threshold": threshold}
     if depth + 1 >= max_depth or max(len(left), len(right)) < 2 * min_samples_leaf:
-        # both children are leaves: skip gathering their order lists
+        # both children are leaves: skip their histograms
         node["left"] = {"leaf": True, "value": float(r.take(left).mean())}
         node["right"] = {"leaf": True, "value": float(r.take(right).mean())}
         return node
-    go_left = np.zeros(XT.shape[1], dtype=bool)
-    go_left[left] = True
-    # every row of orders holds the same rows, so each keeps len(left) of them
-    sides = go_left.take(orders).ravel()
-    p = len(orders)
-    node["left"] = _build_tree(XT, r, left,
-                               orders.compress(sides).reshape(p, len(left)),
-                               tied, max_depth, min_samples_leaf, depth + 1)
-    node["right"] = _build_tree(XT, r, right,
-                                orders.compress(~sides).reshape(p, len(right)),
-                                tied, max_depth, min_samples_leaf, depth + 1)
+    left_is_small = len(left) <= len(right)
+    small = bins.histogram(codes, r, left if left_is_small else right)
+    large = (hist[0] - small[0], hist[1] - small[1])
+    left_hist, right_hist = (small, large) if left_is_small else (large, small)
+    node["left"] = _build_tree(X, codes, r, bins, left, left_hist, max_depth,
+                               min_samples_leaf, depth + 1)
+    node["right"] = _build_tree(X, codes, r, bins, right, right_hist, max_depth,
+                                min_samples_leaf, depth + 1)
     return node
-
-
-def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``X.T`` made contiguous; per feature the row ids of ``X`` in stable
-    (value, row) order; and per feature whether any two of its values are
-    equal (``==``: ``-0.0`` ties ``0.0``, NaN ties nothing)."""
-    XT = np.ascontiguousarray(X.T)
-    orders = np.argsort(XT, axis=1, kind="stable")
-    xs = np.take_along_axis(XT, orders, axis=1)
-    return XT, orders, (xs[:, :-1] == xs[:, 1:]).any(axis=1)
 
 
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
@@ -164,18 +217,16 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
     n = len(y)
 
     if not degenerate:
-        if subsample >= 1.0:  # every tree sees all rows: sort once per fit
-            XT, orders, tied = _presort(X)
+        bins = _Bins(X)
         for _ in range(n_trees):
             if subsample < 1.0:
-                # choice() returns rows unordered: sort X[rows] in its own order
+                # choice() returns rows unordered; the tree takes them in that order
                 rows = rng.choice(n, size=max(1, int(subsample * n)), replace=False)
-                XT, orders, tied = _presort(X[rows])
-                rt = r[rows]
+                Xt, codes, rt = X[rows], bins.codes[rows], r[rows]
             else:
-                rt = r
-            root = np.arange(len(rt))
-            tree = _build_tree(XT, rt, root, orders, tied, max_depth,
+                Xt, codes, rt = X, bins.codes, r
+            tree = _build_tree(Xt, codes, rt, bins, np.arange(len(rt)),
+                               bins.histogram(codes, rt), max_depth,
                                min_samples_leaf)
             r -= learning_rate * _tree_predict(tree, X)
             trees.append(tree)

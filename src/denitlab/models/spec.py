@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Any
@@ -59,13 +60,13 @@ def _count_at_least(lo: int):
 
 
 _VALIDATORS = {
-    "alpha": lambda v: v >= 0,
+    "alpha": lambda v: 0 <= v < math.inf,
     "l1_ratio": lambda v: 0 <= v <= 1,
-    "tol": lambda v: v > 0,
+    "tol": lambda v: 0 < v < math.inf,
     "max_iter": _count_at_least(1),
     "n_trees": _count_at_least(0),
     "max_depth": _count_at_least(1),
-    "learning_rate": lambda v: v > 0,
+    "learning_rate": lambda v: 0 < v < math.inf,
     "min_samples_leaf": _count_at_least(1),
     "subsample": lambda v: 0 < v <= 1,
     "hidden": _count_at_least(1),

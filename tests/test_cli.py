@@ -232,12 +232,13 @@ class TestAblateAnomalyHyperopt:
         assert (out / "model.bin").exists()
 
 
-def _covariate_grid(grid):
-    """Overrides under which ``hyperopt`` samples a spec from this covariates grid."""
+def _covariate_grid(grid, **dimensions):
+    """Overrides under which ``hyperopt`` samples a spec from this covariates
+    grid and any other search ``dimensions``."""
     return {"synth": {"days": 10, "seed": 3},
             "folds": {"n_folds": 2, "train_block": 432, "val_block": 144},
             "hyperopt": {"budget": 1, "space": {"elastic_net": {
-                "covariates": {"grid": grid}}}}}
+                "covariates": {"grid": grid}, **dimensions}}}}
 
 
 class TestExitCodes:
@@ -286,6 +287,12 @@ class TestExitCodes:
                    "hyperparams": {"recurrent": {"batch_size": 8.5}}}),
         ("train", {"archs": ["gbt"], "hyperparams": {"gbt": {"n_trees": 2.5}}}),
         ("train", {"archs": ["gbt"], "hyperparams": {"gbt": {"max_depth": 1.5}}}),
+        ("train", {"hyperparams": {"elastic_net": {"alpha": float("inf")}}}),
+        ("train", {"hyperparams": {"elastic_net": {"tol": float("inf")}}}),
+        ("train", {"archs": ["gbt"],
+                   "hyperparams": {"gbt": {"learning_rate": float("inf")}}}),
+        ("hyperopt", _covariate_grid([["nitrate_in"]], alpha={
+            "log_uniform": [1.0e-4, float("inf")]})),
     ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
             "anomaly-peak-window", "hyperparams-not-mapping",
             "covariates-candidate-not-list", "covariates-candidate-string",
@@ -297,7 +304,8 @@ class TestExitCodes:
             "final-split-fraction-string", "hyperparams-int", "h-bool",
             "ablation-multi-seed-string", "tcn-hidden-float", "tcn-hidden-bool",
             "recurrent-batch-size-float", "gbt-n-trees-float",
-            "gbt-max-depth-float"])
+            "gbt-max-depth-float", "enet-alpha-inf", "enet-tol-inf",
+            "gbt-learning-rate-inf", "log-uniform-bound-inf"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),

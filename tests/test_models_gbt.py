@@ -143,14 +143,22 @@ def _problem(seed, n=120, p=5):
     return X, y
 
 
+# a bin of tied rows sums them before the cumulative sum runs over the bins,
+# the oracle adds them one by one: only where every residual sum is exact (a
+# power-of-two row count, small-integer targets, one tree) do ties leave the
+# sums equal bit for bit
+TIE_FREE_CASES = ("constant_column", "single_feature",
+                  "fewer_rows_than_two_leaves")
+
+
 def _equivalence_case(name):
     if name == "heavy_ties":
         # a mirrored column ties every split of column 0 in exact arithmetic,
-        # so the winner rests on the last bits of sums taken in sorted order
-        X, y = _problem(1, n=150)
+        # so the winner rests on the tie-break
+        X, y = _problem(1, n=128)
         X = np.round(X)
         X[:, 1] = -X[:, 0]
-        return X, np.round(y, 1)
+        return X, np.round(y)
     if name == "constant_column":
         X, y = _problem(2)
         return np.column_stack([X[:, :2], np.full(len(X), 2.5), X[:, 2:]]), y
@@ -173,14 +181,20 @@ def _equivalence_case(name):
     return _problem(4, n=9)
 
 
-def _step_problem(seed, n=120, p=5):
-    """Tie-free normal columns and a target that steps on column 0, rows in
-    column-0 order (a tie made in column 0 keeps the rows in sorted order);
-    also the threshold of column 0's best root split, found by the oracle on
-    that column alone, and the first row above it."""
+def _equivalence_kwargs(case, max_depth, min_samples_leaf):
+    return dict(n_trees=12 if case in TIE_FREE_CASES else 1,
+                max_depth=max_depth, learning_rate=0.3,
+                min_samples_leaf=min_samples_leaf)
+
+
+def _step_problem(seed, n=128, p=5):
+    """Tie-free normal columns and a small-integer target that steps on
+    column 0, rows in column-0 order (a tie made in column 0 keeps the rows
+    in sorted order); also the threshold of column 0's best root split, found
+    by the oracle on that column alone, and the first row above it."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
-    y = 3.0 * (X[:, 0] > 0.3) + np.sin(X[:, 1]) + rng.normal(0, 0.3, n)
+    y = np.round(3.0 * (X[:, 0] > 0.3) + np.sin(X[:, 1]) + rng.normal(0, 0.3, n))
     order = np.argsort(X[:, 0])
     X, y = X[order], y[order]
     threshold = _oracle_build_tree(X[:, :1], y - y.mean(), 1, 1)["threshold"]
@@ -196,8 +210,7 @@ def _step_problem(seed, n=120, p=5):
 def test_presorted_trees_match_resorting_oracle(case, max_depth,
                                                min_samples_leaf):
     X, y = _equivalence_case(case)
-    kwargs = dict(n_trees=12, max_depth=max_depth, learning_rate=0.3,
-                  min_samples_leaf=min_samples_leaf)
+    kwargs = _equivalence_kwargs(case, max_depth, min_samples_leaf)
     params, log = fit_gbt(X, y, **kwargs)
     oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
     assert params == oracle_params
@@ -217,8 +230,7 @@ def test_training_losses_match_frozen_sse_oracle(case, max_depth,
     # every such pair parts the training rows alike, so the losses agree bit
     # for bit (under subsampling the rows left out could be routed apart)
     X, y = _equivalence_case(case)
-    kwargs = dict(n_trees=12, max_depth=max_depth, learning_rate=0.3,
-                  min_samples_leaf=min_samples_leaf)
+    kwargs = _equivalence_kwargs(case, max_depth, min_samples_leaf)
     _, log = fit_gbt(X, y, **kwargs)
     _, sse_losses = _sse_oracle_fit_gbt(X, y, **kwargs)
     assert log.train_loss == sse_losses
@@ -226,9 +238,10 @@ def test_training_losses_match_frozen_sse_oracle(case, max_depth,
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_presorted_subsampled_trees_match_resorting_oracle(seed):
-    X, y = _problem(10 + seed, n=100, p=4)
+    X, y = _problem(10 + seed, n=128, p=4)
     X[:, 1] = np.round(X[:, 1] * 2)  # ties inside each subsample too
-    kwargs = dict(n_trees=10, max_depth=3, learning_rate=0.2,
+    y = np.round(y)
+    kwargs = dict(n_trees=1, max_depth=3, learning_rate=0.2,
                   min_samples_leaf=3, subsample=0.6, seed=seed)
     params, log = fit_gbt(X, y, **kwargs)
     oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
@@ -239,18 +252,74 @@ def test_presorted_subsampled_trees_match_resorting_oracle(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_subsample_that_drops_the_only_tie_matches_resorting_oracle(seed):
     X, y = _equivalence_case("one_tie_at_best_split")
-    kwargs = dict(n_trees=10, max_depth=3, learning_rate=0.2,
-                  min_samples_leaf=3, subsample=0.6, seed=seed)
-    # replay the row draws: some trees see both tied rows, some do not
-    rng = np.random.default_rng(seed)
-    tied = {bool(gbt._presort(X[rng.choice(len(y), size=int(0.6 * len(y)),
-                                            replace=False)])[2][0])
-            for _ in range(kwargs["n_trees"])}
+    tied = set()
+    for fit_seed in range(10 * seed, 10 * seed + 10):
+        kwargs = dict(n_trees=1, max_depth=3, learning_rate=0.2,
+                      min_samples_leaf=3, subsample=0.6, seed=fit_seed)
+        # replay the row draw: some trees see both tied rows, some do not
+        rows = np.random.default_rng(fit_seed).choice(
+            len(y), size=int(0.6 * len(y)), replace=False)
+        tied.add(len(np.unique(X[rows, 0])) < len(rows))
+        params, log = fit_gbt(X, y, **kwargs)
+        oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
+        assert params == oracle_params
+        assert log.train_loss == oracle_losses
     assert tied == {False, True}
-    params, log = fit_gbt(X, y, **kwargs)
-    oracle_params, oracle_losses = _oracle_fit_gbt(X, y, **kwargs)
-    assert params == oracle_params
-    assert log.train_loss == oracle_losses
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+def test_binned_splits_route_training_rows_by_bin(subsample):
+    rng = np.random.default_rng(21)
+    n = 1500
+    X = rng.normal(size=(n, 4))
+    X[:, 1] = np.round(X[:, 1] * 3)  # few values, -0.0 among them
+    X[:, 2] = np.round(X[:, 2], 2)  # more values than bins, with ties
+    X[:, 3] = np.exp(X[:, 3])
+    y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2] + X[:, 3] + rng.normal(0, 0.3, n)
+    params, _ = fit_gbt(X, y, n_trees=6, max_depth=4, learning_rate=0.3,
+                        min_samples_leaf=2, subsample=subsample, seed=3)
+    bins = gbt._Bins(X)
+    codes = bins.codes - np.arange(X.shape[1]) * gbt.MAX_BINS
+
+    # at most MAX_BINS distinct values: one bin per value (==)
+    x = X[:, 1]
+    assert np.any((x == 0) & np.signbit(x)) and np.any((x == 0) & ~np.signbit(x))
+    assert np.array_equal(x[:, None] == x, codes[:, 1, None] == codes[:, 1])
+    # more: at most MAX_BINS bins, in value order, near-equal where tie-free
+    for j in (0, 2, 3):
+        assert len(np.unique(X[:, j])) > gbt.MAX_BINS
+        order = np.argsort(X[:, j], kind="stable")
+        assert codes[order[0], j] == 0 and np.all(np.diff(codes[order, j]) >= 0)
+        assert len(np.unique(codes[:, j])) == codes[:, j].max() + 1 <= gbt.MAX_BINS
+    for j in (0, 3):
+        sizes = np.bincount(codes[:, j])
+        assert len(sizes) == gbt.MAX_BINS and sizes.max() - sizes.min() <= 1
+
+    def bin_range(j, b):
+        values = X[codes[:, j] == b, j]
+        return values.min(), values.max()
+
+    draws = np.random.default_rng(3)
+    for tree in params["trees"]:
+        rows = (draws.choice(n, size=int(subsample * n), replace=False)
+                if subsample < 1.0 else np.arange(n))
+        stack = [(tree, rows)]
+        while stack:
+            node, idx = stack.pop()
+            if node["leaf"]:
+                continue
+            j, threshold = node["feature"], node["threshold"]
+            left = X[idx, j] < threshold
+            code = codes[idx, j]
+            # every row goes the way of its bin: the bins on the left come first
+            assert code[left].max() < code[~left].min()
+            # halfway from the left bin's largest value to the next bin's least
+            assert threshold == 0.5 * (bin_range(j, code[left].max())[1]
+                                       + bin_range(j, code[~left].min())[0])
+            for b in np.unique(code):
+                lo, hi = bin_range(j, b)
+                assert not lo < threshold <= hi
+            stack += [(node["left"], idx[left]), (node["right"], idx[~left])]
 
 
 def test_zero_trees_predicts_mean():
