@@ -19,8 +19,7 @@ import numpy as np
 from .dataset import FoldPlan, TimeSeriesFrame
 from .errors import EmptyTable, GuardrailExceeded
 from .models import ModelSpec
-from .pipeline import score_on_plan
-from .utils import parallel_map
+from .pipeline import score_grid
 
 MAX_SWEEP_COVARIATES = 16
 
@@ -92,25 +91,12 @@ def _subset(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
     return tuple(n for i, n in enumerate(names) if mask >> i & 1)
 
 
-def _score_subset(base_spec: ModelSpec, covariates: tuple[str, ...],
-                  frame: TimeSeriesFrame, plan: FoldPlan,
-                  seeds: tuple[int, ...]):
-    val_scores, test_scores = [], []
-    for seed in seeds:
-        spec = replace(base_spec, covariates=covariates, seed=seed)
-        scores = score_on_plan(spec, frame, plan, ("validation", "test"))
-        if scores is None:
-            return None, None, "training failed"
-        val_scores.append(scores[0])
-        test_scores.append(scores[1])
-    return (sum(val_scores) / len(val_scores),
-            sum(test_scores) / len(test_scores), "")
-
-
 def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFrame,
                     plan: FoldPlan, seeds: tuple[int, ...] | None = None,
                     jobs: int = 1) -> AblationTable:
-    """Train one model per non-empty covariate subset; deterministic per (subset, seed)."""
+    """Train one model per non-empty covariate subset and seed; deterministic
+    per (subset, seed). A row holds its seeds' mean scores, or none if any
+    of its trainings failed. ``seeds=None`` trains the base spec's seed."""
     names = tuple(covariate_names)
     if len(names) > MAX_SWEEP_COVARIATES:
         raise GuardrailExceeded(
@@ -119,16 +105,21 @@ def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFram
         raise GuardrailExceeded("duplicate covariate names")
     seeds = (base_spec.seed,) if seeds is None else tuple(seeds)
 
-    masks = list(range(1, 2 ** len(names)))
-    results = parallel_map(
-        lambda m: _score_subset(base_spec, _subset(names, m), frame, plan, seeds),
-        masks, jobs=jobs)
+    masks = range(1, 2 ** len(names))
+    tasks = [(replace(base_spec, covariates=_subset(names, m), seed=seed), plan)
+             for m in masks for seed in seeds]
+    scores = score_grid(frame, tasks, ("validation", "test"), jobs=jobs)
 
     rows = [AblationRow(bitmask=0, covariates=(), val_mse=None, test_mse=None,
                         note="empty subset skipped")]
-    for mask, (val, test, note) in zip(masks, results):
-        rows.append(AblationRow(bitmask=mask, covariates=_subset(names, mask),
-                                val_mse=val, test_mse=test, note=note))
+    k = len(seeds)
+    for i, mask in enumerate(masks):
+        runs = scores[i * k:(i + 1) * k]
+        if None in runs:
+            row = (None, None, "training failed")
+        else:  # the seed mean, summed in seed order
+            row = (sum(s[0] for s in runs) / k, sum(s[1] for s in runs) / k, "")
+        rows.append(AblationRow(mask, _subset(names, mask), *row))
     return AblationTable(base_spec=base_spec, covariate_names=names,
                          rows=tuple(rows))
 
@@ -164,9 +155,6 @@ def history_sweep(base_spec: ModelSpec, h_values, frame: TimeSeriesFrame,
                   plan: FoldPlan, jobs: int = 1) -> list[tuple[int, float | None]]:
     """One model per history length, everything else fixed; absent rows are None."""
     h_values = [int(h) for h in h_values]
-
-    def score(h: int):
-        scores = score_on_plan(replace(base_spec, h=h), frame, plan, ("test",))
-        return None if scores is None else scores[0]
-
-    return list(zip(h_values, parallel_map(score, h_values, jobs=jobs)))
+    scores = score_grid(frame, [(replace(base_spec, h=h), plan) for h in h_values],
+                        ("test",), jobs=jobs)
+    return [(h, None if s is None else s[0]) for h, s in zip(h_values, scores)]

@@ -188,9 +188,8 @@ def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
                      h=config.h, task=config.task,
                      hyperparams=dict(config.hyperparams.get(arch, {})),
                      seed=config.seeds[0])
-    seeds = config.ablation.seeds if config.ablation.multi_seed else None
     table = covariate_sweep(base, config.ablation.covariates, frame, plan,
-                            seeds=seeds, jobs=config.jobs)
+                            seeds=config.ablation.seeds or None, jobs=config.jobs)
     table.to_csv(out / "ablation.csv")
     (out / "importance.json").write_text(importance(table).to_json())
     if config.ablation.h_values:

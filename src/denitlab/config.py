@@ -63,8 +63,7 @@ class HyperoptSettings:
 class AblationSettings:
     covariates: tuple[str, ...] = COVARIATES
     h_values: tuple[int, ...] = ()
-    multi_seed: bool = False      # one seed per subset unless flipped
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+    seeds: tuple[int, ...] = ()   # empty: the base spec's seed only
 
 
 @dataclass(frozen=True)

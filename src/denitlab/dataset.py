@@ -179,13 +179,12 @@ def _parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def load_csv(path, schema: dict[str, str] | None = None) -> TimeSeriesFrame:
+def load_csv(path) -> TimeSeriesFrame:
     """Read a frame from the published CSV layout.
 
     The first column must be ``timestamp`` (ISO-8601 on a 10-minute grid,
     jumps allowed and recorded as gaps); empty fields are missing values.
     """
-    schema = SCHEMA if schema is None else schema
     if os.path.isdir(path):
         raise NotAFile(f"dataset path {path} is a directory, not a CSV file")
     with open(path, newline="") as fh:
@@ -194,7 +193,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> TimeSeriesFrame:
             header = next(reader)
         except StopIteration:
             raise MissingColumn("empty file, no header") from None
-        expected = ["timestamp", *schema.keys()]
+        expected = ["timestamp", *SCHEMA.keys()]
         if header != expected:
             missing = [c for c in expected if c not in header]
             raise MissingColumn(
@@ -202,10 +201,10 @@ def load_csv(path, schema: dict[str, str] | None = None) -> TimeSeriesFrame:
         rows = list(reader)
 
     n = len(rows)
-    values = np.full((n, len(schema)), np.nan)
+    values = np.full((n, len(SCHEMA)), np.nan)
     stamps: list[datetime] = []
     for i, row in enumerate(rows):
-        if len(row) != len(schema) + 1:
+        if len(row) != len(SCHEMA) + 1:
             raise MissingColumn(f"row {i} has {len(row)} fields")
         stamps.append(_parse_timestamp(row[0]))
         for j, cell in enumerate(row[1:]):
@@ -215,7 +214,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> TimeSeriesFrame:
                     values[i, j] = float(cell)
                 except ValueError:
                     raise UnparsableValue(
-                        f"row {i}, column {list(schema)[j]}: {cell!r}") from None
+                        f"row {i}, column {list(SCHEMA)[j]}: {cell!r}") from None
 
     gaps: list[Gap] = []
     if n:
@@ -236,8 +235,8 @@ def load_csv(path, schema: dict[str, str] | None = None) -> TimeSeriesFrame:
         start = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
     return TimeSeriesFrame(start_time=start,
-                           names=tuple(schema.keys()),
-                           units=tuple(schema.values()),
+                           names=tuple(SCHEMA.keys()),
+                           units=tuple(SCHEMA.values()),
                            values=values,
                            gaps=tuple(gaps))
 

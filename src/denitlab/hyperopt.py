@@ -3,7 +3,7 @@ across the blocked cross-validation folds.
 
 Random search keeps trials independent (hence trivially parallel) and makes
 the whole procedure a pure function of (space, data, seed). Trials that
-fail (``pipeline.score_on_plan`` gives None) score +inf instead of aborting
+fail (``pipeline.score_grid`` gives None) score +inf instead of aborting
 the search. The winning spec is then retrained once on the final 72/8 split,
 early-stopped on its validation range, by the CLI ``train`` command with
 ``use_best_specs``; that model is what gets evaluated on test.
@@ -21,8 +21,7 @@ from .dataset import FoldPlan, TimeSeriesFrame
 from .errors import AllTrialsFailed, InvalidConfig
 from .models import ModelSpec
 # perfbench/test_spans.py checks that the tracer patches hyperopt.train_on_plan
-from .pipeline import score_on_plan, train_on_plan  # noqa: F401
-from .utils import parallel_map
+from .pipeline import score_grid, train_on_plan  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,6 @@ class Trial:
         return sum(self.fold_val_mse) / len(self.fold_val_mse)
 
 
-def _score_fold(spec: ModelSpec, frame: TimeSeriesFrame, fold: FoldPlan) -> float:
-    scores = score_on_plan(spec, frame, fold, ("validation",))
-    return math.inf if scores is None else scores[0]
-
-
 def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
            task: str, budget: int = 50, search_seed: int = 0,
            jobs: int = 1) -> tuple[ModelSpec, list[Trial]]:
@@ -106,13 +100,13 @@ def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
     rng = np.random.default_rng(search_seed)
     specs = [space.sample_spec(rng, task) for _ in range(budget)]
 
-    tasks = [(i, k) for i in range(budget) for k in range(len(folds))]
-    scores = parallel_map(lambda ik: _score_fold(specs[ik[0]], frame, folds[ik[1]]),
-                          tasks, jobs=jobs)
-    trials = []
-    for i in range(budget):
-        fold_mses = tuple(scores[i * len(folds) + k] for k in range(len(folds)))
-        trials.append(Trial(index=i, spec=specs[i], fold_val_mse=fold_mses))
+    scores = score_grid(frame, [(spec, fold) for spec in specs for fold in folds],
+                        ("validation",), jobs=jobs)
+    k = len(folds)
+    trials = [Trial(index=i, spec=spec,
+                    fold_val_mse=tuple(math.inf if s is None else s[0]
+                                       for s in scores[i * k:(i + 1) * k]))
+              for i, spec in enumerate(specs)]
 
     best = min(trials, key=lambda t: t.mean_val_mse)
     if not math.isfinite(best.mean_val_mse):

@@ -82,7 +82,7 @@ def train_network(spec: ModelSpec,
     rng = np.random.default_rng(spec.seed)
     n_in = X_train.shape[2]
     backend = _BACKENDS[spec.arch]
-    params = backend.init_params(n_in, spec.window_length, hp, rng)
+    params = backend.init_params(n_in, hp, rng)
     if init is not None:
         for k, v in init.items():
             params[k] = np.array(v, dtype=float)

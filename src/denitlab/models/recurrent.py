@@ -24,7 +24,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def init_params(n_in: int, seq_len: int, hp: dict, rng: np.random.Generator) -> dict:
+def init_params(n_in: int, hp: dict, rng: np.random.Generator) -> dict:
     """Uniform +-1/sqrt(fan_in) weights, zero biases; creation order is fixed."""
     H = hp["hidden"]
     sx = 1.0 / np.sqrt(n_in)

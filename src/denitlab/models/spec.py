@@ -122,10 +122,6 @@ class ModelSpec:
         return merged
 
     @property
-    def window_length(self) -> int:
-        return self.h + 1
-
-    @property
     def uses_target_history(self) -> bool:
         return self.task == "forecast"
 

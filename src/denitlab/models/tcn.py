@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def init_params(n_in: int, seq_len: int, hp: dict, rng: np.random.Generator) -> dict:
+def init_params(n_in: int, hp: dict, rng: np.random.Generator) -> dict:
     """Uniform +-1/sqrt(fan_in) weights (conv fan-in = kernel * channels)."""
     C = hp["hidden"]
     K = hp["kernel_size"]

@@ -15,6 +15,7 @@ from .evaluation import evaluate
 from .models import ModelSpec, TrainLog, TrainedModel, train_model
 from .preprocess import CleaningMask, CleaningParams, WindowSet, build_windows, \
     detect_cleaning, interpolate_target
+from .utils import parallel_map
 
 
 def prepare_frame(frame: TimeSeriesFrame,
@@ -50,17 +51,22 @@ def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan
     return train_model(spec, train_ws, val_ws, scaler)
 
 
-def score_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan,
-                  splits) -> tuple[float, ...] | None:
-    """Train on the plan, then the original-unit MSE on each split, in order.
+def score_grid(frame: TimeSeriesFrame, tasks, splits, jobs: int = 1
+               ) -> list[tuple[float, ...] | None]:
+    """Train each (spec, plan) task, then its original-unit MSE on each split.
 
-    This is the one place a trial's failure is decided: a training that
-    diverges or finds no windows gives None, so a search or sweep can score
-    it and go on; any other error propagates.
+    Gives one entry per task, in task order whatever ``jobs``: a tuple of MSEs
+    in ``splits`` order. This is the one place a trial's failure is decided:
+    a training that diverges or finds no windows gives None, so a search or
+    sweep can score it and go on; any other error propagates.
     """
-    try:
-        model, _ = train_on_plan(spec, frame, plan)
-        return tuple(evaluate(model, frame, plan, spec.task, split=split).mse
-                     for split in splits)
-    except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows, EmptyWindows):
-        return None
+    def score(task):
+        spec, plan = task
+        try:
+            model, _ = train_on_plan(spec, frame, plan)
+            return tuple(evaluate(model, frame, plan, spec.task, split=split).mse
+                         for split in splits)
+        except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows, EmptyWindows):
+            return None
+
+    return parallel_map(score, tasks, jobs=jobs)

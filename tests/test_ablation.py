@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,28 @@ class TestCovariateSweep:
         t1 = covariate_sweep(BASE, names, linear_frame, plan)
         t2 = covariate_sweep(BASE, names, linear_frame, plan, jobs=3)
         assert t1.rows == t2.rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_seed_rows_average_the_single_seed_sweeps(self, linear_frame,
+                                                            jobs):
+        # row subsampling makes a GBT fit depend on its seed
+        base = ModelSpec("gbt", ("nitrate_in",), h=0, task="nowcast",
+                         hyperparams={"n_trees": 3, "max_depth": 2,
+                                      "subsample": 0.7}, seed=0)
+        plan = make_final_split(linear_frame)
+        names = ("nitrate_in", "temperature")
+        a, b = (covariate_sweep(replace(base, seed=s), names, linear_frame, plan)
+                for s in (0, 1))
+        both = covariate_sweep(base, names, linear_frame, plan, seeds=(0, 1),
+                               jobs=jobs)
+        assert any(ra.test_mse != rb.test_mse
+                   for ra, rb in zip(a.scored_rows(), b.scored_rows()))
+        assert [r.bitmask for r in both.rows] == [0, 1, 2, 3]
+        assert both.rows[0] == a.rows[0]
+        for r, ra, rb in zip(both.scored_rows(), a.scored_rows(), b.scored_rows()):
+            assert r.covariates == ra.covariates and r.note == ""
+            assert r.val_mse == (ra.val_mse + rb.val_mse) / 2
+            assert r.test_mse == (ra.test_mse + rb.test_mse) / 2
 
 
 def _toy_table(scores):

@@ -280,7 +280,7 @@ class TestExitCodes:
         ("train", {"final_split": {"train_fraction": "x"}}),
         ("train", {"hyperparams": 5}),
         ("train", {"h": True}),
-        ("ablate", {"ablation": {"multi_seed": "no", "covariates": ["methanol"]}}),
+        ("ablate", {"use_best_specs": "no"}),
         ("train", {"archs": ["tcn"], "hyperparams": {"tcn": {"hidden": 2.5}}}),
         ("train", {"archs": ["tcn"], "hyperparams": {"tcn": {"hidden": True}}}),
         ("train", {"archs": ["recurrent"],
@@ -302,7 +302,7 @@ class TestExitCodes:
             "ablation-h-values-string", "jobs-float", "dataset-int",
             "cleaning-window-float", "folds-n-folds-string",
             "final-split-fraction-string", "hyperparams-int", "h-bool",
-            "ablation-multi-seed-string", "tcn-hidden-float", "tcn-hidden-bool",
+            "use-best-specs-string", "tcn-hidden-float", "tcn-hidden-bool",
             "recurrent-batch-size-float", "gbt-n-trees-float",
             "gbt-max-depth-float", "enet-alpha-inf", "enet-tol-inf",
             "gbt-learning-rate-inf", "log-uniform-bound-inf"])

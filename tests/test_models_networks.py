@@ -16,7 +16,7 @@ HPS = {
 
 def finite_difference_worst_error(arch, seed, n_in=4, T=5, eps=1e-5):
     rng = np.random.default_rng(seed)
-    params = _BACKENDS[arch].init_params(n_in, T, HPS[arch], rng)
+    params = _BACKENDS[arch].init_params(n_in, HPS[arch], rng)
     for k in params:  # perturb so biases and heads are generic, not zero
         params[k] = params[k] + rng.normal(0, 0.05, params[k].shape)
     X = rng.normal(size=(1, T, n_in))
@@ -141,7 +141,7 @@ def bits(a):
 def test_blocked_forward_equals_one_batch_forward(arch, hidden, n):
     rng = np.random.default_rng(hidden + n)
     hp = {**HPS[arch], "hidden": hidden}
-    params = _BACKENDS[arch].init_params(4, 3, hp, rng)
+    params = _BACKENDS[arch].init_params(4, hp, rng)
     for k in params:
         params[k] = params[k] + rng.normal(0, 0.1, params[k].shape)
     X = rng.normal(0, 2, size=(n, 3, 4))
@@ -184,7 +184,7 @@ def _oracle_train_network(spec, X_train, y_train, X_val, y_val, init=None):
     hp = spec.resolved()
     rng = np.random.default_rng(spec.seed)
     backend = _BACKENDS[spec.arch]
-    params = backend.init_params(X_train.shape[2], spec.window_length, hp, rng)
+    params = backend.init_params(X_train.shape[2], hp, rng)
     if init is not None:
         for k, v in init.items():
             params[k] = np.array(v, dtype=float)
