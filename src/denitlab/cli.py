@@ -5,12 +5,20 @@ artifacts idempotently (reruns produce byte-identical files), and records the
 fully resolved config plus a run id in ``manifest.json`` — the one artifact
 that carries a timestamp. Exit codes: 2 config error, 3 data error,
 4 training failure.
+
+Commands chained in one process (``main`` called in a loop, as the
+experiment scripts do) read and clean a dataset once: the cleaned frame is
+kept under the SHA-256 of the CSV's bytes, or the synth config, plus the
+cleaning params, and a later command with the same key reuses it. Each
+command still reads the file to hash it, so a rewritten CSV is seen. A
+shell chain starts one process per command and reads once per command.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -44,20 +52,36 @@ def _write_manifest(config: ExperimentConfig, out: Path, command: str) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+#: The last cleaned frame and mask ``_load_frame`` gave, as ``(key, (frame, mask))``.
+_frame_memo: tuple | None = None
+
+
 def _load_frame(config: ExperimentConfig, dataset_override: str | None):
-    """Source the frame (CSV path, synth config, or DENITLAB_DATA), then clean it."""
+    """Source the frame (CSV path, synth config, or DENITLAB_DATA), then clean it.
+
+    The result is kept for the next call with the same key (see the module
+    docstring); a hit hands back the same read-only frame and frozen mask.
+    """
+    global _frame_memo
     path = dataset_override or config.dataset
     if path is None and config.synth is None:
         path = os.environ.get(DATA_ENV)
     if path is not None:
-        frame = ds.load_csv(path)
+        data = ds.read_csv_bytes(path)
+        key = (hashlib.sha256(data).digest(), config.cleaning)
     elif config.synth is not None:
-        frame, _ = generate(config.synth)
+        key = (config.synth, config.cleaning)
     else:
         raise err.InvalidConfig(
             f"no dataset: set 'dataset' or 'synth' in the config, pass --dataset, "
             f"or export {DATA_ENV}")
-    return prepare_frame(frame, config.cleaning)
+    if _frame_memo is None or _frame_memo[0] != key:
+        if path is not None:
+            frame = ds.load_csv(path, data)
+        else:
+            frame, _ = generate(config.synth)
+        _frame_memo = (key, prepare_frame(frame, config.cleaning))
+    return _frame_memo[1]
 
 
 def _load_planned(config: ExperimentConfig, dataset_override: str | None):

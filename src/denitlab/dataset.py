@@ -9,6 +9,7 @@ bridge them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .errors import (
     MissingColumn,
     NonMonotonicTime,
     NotAFile,
+    NotUTF8,
     OffGridTimestamp,
     UnparsableTimestamp,
     UnparsableValue,
@@ -179,26 +181,42 @@ def _parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def load_csv(path) -> TimeSeriesFrame:
+def read_csv_bytes(path) -> bytes:
+    """The raw bytes of a dataset file; a directory is refused."""
+    if os.path.isdir(path):
+        raise NotAFile(f"dataset path {path} is a directory, not a CSV file")
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def load_csv(path, data: bytes | None = None) -> TimeSeriesFrame:
     """Read a frame from the published CSV layout.
 
     The first column must be ``timestamp`` (ISO-8601 on a 10-minute grid,
     jumps allowed and recorded as gaps); empty fields are missing values.
+    The file must be UTF-8 text. ``data`` is its content when the caller
+    has already read it with :func:`read_csv_bytes`, so it is read once.
     """
-    if os.path.isdir(path):
-        raise NotAFile(f"dataset path {path} is a directory, not a CSV file")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("empty file, no header") from None
-        expected = ["timestamp", *SCHEMA.keys()]
-        if header != expected:
-            missing = [c for c in expected if c not in header]
-            raise MissingColumn(
-                f"header {header!r} does not match schema; missing {missing!r}")
-        rows = list(reader)
+    if data is None:
+        data = read_csv_bytes(path)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUTF8(f"dataset {path} is not UTF-8 text: byte "
+                      f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+    # the parse decodes line by line, as from the file, holding no copy of the text
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumn("empty file, no header") from None
+    expected = ["timestamp", *SCHEMA.keys()]
+    if header != expected:
+        missing = [c for c in expected if c not in header]
+        raise MissingColumn(
+            f"header {header!r} does not match schema; missing {missing!r}")
+    rows = list(reader)
 
     n = len(rows)
     values = np.full((n, len(SCHEMA)), np.nan)

@@ -64,6 +64,10 @@ class NotAFile(DataError):
     pass
 
 
+class NotUTF8(DataError):
+    pass
+
+
 # --- preprocess / anomaly --------------------------------------------------
 
 class BadParams(DataError):

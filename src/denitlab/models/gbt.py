@@ -15,6 +15,8 @@ per-bin residual sums and row counts of every feature from one
 ``bincount`` over its rows. The larger child's histogram is its parent's
 less the smaller child's, so only the root and the smaller children count
 their rows, and a node whose children will both be leaves builds none.
+Without row subsampling every root holds every row, so the root's counts
+are taken once per fit and only its residual sums per tree.
 
 A split of n rows into n_L and n_R with residual sums S_L and S_R scores
 ``S_L**2/n_L + S_R**2/n_R``; the winner's gain (its variance reduction) is
@@ -83,10 +85,12 @@ class _Bins:
         self._weights = np.empty(n * p)
 
     def histogram(self, codes: np.ndarray, r: np.ndarray,
-                  idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  idx: np.ndarray | None = None, counts: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
         """Per-bin residual sums and row counts, shaped ``(p, MAX_BINS)``, of
         rows ``idx`` (all rows if None) of ``codes`` (rows of ``self.codes``)
-        and their residuals ``r``."""
+        and their residuals ``r``. ``counts``, if given, are those rows'
+        counts, taken as they are rather than counted again."""
         p = codes.shape[1]
         if idx is not None:
             # node row ids are in range; mode="raise" would copy through a buffer
@@ -97,8 +101,9 @@ class _Bins:
         weights.reshape(codes.shape)[...] = r[:, None]
         size = p * MAX_BINS
         sums = np.bincount(codes.ravel(), weights, size)
-        counts = np.bincount(codes.ravel(), minlength=size)
-        return sums.reshape(p, MAX_BINS), counts.reshape(p, MAX_BINS)
+        if counts is None:
+            counts = np.bincount(codes.ravel(), minlength=size).reshape(p, MAX_BINS)
+        return sums.reshape(p, MAX_BINS), counts
 
     def best_split(self, sums: np.ndarray, counts: np.ndarray, n: int,
                    min_samples_leaf: int) -> tuple[int, float] | None:
@@ -218,6 +223,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
 
     if not degenerate:
         bins = _Bins(X)
+        root_counts = None  # without subsampling, every root holds every row
         for _ in range(n_trees):
             if subsample < 1.0:
                 # choice() returns rows unordered; the tree takes them in that order
@@ -225,9 +231,11 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
                 Xt, codes, rt = X[rows], bins.codes[rows], r[rows]
             else:
                 Xt, codes, rt = X, bins.codes, r
-            tree = _build_tree(Xt, codes, rt, bins, np.arange(len(rt)),
-                               bins.histogram(codes, rt), max_depth,
-                               min_samples_leaf)
+            root = bins.histogram(codes, rt, counts=root_counts)
+            if subsample >= 1.0:
+                root_counts = root[1]
+            tree = _build_tree(Xt, codes, rt, bins, np.arange(len(rt)), root,
+                               max_depth, min_samples_leaf)
             r -= learning_rate * _tree_predict(tree, X)
             trees.append(tree)
             losses.append(float((r ** 2).mean()))

@@ -42,6 +42,12 @@ class TestCovariateSweep:
         assert table.rows[2].covariates == ("temperature",)
         assert table.rows[3].covariates == names
 
+    def test_empty_seeds_train_the_base_seed(self, linear_frame):
+        plan = make_final_split(linear_frame)
+        names = ("nitrate_in", "temperature")
+        table = covariate_sweep(BASE, names, linear_frame, plan, seeds=())
+        assert table == covariate_sweep(BASE, names, linear_frame, plan)
+
     def test_guardrail(self, linear_frame):
         plan = make_final_split(linear_frame)
         with pytest.raises(GuardrailExceeded):

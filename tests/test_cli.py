@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from denitlab import cli, errors
+from denitlab import dataset as ds
 from denitlab.cli import main
 
 
@@ -232,6 +233,102 @@ class TestAblateAnomalyHyperopt:
         assert (out / "model.bin").exists()
 
 
+def _write_csv(tmp_path, synth_seed=3):
+    """Write 8 synthetic days of ``synth_seed`` to ``tmp_path/data.csv``."""
+    data_dir = tmp_path / f"data{synth_seed}"
+    synth = write_config(tmp_path / "s.yaml", synth={"days": 8, "seed": synth_seed})
+    assert main(["synth", "--config", str(synth), "--out", str(data_dir)]) == 0
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes((data_dir / "data.csv").read_bytes())
+    return csv_path
+
+
+def _csv_config(path, csv_path, **overrides):
+    cfg = write_config(path, dataset=str(csv_path), **overrides)
+    doc = yaml.safe_load(cfg.read_text())
+    del doc["synth"]
+    cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+def _artifacts(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+class TestFrameMemo:
+    """One process reads and cleans a dataset once for a chain of commands."""
+
+    @pytest.fixture(autouse=True)
+    def loads(self, monkeypatch):
+        monkeypatch.setattr(cli, "_frame_memo", None)
+        calls = []
+        load_csv = ds.load_csv
+
+        def spy(path, data=None):
+            calls.append(path)
+            return load_csv(path, data)
+
+        monkeypatch.setattr(ds, "load_csv", spy)
+        return calls
+
+    def test_chain_reads_once(self, tmp_path, loads):
+        cfg = _csv_config(tmp_path / "exp.yaml", _write_csv(tmp_path))
+        for command in ("train", "evaluate", "anomaly"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert len(loads) == 1
+
+    def test_rewritten_csv_is_read_again(self, tmp_path, loads):
+        cfg = _csv_config(tmp_path / "exp.yaml", _write_csv(tmp_path))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        _write_csv(tmp_path, synth_seed=4)  # other days at the same path
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert len(loads) == 2
+        cli._frame_memo = None
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert _artifacts(tmp_path / "b") == _artifacts(tmp_path / "c")
+        assert _artifacts(tmp_path / "b") != _artifacts(tmp_path / "a")
+
+    def test_changed_cleaning_misses(self, tmp_path, loads):
+        csv_path = _write_csv(tmp_path)
+        cfg = _csv_config(tmp_path / "exp.yaml", csv_path)
+        other = _csv_config(tmp_path / "other.yaml", csv_path, cleaning={"window": 31})
+        for path in (cfg, other, cfg):
+            assert main(["train", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert len(loads) == 3
+
+    def test_bad_csv_exits_3_on_every_call(self, tmp_path, capsys, loads):
+        csv_path = _write_csv(tmp_path)
+        cfg = _csv_config(tmp_path / "exp.yaml", csv_path)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:5]) + lines[5].replace(",", ",x", 1)
+                            + "".join(lines[6:]))
+        for _ in range(2):
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+            assert "data error: row 4, column temperature" in capsys.readouterr().err
+
+    def test_chain_matches_chain_that_rereads(self, tmp_path, loads):
+        cfg = _csv_config(
+            tmp_path / "exp.yaml", _write_csv(tmp_path), archs=["elastic_net", "gbt"],
+            hyperparams={"elastic_net": {"alpha": 1.0e-4},
+                         "gbt": {"n_trees": 10, "max_depth": 2}},
+            ablation={"covariates": ["nitrate_in", "methanol"]})
+        for out, clear in ((tmp_path / "memo", False), (tmp_path / "fresh", True)):
+            for command in ("train", "evaluate", "report", "anomaly", "ablate"):
+                if clear:
+                    cli._frame_memo = None
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(loads) == 1 + 4
+        memo = _artifacts(tmp_path / "memo")
+        assert {"cleaning_mask.json", "models/gbt_seed0.bin", "report.csv",
+                "anomalies.json", "ablation.csv"} <= set(memo)
+        assert memo == _artifacts(tmp_path / "fresh")
+
+
 def _covariate_grid(grid, **dimensions):
     """Overrides under which ``hyperopt`` samples a spec from this covariates
     grid and any other search ``dimensions``."""
@@ -251,6 +348,15 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"timestamp,x\n\xff\xfe\x00bad\n")
+        cfg = write_config(tmp_path / "exp.yaml", dataset=str(bad))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: dataset {bad} is not UTF-8 text: byte 0xff at offset 12\n")
 
     @pytest.mark.parametrize("command,override", [
         ("train", {"seeds": ["a"]}),

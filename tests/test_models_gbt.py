@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -418,6 +421,30 @@ def test_copied_feature_never_wins_a_split():
 
     used = [f for tree in params["trees"] for f in split_features(tree)]
     assert 0 in used and 1 not in used
+
+
+def test_root_counted_once_per_fit_and_trees_unchanged(monkeypatch):
+    # quantile-binned, tied and integer columns; the digest is of the trees
+    # and losses fitted when every tree recounted its root's rows
+    rng = np.random.default_rng(20)
+    n = 600
+    X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.integers(0, 10, size=n).astype(float),
+                         rng.uniform(size=n)])
+    y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 1] * (X[:, 2] > 4) + 0.1 * rng.normal(size=n)
+    roots = []
+    histogram = gbt._Bins.histogram
+
+    def spy(self, codes, r, idx=None, counts=None):
+        if idx is None:
+            roots.append(counts is None)
+        return histogram(self, codes, r, idx, counts)
+
+    monkeypatch.setattr(gbt._Bins, "histogram", spy)
+    params, log = fit_gbt(X, y, n_trees=25, max_depth=3, min_samples_leaf=5)
+    assert roots == [True] + [False] * 24
+    digest = hashlib.sha256(json.dumps([params, log.train_loss]).encode()).hexdigest()
+    assert digest == "27cd41df2eb46e50fbbcafd0805d0d9b93c41341b88480b49eb21a957647abde"
 
 
 def test_dimension_mismatch():
