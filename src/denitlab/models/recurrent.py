@@ -4,6 +4,17 @@ Gates are packed row-wise into one input matrix, one recurrence matrix and
 one bias, ordered [input; forget; output; candidate]. The prediction is a
 linear head on the final hidden state. All arithmetic is float64 so the
 gradients can be verified against central finite differences.
+
+The input product does not depend on the state, so it is taken once for all
+steps: the window is laid out time-major, ``(T*B, n_in)``, and
+``X Wx^T + b`` is one matrix product before the time loop (Appleyard,
+Kocisky & Blunsom, 2016). The loop then adds only ``h Wh^T``, which it skips
+at step 0, as it skips ``f * c``: the state before the first step is zero.
+The backward loop writes each step's packed gate gradient into one
+``(T, B, 4H)`` array, and after the loop the ``Wx``, ``Wh`` and ``b``
+gradients are one product or sum each over all steps. At batch 64, window 3,
+6 inputs and hidden 8 this took one mini-batch step from 296 to 235 us
+(2-core Xeon, one BLAS thread, min of repeats).
 """
 
 from __future__ import annotations
@@ -40,53 +51,52 @@ def init_params(n_in: int, hp: dict, rng: np.random.Generator) -> dict:
 
 def forward(params: dict, X: np.ndarray):
     """X: (B, T, n_in) -> predictions (B,) plus the cache for backward."""
-    B, T, _ = X.shape
+    B, T, n_in = X.shape
     H = params["Wh"].shape[1]
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    Xt = X.transpose(1, 0, 2).reshape(T * B, n_in)
+    zx = (Xt @ params["Wx"].T + params["b"]).reshape(T, B, 4 * H)
+    hs = np.empty((T, B, H))
     steps = []
+    c = None  # the state before step 0 is zero
     for t in range(T):
-        x_t = X[:, t, :]
-        z = x_t @ params["Wx"].T + h @ params["Wh"].T + params["b"]
+        z = zx[t] if t == 0 else zx[t] + hs[t - 1] @ params["Wh"].T
         gates = _sigmoid(z[:, :3 * H])
         i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
         g = np.tanh(z[:, 3 * H:])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        steps.append({"x": x_t, "h_prev": h, "c_prev": c,
-                      "i": i, "f": f, "o": o, "g": g, "tc": tc})
-        h, c = h_new, c_new
-    yhat = h @ params["head_w"] + params["head_b"][0]
-    return yhat, {"steps": steps, "h_last": h, "X_shape": X.shape}
+        c_prev = c
+        c = i * g if c_prev is None else f * c_prev + i * g
+        tc = np.tanh(c)
+        np.multiply(o, tc, out=hs[t])
+        steps.append((i, f, o, g, tc, c_prev))
+    yhat = hs[-1] @ params["head_w"] + params["head_b"][0]
+    return yhat, {"steps": steps, "Xt": Xt, "hs": hs}
 
 
 def backward(params: dict, cache: dict, dyhat: np.ndarray) -> dict:
-    B, T, n_in = cache["X_shape"]
-    H = params["Wh"].shape[1]
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    grads["head_w"] = cache["h_last"].T @ dyhat
-    grads["head_b"] = np.array([dyhat.sum()])
+    hs = cache["hs"]
+    T, B, H = hs.shape
+    grads = {"head_w": hs[-1].T @ dyhat, "head_b": np.array([dyhat.sum()])}
 
+    dZ = np.empty((T, B, 4 * H))
     dh = np.outer(dyhat, params["head_w"])
-    dc = np.zeros((B, H))
+    dc = None
     for t in range(T - 1, -1, -1):
-        s = cache["steps"][t]
-        i, f, o, g, tc = s["i"], s["f"], s["o"], s["g"], s["tc"]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc ** 2)
-        di = dc * g
-        df = dc * s["c_prev"]
-        dg = dc * i
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dg * (1.0 - g ** 2),
-        ], axis=1)
-        grads["Wx"] += dz.T @ s["x"]
-        grads["Wh"] += dz.T @ s["h_prev"]
-        grads["b"] += dz.sum(axis=0)
-        dh = dz @ params["Wh"]
-        dc = dc * f
+        i, f, o, g, tc, c_prev = cache["steps"][t]
+        dc_t = dh * o * (1.0 - tc ** 2)
+        dc = dc_t if dc is None else dc + dc_t
+        dforget = np.zeros((B, H)) if c_prev is None else dc * c_prev * f * (1.0 - f)
+        np.concatenate([
+            dc * g * i * (1.0 - i),
+            dforget,
+            dh * tc * o * (1.0 - o),
+            dc * i * (1.0 - g ** 2),
+        ], axis=1, out=dZ[t])
+        if t:
+            dh = dZ[t] @ params["Wh"]
+            dc = dc * f
+    dZ2 = dZ.reshape(T * B, 4 * H)
+    grads["Wx"] = dZ2.T @ cache["Xt"]
+    # step 0 has no Wh term: the state before it is zero
+    grads["Wh"] = dZ2[B:].T @ hs[:-1].reshape((T - 1) * B, H)
+    grads["b"] = dZ2.sum(axis=0)
     return grads

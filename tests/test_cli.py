@@ -1,12 +1,18 @@
 import csv
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denitlab import cli, errors
 from denitlab import dataset as ds
 from denitlab.cli import main
+from denitlab.synthpilot import SynthConfig, generate
 
 
 def write_config(path, **overrides):
@@ -507,3 +513,69 @@ class TestErrorCategories:
                      "--out", str(tmp_path / "o")]) == \
             _CATEGORY_EXIT_CODES[categories[0]]
         assert capsys.readouterr().err.endswith(": boom\n")
+
+
+@functools.cache
+def _base_csv_lines():
+    """A one-day synthetic CSV as lines: header, then 144 rows."""
+    frame, _ = generate(SynthConfig(days=1, seed=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.csv"
+        ds.save_csv(frame, path)
+        return path.read_text().splitlines()
+
+
+_BAD_CELLS = ["", "nan", "NaN", "inf", "-inf", "1e999", "abc", "1,5", " ", "0x1"]
+
+
+@st.composite
+def _generated_csv(draw):
+    """A prefix of the base CSV with a few cells, rows and timestamps spoiled."""
+    header, *lines = _base_csv_lines()
+    rows = [line.split(",") for line in lines]
+    rows = rows[:draw(st.integers(0, len(rows)))]
+    for _ in range(draw(st.integers(0, 8))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        kind = draw(st.sampled_from(["cell", "short", "duplicate", "off_grid",
+                                     "jump", "swap"]))
+        if kind == "cell" and len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+        elif kind == "short" and row:
+            rows[i] = row[:draw(st.integers(0, len(row) - 1))]
+        elif kind == "duplicate" and i > 0 and row and rows[i - 1]:
+            row[0] = rows[i - 1][0]
+        elif kind == "off_grid" and row:
+            row[0] = row[0].replace(":00+", ":07+", 1)
+        elif kind == "jump":
+            del rows[i:i + draw(st.integers(1, 40))]
+        elif kind == "swap" and i > 0:
+            rows[i - 1], rows[i] = row, rows[i - 1]
+    return "\n".join([header, *(",".join(r) for r in rows)]) + "\n"
+
+
+class TestGeneratedCsv:
+    """Any CSV the plant's logger could plausibly write ends in a known exit
+    code, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_generated_csv())
+    def test_chain_exits_with_a_known_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            csv_path = tmp / "data.csv"
+            csv_path.write_text(text)
+            cfg = write_config(tmp / "exp.yaml", dataset=str(csv_path),
+                               archs=["elastic_net", "gbt"],
+                               hyperparams={"elastic_net": {"alpha": 1.0e-4},
+                                            "gbt": {"n_trees": 3, "max_depth": 2}})
+            doc = yaml.safe_load(cfg.read_text())
+            del doc["synth"]
+            cfg.write_text(yaml.safe_dump(doc))
+            for command in ("train", "evaluate", "anomaly"):
+                code = main([command, "--config", str(cfg), "--out", str(tmp / "o")])
+                assert code in (0, 2, 3, 4)
+                if code:
+                    break

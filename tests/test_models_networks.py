@@ -139,16 +139,76 @@ def bits(a):
 @pytest.mark.parametrize("hidden", [8, 64])
 @pytest.mark.parametrize("n", [0, 1, FORWARD_BLOCK_ROWS, 2 * FORWARD_BLOCK_ROWS + 7])
 def test_blocked_forward_equals_one_batch_forward(arch, hidden, n):
+    _assert_blocked_forward_equals_one_batch(arch, hidden, n, T=3)
+
+
+def _assert_blocked_forward_equals_one_batch(arch, hidden, n, T):
     rng = np.random.default_rng(hidden + n)
     hp = {**HPS[arch], "hidden": hidden}
     params = _BACKENDS[arch].init_params(4, hp, rng)
     for k in params:
         params[k] = params[k] + rng.normal(0, 0.1, params[k].shape)
-    X = rng.normal(0, 2, size=(n, 3, 4))
+    X = rng.normal(0, 2, size=(n, T, 4))
     one_batch, _ = _BACKENDS[arch].forward(params, X)
     blocked = network_forward(arch, params, X)
     assert blocked.shape == (n,)
     assert np.array_equal(bits(blocked), bits(one_batch))
+
+
+#: Windows shorter than the networks' reach. T=1 comes from h=0, the first
+#: default ``h`` candidate. The tcn (kernel 3, 2 levels) reaches back 2 steps
+#: in level 0 and 4 in level 1, so at T=2 some of its taps fall before the
+#: window start.
+SHORT_WINDOWS = [("recurrent", 1), ("recurrent", 2), ("tcn", 1), ("tcn", 2)]
+
+
+@pytest.mark.parametrize("arch,T", SHORT_WINDOWS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradients_match_finite_differences_on_short_windows(arch, T, seed):
+    assert finite_difference_worst_error(arch, seed, T=T) <= 1e-4
+
+
+@pytest.mark.parametrize("arch,T", SHORT_WINDOWS)
+@pytest.mark.parametrize("n", [1, 2 * FORWARD_BLOCK_ROWS + 7])
+def test_blocked_forward_on_short_windows(arch, T, n):
+    _assert_blocked_forward_equals_one_batch(arch, 8, n, T)
+
+
+def _reference_forward(arch, params, X):
+    """Each network's forward as written step by step and tap by tap."""
+    B, T, _ = X.shape
+    if arch == "recurrent":
+        H = params["Wh"].shape[1]
+        h, c = np.zeros((B, H)), np.zeros((B, H))
+        for t in range(T):
+            z = X[:, t] @ params["Wx"].T + h @ params["Wh"].T + params["b"]
+            i, f, o = (_two_division_sigmoid(z[:, k * H:(k + 1) * H]) for k in range(3))
+            c = f * c + i * np.tanh(z[:, 3 * H:])
+            h = o * np.tanh(c)
+        return h @ params["head_w"] + params["head_b"][0]
+    x = X
+    for level in range(HPS["tcn"]["levels"]):
+        W, dilation = params[f"conv{level}_W"], 2 ** level
+        K = len(W)
+        z = np.broadcast_to(params[f"conv{level}_b"], (B, T, W.shape[2])).copy()
+        for t in range(T):
+            for k in range(K):
+                if t - (K - 1 - k) * dilation >= 0:
+                    z[:, t] += x[:, t - (K - 1 - k) * dilation] @ W[k]
+        proj = params.get(f"proj{level}")
+        x = np.tanh(z) + (x if proj is None else x @ proj)
+    return x[:, -1] @ params["head_w"] + params["head_b"][0]
+
+
+@pytest.mark.parametrize("arch", ["recurrent", "tcn"])
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_forward_matches_step_by_step_reference(arch, T):
+    rng = np.random.default_rng(T)
+    params = _BACKENDS[arch].init_params(4, HPS[arch], rng)
+    X = rng.normal(size=(9, T, 4))
+    got, _ = _BACKENDS[arch].forward(params, X)
+    np.testing.assert_allclose(got, _reference_forward(arch, params, X),
+                               rtol=1e-12, atol=1e-12)
 
 
 def _two_division_sigmoid(z):
@@ -275,6 +335,16 @@ def test_epoch_loss_from_batches_matches_oracle(arch, seed):
                                   "learning_rate": 5e-3, "batch_size": 16},
                      seed=seed)
     _check_against_oracle(spec, X, y, X[:24], y[:24])
+
+
+@pytest.mark.parametrize("arch,T", SHORT_WINDOWS)
+def test_short_window_training_matches_oracle(arch, T):
+    X, y = _toy_data(seed=8, n=61, T=T)
+    spec = ModelSpec(arch, ("a", "b", "c"), h=0, task="nowcast",
+                     hyperparams={**HPS[arch], "max_epochs": 4, "patience": 10,
+                                  "learning_rate": 5e-3, "batch_size": 16},
+                     seed=5)
+    _check_against_oracle(spec, X, y, X[:12], y[:12])
 
 
 @pytest.mark.parametrize("arch", ["recurrent", "tcn"])
