@@ -23,7 +23,7 @@ from .anomaly import AnomalyParams
 from .dataset import COVARIATES, SAMPLES_PER_WEEK
 from .errors import BadParams, InvalidConfig
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
-from .models import ARCHS, TASKS
+from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS
 from .preprocess import CleaningParams
 from .synthpilot import SynthConfig
 
@@ -200,10 +200,6 @@ def load_config(path) -> ExperimentConfig:
 
 # --- search-space defaults ---------------------------------------------------
 
-def _default_h_candidates() -> GridDim:
-    return GridDim(values=(0, 2, 5, 11, 23))
-
-
 def _default_covariate_candidates(covariates: tuple[str, ...]) -> GridDim:
     """Full set, every leave-one-out subset, and every singleton."""
     full = tuple(covariates)
@@ -214,34 +210,6 @@ def _default_covariate_candidates(covariates: tuple[str, ...]) -> GridDim:
     for name in full:
         candidates.append((name,))
     return GridDim(values=tuple(dict.fromkeys(candidates)))
-
-
-def default_dimensions(arch: str) -> dict:
-    if arch == "elastic_net":
-        return {"alpha": LogUniformDim(1e-4, 1e1),
-                "l1_ratio": GridDim((0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
-                                     0.6, 0.7, 0.8, 0.9, 1.0))}
-    if arch == "gbt":
-        return {"n_trees": GridDim((50, 100, 200, 350, 500)),
-                "max_depth": GridDim((1, 2, 3, 4, 5, 6)),
-                "learning_rate": LogUniformDim(0.01, 0.3),
-                "min_samples_leaf": GridDim((1, 5, 20)),
-                "subsample": GridDim((0.7, 1.0))}
-    if arch == "recurrent":
-        return {"hidden": GridDim((8, 16, 32, 64)),
-                "learning_rate": LogUniformDim(1e-4, 1e-2),
-                "batch_size": GridDim((32, 64)),
-                "max_epochs": GridDim((100,)),
-                "patience": GridDim((5,))}
-    if arch == "tcn":
-        return {"hidden": GridDim((8, 16, 32, 64)),
-                "levels": GridDim((1, 2, 3)),
-                "kernel_size": GridDim((2, 3, 5)),
-                "learning_rate": LogUniformDim(1e-4, 1e-2),
-                "batch_size": GridDim((32, 64)),
-                "max_epochs": GridDim((100,)),
-                "patience": GridDim((5,))}
-    raise InvalidConfig(f"no default space for arch {arch!r}")
 
 
 def _parse_dimension(name: str, value) -> Any:
@@ -261,13 +229,21 @@ def _parse_dimension(name: str, value) -> Any:
 
 
 def build_search_space(config: ExperimentConfig, arch: str) -> SearchSpace:
-    dims = default_dimensions(arch)
-    dims["h"] = _default_h_candidates()
-    dims["covariates"] = _default_covariate_candidates(config.covariates)
+    """The arch's default dimensions, then ``h`` and ``covariates``, each
+    replaced in place by a ``hyperopt.space`` override of the same name."""
+    if arch not in ARCH_TABLE:
+        raise InvalidConfig(f"hyperopt.space for unknown arch {arch!r}")
     space = config.hyperopt.space.get(arch, {})
     if not isinstance(space, dict):
         raise InvalidConfig(f"hyperopt.space.{arch} must be a mapping")
+    dims = {name: _parse_dimension(name, value)
+            for name, value in ARCH_TABLE[arch].search.items()}
+    dims["h"] = GridDim(values=(0, 2, 5, 11, 23))
+    dims["covariates"] = _default_covariate_candidates(config.covariates)
     for name, value in space.items():
+        if name not in {"h", "covariates", *DEFAULT_HYPERPARAMS[arch]}:
+            raise InvalidConfig(f"hyperopt.space.{arch}: {arch} has no "
+                                f"hyperparameter {name!r}")
         dims[name] = _parse_dimension(name, value)
     covariates = dims["covariates"]
     if not isinstance(covariates, GridDim) or not all(

@@ -4,11 +4,15 @@ Tabular archs (elastic_net, gbt) consume the window flattened row-major:
 one block of channels per time step, oldest step first, with the target
 history (forecasting only) appended as the last channel of each block.
 Sequence archs (recurrent, tcn) consume the same layout unflattened.
+
+Adding an arch means one ``ARCH_TABLE`` entry plus its defaults in
+``spec.DEFAULT_HYPERPARAMS`` (and a ``spec._VALIDATORS`` check per new name).
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +25,8 @@ from .networks import loss_and_grad, network_forward, train_network
 from .spec import ARCHS, DEFAULT_HYPERPARAMS, ModelSpec, TASKS, TrainLog, TrainedModel
 
 __all__ = [
-    "ARCHS", "TASKS", "DEFAULT_HYPERPARAMS", "ModelSpec", "TrainLog",
-    "TrainedModel", "train_model", "predict_batch",
+    "ARCH_TABLE", "Arch", "ARCHS", "TASKS", "DEFAULT_HYPERPARAMS", "ModelSpec",
+    "TrainLog", "TrainedModel", "train_model", "predict_batch",
     "rollout_forecast_batch", "serialize", "deserialize",
     "save_model", "load_model", "loss_and_grad", "network_forward",
 ]
@@ -56,6 +60,65 @@ def _tabular(X3: np.ndarray) -> np.ndarray:
     return X3.reshape(X3.shape[0], -1)
 
 
+class Arch(NamedTuple):
+    """What one arch does its own way. Each function looks its worker up in its
+    module at call time, so a patched ``fit_gbt`` or ``train_network`` runs."""
+
+    fit: Callable  # (spec, X3, y, val, resolved hp) -> (parameters, TrainLog)
+    predict: Callable  # (parameters, X3) -> one prediction per row
+    encode: Callable  # parameters -> JSON values
+    decode: Callable  # JSON values -> parameters
+    needs_validation: bool  # fit gets val = validation (X3, y), else None
+    search: dict  # default dimensions: list = grid, {"log_uniform": [lo, hi]}
+
+
+def _fit_elastic_net(spec, X3, y, val, hp):
+    w, b, log, converged = _enet.fit_elastic_net(_tabular(X3), y, **hp)
+    return {"w": w, "b": b, "converged": converged}, log
+
+
+def _network(name: str, search: dict) -> Arch:
+    return Arch(
+        fit=lambda spec, X3, y, val, hp: train_network(spec, X3, y, *val),
+        predict=lambda params, X3: network_forward(name, params, X3),
+        encode=lambda params: {k: v.tolist() for k, v in params.items()},
+        decode=lambda blob: {k: np.array(v, dtype=float) for k, v in blob.items()},
+        needs_validation=True, search=search)
+
+
+ARCH_TABLE: dict[str, Arch] = {
+    "elastic_net": Arch(
+        fit=_fit_elastic_net,
+        predict=lambda p, X3: _enet.predict_linear(p["w"], p["b"], _tabular(X3)),
+        encode=lambda p: {"w": p["w"].tolist(), "b": p["b"],
+                          "converged": bool(p["converged"])},
+        decode=lambda blob: {"w": np.array(blob["w"], dtype=float),
+                             "b": float(blob["b"]), "converged": bool(blob["converged"])},
+        needs_validation=False,
+        search={"alpha": {"log_uniform": [1e-4, 1e1]},
+                "l1_ratio": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]}),
+    "gbt": Arch(
+        fit=lambda spec, X3, y, val, hp: _gbt.fit_gbt(_tabular(X3), y,
+                                                      seed=spec.seed, **hp),
+        predict=lambda p, X3: _gbt.predict_gbt(p, _tabular(X3)),
+        encode=lambda p: {k: p[k] for k in ("init", "learning_rate", "trees")},
+        decode=lambda blob: {"init": float(blob["init"]),
+                             "learning_rate": float(blob["learning_rate"]),
+                             "trees": blob["trees"]},
+        needs_validation=False,
+        search={"n_trees": [50, 100, 200, 350, 500], "max_depth": [1, 2, 3, 4, 5, 6],
+                "learning_rate": {"log_uniform": [0.01, 0.3]},
+                "min_samples_leaf": [1, 5, 20], "subsample": [0.7, 1.0]}),
+    "recurrent": _network("recurrent", {
+        "hidden": [8, 16, 32, 64], "learning_rate": {"log_uniform": [1e-4, 1e-2]},
+        "batch_size": [32, 64], "max_epochs": [100], "patience": [5]}),
+    "tcn": _network("tcn", {
+        "hidden": [8, 16, 32, 64], "levels": [1, 2, 3], "kernel_size": [2, 3, 5],
+        "learning_rate": {"log_uniform": [1e-4, 1e-2]},
+        "batch_size": [32, 64], "max_epochs": [100], "patience": [5]}),
+}
+
+
 def train_model(spec: ModelSpec, train_windows: WindowSet,
                 val_windows: WindowSet | None, scaler: Scaler
                 ) -> tuple[TrainedModel, TrainLog]:
@@ -67,28 +130,16 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
     _check_window_set(spec, train_windows)
     if len(train_windows) == 0:
         raise EmptyWindows("no training windows")
+    arch = ARCH_TABLE[spec.arch]
     X3 = stack_inputs(spec, train_windows)
     y = training_targets(train_windows)
-    hp = spec.resolved()
-
-    if spec.arch == "elastic_net":
-        w, b, log, converged = _enet.fit_elastic_net(
-            _tabular(X3), y, alpha=hp["alpha"], l1_ratio=hp["l1_ratio"],
-            tol=hp["tol"], max_iter=hp["max_iter"])
-        params = {"w": w, "b": b, "converged": converged}
-    elif spec.arch == "gbt":
-        params, log = _gbt.fit_gbt(
-            _tabular(X3), y, n_trees=hp["n_trees"], max_depth=hp["max_depth"],
-            learning_rate=hp["learning_rate"],
-            min_samples_leaf=hp["min_samples_leaf"],
-            subsample=hp["subsample"], seed=spec.seed)
-    else:
+    val = None
+    if arch.needs_validation:
         if val_windows is None or len(val_windows) == 0:
             raise EmptyWindows(f"{spec.arch} needs validation windows for early stopping")
         _check_window_set(spec, val_windows)
-        Xv = stack_inputs(spec, val_windows)
-        yv = training_targets(val_windows)
-        params, log = train_network(spec, X3, y, Xv, yv)
+        val = (stack_inputs(spec, val_windows), training_targets(val_windows))
+    params, log = arch.fit(spec, X3, y, val, spec.resolved())
     return TrainedModel(spec=spec, parameters=params, scaler=scaler), log
 
 
@@ -98,17 +149,8 @@ def predict_batch(model: TrainedModel, ws: WindowSet) -> np.ndarray:
     y_t for nowcasts, y_{t+1} for forecasts.
     """
     _check_window_set(model.spec, ws)
-    return _predict_stacked(model, stack_inputs(model.spec, ws))
-
-
-def _predict_stacked(model: TrainedModel, X3: np.ndarray) -> np.ndarray:
-    arch = model.spec.arch
-    if arch == "elastic_net":
-        return _enet.predict_linear(model.parameters["w"], model.parameters["b"],
-                                    _tabular(X3))
-    if arch == "gbt":
-        return _gbt.predict_gbt(model.parameters, _tabular(X3))
-    return network_forward(arch, model.parameters, X3)
+    return ARCH_TABLE[model.spec.arch].predict(model.parameters,
+                                               stack_inputs(model.spec, ws))
 
 
 def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
@@ -129,6 +171,7 @@ def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
     h = spec.h
     cov = scaled.values[:, [scaled.col_index(n) for n in spec.covariates]]
     y_scaled = scaled.col(TARGET)
+    predict = ARCH_TABLE[spec.arch].predict
 
     hist_idx = anchors[:, None] + np.arange(-h, 1)
     y_buf = np.empty((len(anchors), h + steps + 1))
@@ -136,32 +179,11 @@ def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
     for s in range(1, steps + 1):
         row_idx = hist_idx + s - 1
         inputs = np.concatenate([cov[row_idx], y_buf[:, s - 1:h + s, None]], axis=2)
-        y_buf[:, h + s] = _predict_stacked(model, inputs)
+        y_buf[:, h + s] = predict(model.parameters, inputs)
     return y_buf[:, h + 1:]
 
 
 # --- serialization ----------------------------------------------------------
-
-def _encode_params(arch: str, params: dict) -> dict:
-    if arch == "elastic_net":
-        return {"w": params["w"].tolist(), "b": params["b"],
-                "converged": bool(params["converged"])}
-    if arch == "gbt":
-        return {"init": params["init"], "learning_rate": params["learning_rate"],
-                "trees": params["trees"]}
-    return {k: v.tolist() for k, v in params.items()}
-
-
-def _decode_params(arch: str, blob: dict) -> dict:
-    if arch == "elastic_net":
-        return {"w": np.array(blob["w"], dtype=float), "b": float(blob["b"]),
-                "converged": bool(blob["converged"])}
-    if arch == "gbt":
-        return {"init": float(blob["init"]),
-                "learning_rate": float(blob["learning_rate"]),
-                "trees": blob["trees"]}
-    return {k: np.array(v, dtype=float) for k, v in blob.items()}
-
 
 def serialize(model: TrainedModel) -> str:
     """Versioned JSON container; float round-trip is bit-exact."""
@@ -169,7 +191,7 @@ def serialize(model: TrainedModel) -> str:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "spec": model.spec.to_dict(),
-        "parameters": _encode_params(model.spec.arch, model.parameters),
+        "parameters": ARCH_TABLE[model.spec.arch].encode(model.parameters),
         "scaler": {
             "names": list(model.scaler.names),
             "mean": model.scaler.mean.tolist(),
@@ -195,7 +217,7 @@ def deserialize(text: str) -> TrainedModel:
                     fitted_on=tuple(tuple(r) for r in sc["fitted_on"]),
                     target_index=int(sc["target_index"]))
     return TrainedModel(spec=spec,
-                        parameters=_decode_params(spec.arch, doc["parameters"]),
+                        parameters=ARCH_TABLE[spec.arch].decode(doc["parameters"]),
                         scaler=scaler)
 
 

@@ -10,11 +10,10 @@ from typing import Any
 from ..dataset import Scaler
 from ..errors import InvalidSpec
 
-ARCHS = ("elastic_net", "gbt", "recurrent", "tcn")
 TASKS = ("nowcast", "forecast")
 
-#: Default hyperparameters per architecture. Ranges live in
-#: :mod:`denitlab.config` as search-space defaults.
+#: Default hyperparameters per architecture. Default search ranges live in
+#: ``denitlab.models.ARCH_TABLE``.
 DEFAULT_HYPERPARAMS: dict[str, dict[str, Any]] = {
     "elastic_net": {
         "alpha": 1e-3,
@@ -48,6 +47,7 @@ DEFAULT_HYPERPARAMS: dict[str, dict[str, Any]] = {
         "momentum": 0.9,
     },
 }
+ARCHS = tuple(DEFAULT_HYPERPARAMS)
 
 
 def _is_count(value) -> bool:

@@ -12,7 +12,7 @@ from .dataset import FoldPlan, TimeSeriesFrame, apply_scaler, fit_scaler
 from .errors import EmptyWindows, NoAdmissibleWindows, NonFiniteLoss, \
     TrainingLossRose
 from .evaluation import evaluate
-from .models import ModelSpec, TrainLog, TrainedModel, train_model
+from .models import ARCH_TABLE, ModelSpec, TrainLog, TrainedModel, train_model
 from .preprocess import CleaningMask, CleaningParams, WindowSet, build_windows, \
     detect_cleaning, interpolate_target
 from .utils import parallel_map
@@ -42,7 +42,7 @@ def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan
     scaled = apply_scaler(frame, scaler)
     train_ws = spec_windows(spec, scaled, plan.train)
     val_ws = None
-    if spec.arch in ("recurrent", "tcn"):
+    if ARCH_TABLE[spec.arch].needs_validation:
         try:
             val_ws = spec_windows(spec, scaled, plan.validation)
         except NoAdmissibleWindows:

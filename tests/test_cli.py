@@ -405,6 +405,10 @@ class TestExitCodes:
                    "hyperparams": {"gbt": {"learning_rate": float("inf")}}}),
         ("hyperopt", _covariate_grid([["nitrate_in"]], alpha={
             "log_uniform": [1.0e-4, float("inf")]})),
+        ("hyperopt", {"hyperopt": {"space": {"foo": {}}}}),
+        # train ignores the search space, so only a check at load catches it
+        ("train", {"hyperopt": {"space": {"gbt": {"hiden": [8]}}}}),
+        ("train", {"hyperopt": {"space": {"tcn": {"max_depth": [2]}}}}),
     ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
             "anomaly-peak-window", "hyperparams-not-mapping",
             "covariates-candidate-not-list", "covariates-candidate-string",
@@ -417,7 +421,9 @@ class TestExitCodes:
             "use-best-specs-string", "tcn-hidden-float", "tcn-hidden-bool",
             "recurrent-batch-size-float", "gbt-n-trees-float",
             "gbt-max-depth-float", "enet-alpha-inf", "enet-tol-inf",
-            "gbt-learning-rate-inf", "log-uniform-bound-inf"])
+            "gbt-learning-rate-inf", "log-uniform-bound-inf",
+            "space-unknown-arch", "space-misspelled-dimension",
+            "space-other-arch-dimension"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),

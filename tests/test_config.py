@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denitlab.cli import _write_manifest
-from denitlab.config import load_config
+from denitlab.config import build_search_space, load_config
 from denitlab.errors import InvalidConfig
 from denitlab.models import ModelSpec
 
@@ -51,6 +51,18 @@ def test_manifest_exponent_floats_load_back(tmp_path):
                          "{log_uniform: [1e-05, 1e+16]}}}}")
     space = load_config(copy_path).hyperopt.space
     assert space == {"elastic_net": {"alpha": {"log_uniform": [1.0e-5, 1.0e16]}}}
+
+
+def test_search_space_takes_every_hyperparameter_of_its_arch(tmp_path):
+    # tol and max_iter are hyperparameters outside the default space, so they
+    # are appended; h and covariates are replaced where they stand
+    path = tmp_path / "space.yaml"
+    path.write_text(yaml.safe_dump({"hyperopt": {"space": {"elastic_net": {
+        "tol": [1.0e-6], "max_iter": [500], "h": [1], "covariates": [["methanol"]]}}}},
+        sort_keys=False))
+    config = load_config(path)
+    dims = build_search_space(config, "elastic_net").dimensions
+    assert list(dims) == ["alpha", "l1_ratio", "h", "covariates", "tol", "max_iter"]
 
 
 def _valid_config() -> dict:

@@ -1,11 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from denitlab.config import ExperimentConfig, build_search_space
 from denitlab.dataset import Scaler, apply_scaler, fit_scaler, invert_target, \
     make_final_split
 from denitlab.errors import InvalidSpec, SpecMismatch
 from denitlab.models import (
-    ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast_batch,
+    ARCH_TABLE, ARCHS, TASKS, ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast_batch,
     serialize, train_model,
 )
 from denitlab.models.spec import DEFAULT_HYPERPARAMS
@@ -155,6 +159,71 @@ class TestTrainModelContract:
         wrong = ModelSpec("elastic_net", ("methanol",), h=1, task="nowcast")
         with pytest.raises(SpecMismatch):
             train_model(wrong, ws, None, scaler)
+
+
+GOLDEN_HYPERPARAMS = {
+    "elastic_net": {"alpha": 1e-3},
+    "gbt": {"n_trees": 10, "max_depth": 2, "subsample": 0.7},
+    "recurrent": {"hidden": 4, "max_epochs": 2},
+    "tcn": {"hidden": 4, "levels": 2, "kernel_size": 2, "max_epochs": 2},
+}
+
+# (serialized model, first 5 default-space specs at seed 0), recorded before
+# the per-arch code moved into one table
+GOLDEN_DIGESTS = {
+    ("elastic_net", "nowcast"): (
+        "35d2f5ce5293a7abe4391dabde1b17e5df38079725831b70d7f8a53393ef0800",
+        "91758003b787716d3a841308d3db6fc4902ec34b0f6e3727b293e194f97d1623"),
+    ("elastic_net", "forecast"): (
+        "d8d44205e6e7128643173ccdb83b9b013294be50593ec7cb06e1d614567535ce",
+        "84e5123e95902e7efda10ed69c761b195a5d0caa64ebd3d47c99d84d65d10f44"),
+    ("gbt", "nowcast"): (
+        "fe57aaab129a0c22a44090a7c83655ca00bb40b5bdcc5229b954898956c3ddea",
+        "154875de0d0beda1245161ff97ca5a52803902d4867b84cfb655bea702a1a1fa"),
+    ("gbt", "forecast"): (
+        "1abcbb117ec02199c8e72f47a0fb288660f46c6c9cb0f97bfd9338e4dda342ef",
+        "f22864b722c242b25cdd107dadc54ef5da09f5f5704db4fee43920d9045b08d0"),
+    ("recurrent", "nowcast"): (
+        "8b092b3b9e0eb714167c872e9e9f186da7da033406c5c711bbb9af43da23599e",
+        "9ab62fc2c5f6fbdd1b59f558e27f5534a16425bb413e719c25f4c6d65080c22e"),
+    ("recurrent", "forecast"): (
+        "67586f56d539524233721bd70f61ceed5a8bd46c1c85adf40663e2583b6a2b68",
+        "4cea001d2126ab8925aa2febb719ca50447feef371157642006adc140917aa9a"),
+    ("tcn", "nowcast"): (
+        "49875ce185c3e90680f9286ed7d7ba179bcdaf9cd400ab02de7b6b695cfeb4d7",
+        "f71b2eb1b27e061aa2b8da48bacffe66bcdf122d68d687bc408559e165520cdf"),
+    ("tcn", "forecast"): (
+        "042737f20d7e0d03048e5087cd7ba80df7c5aaeda10799d516fdca92b1d501ef",
+        "7bcc38481fa693776b2911535ef9c869da9996d8fd935b16a6b258e0b6fc06be"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    def test_every_arch_has_one_table_entry(self):
+        assert set(ARCH_TABLE) == set(ARCHS)
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_trained_model_unchanged(self, small_frame, arch, task):
+        frame, _ = small_frame
+        spec = ModelSpec(arch, ("nitrate_in", "methanol", "water_flow"), h=2,
+                         task=task, hyperparams=GOLDEN_HYPERPARAMS[arch], seed=5)
+        model, _ = train_on_plan(spec, frame, make_final_split(frame))
+        assert _sha256(serialize(model)) == GOLDEN_DIGESTS[arch, task][0]
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_default_space_draws_unchanged(self, arch, task):
+        # hyperparams keep the space's dimension order, so a reordered space
+        # changes the digest as well as every draw
+        space = build_search_space(ExperimentConfig(), arch)
+        rng = np.random.default_rng(0)
+        specs = [space.sample_spec(rng, task).to_dict() for _ in range(5)]
+        assert _sha256(json.dumps(specs)) == GOLDEN_DIGESTS[arch, task][1]
 
 
 COUNT_HYPERPARAMS = ("max_iter", "n_trees", "max_depth", "min_samples_leaf",
