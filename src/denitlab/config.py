@@ -13,26 +13,20 @@ import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field, is_dataclass
-from importlib import metadata
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
+from . import __version__
 from .anomaly import AnomalyParams
 from .dataset import COVARIATES, SAMPLES_PER_WEEK
 from .errors import BadParams, InvalidConfig
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
 from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS
+from .models.spec import in_range
 from .preprocess import CleaningParams
 from .synthpilot import SynthConfig
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("denitlab")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 SPLITS = ("train", "validation", "test")
@@ -118,7 +112,7 @@ class ExperimentConfig:
 
     def run_id(self) -> str:
         payload = json.dumps({"config": self.resolved_dict(),
-                              "version": _package_version()},
+                              "version": __version__},
                              sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -214,14 +208,14 @@ def _default_covariate_candidates(covariates: tuple[str, ...]) -> GridDim:
 
 def _parse_dimension(name: str, value) -> Any:
     if isinstance(value, dict):
-        if "grid" in value or "choice" in value:
-            value = value["grid"] if "grid" in value else value["choice"]
-        elif "log_uniform" in value:
-            lo, hi = _typed(tuple[float, float], value["log_uniform"],
+        if len(value) != 1 or next(iter(value)) not in ("grid", "choice", "log_uniform"):
+            raise InvalidConfig(f"dimension {name!r} needs exactly one of "
+                                f"grid|log_uniform|choice, got keys {list(value)}")
+        ((kind, value),) = value.items()
+        if kind == "log_uniform":
+            lo, hi = _typed(tuple[float, float], value,
                             f"dimension {name!r} log_uniform")
             return LogUniformDim(float(lo), float(hi))
-        else:
-            raise InvalidConfig(f"dimension {name!r} needs grid|log_uniform|choice")
     if not isinstance(value, (list, tuple)):
         raise InvalidConfig(f"cannot parse dimension {name!r}: {value!r}")
     return GridDim(tuple(tuple(v) if isinstance(v, (list, tuple)) else v
@@ -245,6 +239,16 @@ def build_search_space(config: ExperimentConfig, arch: str) -> SearchSpace:
             raise InvalidConfig(f"hyperopt.space.{arch}: {arch} has no "
                                 f"hyperparameter {name!r}")
         dims[name] = _parse_dimension(name, value)
+    for name, dim in dims.items():
+        if name == "covariates":
+            continue
+        # a log-uniform draw is a float between the bounds
+        kind, values = (("grid", dim.values) if isinstance(dim, GridDim)
+                        else ("log_uniform bound", (dim.lo, dim.hi)))
+        for value in values:
+            if not in_range(name, value):
+                raise InvalidConfig(f"hyperopt.space.{arch}.{name}: {kind} "
+                                    f"{value!r} out of range")
     covariates = dims["covariates"]
     if not isinstance(covariates, GridDim) or not all(
             isinstance(c, (list, tuple)) and all(isinstance(n, str) for n in c)

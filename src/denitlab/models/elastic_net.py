@@ -10,46 +10,60 @@ matrix ``G = XᵀX/N``, ``Xᵀy/N``, the column means ``x̄`` and ``ȳ``. Each
 sweep forms ``Gw`` once and keeps it up to date as weights move. A
 coordinate step then needs no pass over the N rows: the partial-residual
 correlation is ``Xᵀy_j - (Gw)_j - b·x̄_j + G_jj·w_j``, and a weight that
-moves by ``Δ`` adds ``G_j·Δ`` to ``Gw``, so a step costs O(p) for p
-features instead of O(N). The intercept step is ``ȳ - x̄·w - b``. Forming
-``Gw`` afresh each sweep keeps the rounding of the updates from drifting
-along the null space of a singular ``G``: on an exactly collinear design
-(``alpha=0``, ``tol=1e-14``) that residual updates solve in 14,128 sweeps,
-a ``Gw`` kept only by updates had not converged after 200,000. The
-objective logged after each sweep still comes from the residual
-``y - Xw - b``, taken for a batch of sweeps in one matrix product.
+moves by ``Δ`` adds ``G_j·Δ`` to the entries of ``Gw`` that later steps of
+the same sweep read, so a step costs O(p) for p features instead of O(N).
+The intercept step is ``ȳ - x̄·w - b``. Forming ``Gw`` afresh each sweep
+keeps the rounding of the updates from drifting along the null space of a
+singular ``G``: on an exactly collinear design (``alpha=0``, ``tol=1e-14``)
+that residual updates solve in 14,128 sweeps, a ``Gw`` kept only by updates
+had not converged after 200,000.
+
+The objective logged after each sweep comes from the same quantities,
+``||y - Xw - b||²/N = yᵀy/N - 2w·Xᵀy/N - 2bȳ + wᵀGw + 2b·x̄·w + b²``, in
+O(p²) per sweep, for a batch of sweeps at a time, instead of O(N·p) from the
+residual. Near an exact fit those terms cancel. Their sum is kept only where
+its rounding bound, ``eps·(p + 1)`` times the sum of the terms' magnitudes,
+is at most ``_LOSS_RTOL`` of it; every other sweep of the batch takes its
+objective from the residual ``y - Xw - b``, all of them in one matrix
+product. Either way an entry is within about 1e-12 relative of the residual
+form.
 """
 
 from __future__ import annotations
 
 import warnings
+from operator import mul
 
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyWindows, InvalidSpec
 from .spec import TrainLog
 
-_LOSS_BATCH = 32  # iterates per residual matrix product in the loss log
+_LOSS_BATCH = 32  # iterates per batch of the loss log
+_LOSS_RTOL = 1e-12  # largest rounding bound, relative, of a Gram-form objective
+_EPS = float(np.finfo(float).eps)
 
 
-def _soft_threshold(x: float, lam: float) -> float:
-    if x > lam:
-        return x - lam
-    if x < -lam:
-        return x + lam
-    return 0.0
-
-
-def _objectives(X: np.ndarray, y: np.ndarray, iterates: list, alpha: float,
-                l1_ratio: float) -> list[float]:
-    """Objective at each ``(w, b)`` of ``iterates``, from the residuals
-    ``y - Xw - b`` of all of them in one matrix product."""
+def _objectives(X: np.ndarray, y: np.ndarray, gram: tuple, w_log: list,
+                b_log: list, alpha: float, l1_ratio: float) -> list[float]:
+    """Objective at each iterate, the weights ``w_log`` (rows laid end to end)
+    and intercepts ``b_log``: from ``gram = (G, Xᵀy/N, x̄, ȳ, yᵀy/N)``, or from
+    the residuals where those terms cancel too far."""
+    G, Xty, x_bar, y_bar, yty = gram
     n, n_feat = X.shape
-    W = np.array([w for w, _ in iterates]).reshape(len(iterates), n_feat)
-    R = X @ W.T  # column k ends as Xw_k + b_k - y, the negated residual
-    R += np.array([b for _, b in iterates])
-    R -= y[:, None]
-    return (0.5 / n * np.einsum("ij,ij->j", R, R)
+    W = np.array(w_log).reshape(len(b_log), n_feat)
+    b = np.array(b_log)
+    terms = (yty, -2.0 * (W @ Xty), -2.0 * y_bar * b,
+             np.einsum("ij,ij->i", W @ G, W), 2.0 * b * (W @ x_bar), b * b)
+    sq = sum(terms)
+    bound = _EPS * (n_feat + 1) / _LOSS_RTOL * sum(map(np.abs, terms))
+    cancelled = np.flatnonzero(sq <= bound)
+    if len(cancelled):
+        R = X @ W[cancelled].T  # column k ends as Xw_k + b_k - y, the negated residual
+        R += b[cancelled]
+        R -= y[:, None]
+        sq[cancelled] = np.einsum("ij,ij->j", R, R) / n
+    return (0.5 * sq
             + alpha * (l1_ratio * np.abs(W).sum(axis=1)
                        + 0.5 * (1 - l1_ratio) * np.einsum("ij,ij->i", W, W))).tolist()
 
@@ -75,11 +89,11 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray,
 
     n, n_feat = X.shape
     G = X.T @ X / n
-    Xty = (X.T @ y / n).tolist()
-    x_bar = X.mean(axis=0).tolist()
-    y_bar = float(y.mean())
+    gram = (G, X.T @ y / n, X.mean(axis=0), float(y.mean()), float(y @ y) / n)
+    Xty, x_bar, y_bar = gram[1].tolist(), gram[2].tolist(), gram[3]
     col_sq = np.diag(G).tolist()
-    G_rows = G.tolist()
+    # the part of G's row j that the steps after step j read
+    G_after = [row[j + 1:] for j, row in enumerate(G.tolist())]
     active = [j for j in range(n_feat) if col_sq[j] != 0.0]
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
@@ -87,7 +101,8 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray,
     w = [0.0] * n_feat
     b = 0.0
     losses: list[float] = []
-    iterates = [(list(w), b)]  # objectives pending, taken _LOSS_BATCH at a time
+    w_log = list(w)  # iterates whose objectives are pending, _LOSS_BATCH at a time
+    b_log = [b]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -95,30 +110,37 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray,
         # G @ w, formed afresh each sweep so that the rounding of the
         # updates below cannot drift across sweeps
         gw = (G @ np.array(w)).tolist()
-        shift = y_bar - sum(xb * wj for xb, wj in zip(x_bar, w)) - b
+        shift = y_bar - sum(map(mul, x_bar, w)) - b
         if shift != 0.0:
             b += shift
             max_move = abs(shift)
         for j in active:
             w_old = w[j]
             rho = Xty[j] - gw[j] - b * x_bar[j] + col_sq[j] * w_old
-            w_new = _soft_threshold(rho, l1) / (col_sq[j] + l2)
+            if rho > l1:
+                w_new = (rho - l1) / (col_sq[j] + l2)
+            elif rho < -l1:
+                w_new = (rho + l1) / (col_sq[j] + l2)
+            else:
+                w_new = 0.0
             if w_new != w_old:
                 delta = w_new - w_old
-                gw = [g + gj * delta for g, gj in zip(gw, G_rows[j])]
+                gw[j + 1:] = [g + gj * delta for g, gj in zip(gw[j + 1:], G_after[j])]
                 w[j] = w_new
                 move = abs(delta)
                 if move > max_move:
                     max_move = move
-        iterates.append((list(w), b))
-        if len(iterates) == _LOSS_BATCH:
-            losses += _objectives(X, y, iterates, alpha, l1_ratio)
-            iterates.clear()
+        w_log += w
+        b_log.append(b)
+        if len(b_log) == _LOSS_BATCH:
+            losses += _objectives(X, y, gram, w_log, b_log, alpha, l1_ratio)
+            w_log.clear()
+            b_log.clear()
         if max_move < tol:
             converged = True
             break
-    if iterates:
-        losses += _objectives(X, y, iterates, alpha, l1_ratio)
+    if b_log:
+        losses += _objectives(X, y, gram, w_log, b_log, alpha, l1_ratio)
     w = np.array(w)
     if not converged:
         warnings.warn(f"coordinate descent did not converge in {max_iter} sweeps "

@@ -76,7 +76,16 @@ _VALIDATORS = {
     "max_epochs": _count_at_least(1),
     "patience": _count_at_least(1),
     "momentum": lambda v: 0 <= v < 1,
+    "h": _count_at_least(0),  # the history length, not a hyperparameter
 }
+
+
+def in_range(name: str, value) -> bool:
+    """Whether ``value`` is allowed for hyperparameter ``name``, or for ``h``."""
+    try:
+        return bool(_VALIDATORS[name](value))
+    except TypeError:  # not a number
+        return False
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class ModelSpec:
             raise InvalidSpec(f"unknown arch {self.arch!r}")
         if self.task not in TASKS:
             raise InvalidSpec(f"unknown task {self.task!r}")
-        if not _is_count(self.h) or self.h < 0:
+        if not in_range("h", self.h):
             raise InvalidSpec(f"history length h must be an integer >= 0, got {self.h!r}")
         if not self.covariates and self.task == "nowcast":
             raise InvalidSpec("nowcasting with zero covariates has no inputs")
@@ -108,11 +117,7 @@ class ModelSpec:
         for name, value in self.hyperparams.items():
             if name not in allowed:
                 raise InvalidSpec(f"{self.arch} has no hyperparameter {name!r}")
-            try:
-                ok = _VALIDATORS[name](value)
-            except TypeError:  # not a number
-                ok = False
-            if not ok:
+            if not in_range(name, value):
                 raise InvalidSpec(f"hyperparameter {name}={value!r} out of range")
 
     def resolved(self) -> dict[str, Any]:

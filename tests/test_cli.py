@@ -344,6 +344,11 @@ def _covariate_grid(grid, **dimensions):
                 "covariates": {"grid": grid}, **dimensions}}}}
 
 
+def _space(arch, **dimensions):
+    """Overrides with one arch's ``hyperopt.space``."""
+    return {"hyperopt": {"space": {arch: dimensions}}}
+
+
 class TestExitCodes:
     def test_dataset_missing_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "d.yaml")
@@ -409,6 +414,18 @@ class TestExitCodes:
         # train ignores the search space, so only a check at load catches it
         ("train", {"hyperopt": {"space": {"gbt": {"hiden": [8]}}}}),
         ("train", {"hyperopt": {"space": {"tcn": {"max_depth": [2]}}}}),
+        ("train", _space("gbt", n_trees=[100, 2.5])),
+        ("train", _space("gbt", max_depth={"choice": [True]})),
+        ("train", _space("elastic_net", l1_ratio=[0.5, 1.5])),
+        ("train", _space("tcn", momentum=["x"])),
+        ("train", _space("gbt", h=[2.5])),
+        ("train", _space("gbt", h=[-1])),
+        ("train", _space("gbt", n_trees={"log_uniform": [50, 500]})),
+        ("train", _space("elastic_net", l1_ratio={"log_uniform": [0.5, 2.0]})),
+        ("train", _space("gbt", n_trees={"grid": [5], "log_uniform": [1.0, 2.0]})),
+        ("train", _space("gbt", max_depth={"grid": [2], "lo": 3})),
+        ("train", _space("gbt", max_depth={"grid": [2], "choice": [3]})),
+        ("train", _space("gbt", max_depth={"lo": 3})),
     ], ids=["seeds", "ablation-seeds", "anomaly-split", "cleaning-window",
             "anomaly-peak-window", "hyperparams-not-mapping",
             "covariates-candidate-not-list", "covariates-candidate-string",
@@ -423,13 +440,27 @@ class TestExitCodes:
             "gbt-max-depth-float", "enet-alpha-inf", "enet-tol-inf",
             "gbt-learning-rate-inf", "log-uniform-bound-inf",
             "space-unknown-arch", "space-misspelled-dimension",
-            "space-other-arch-dimension"])
+            "space-other-arch-dimension", "space-count-float",
+            "space-count-bool", "space-grid-out-of-range", "space-grid-string",
+            "space-h-float", "space-h-negative", "space-count-log-uniform",
+            "space-log-uniform-bound-out-of-range", "space-grid-and-log-uniform",
+            "space-extra-key", "space-grid-and-choice", "space-no-kind"])
     def test_bad_config_field_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path / "bad.yaml", **override)
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "hyperopt"])
+    def test_bad_space_value_exits_2_before_reading_data(self, tmp_path, capsys,
+                                                         command):
+        cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),
+                           synth=None, **_space("gbt", n_trees=[2.5]))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: hyperopt.space.gbt.n_trees: grid 2.5 out of range\n")
 
     @pytest.mark.parametrize("override,code", [
         ({"h": "x"}, 2),

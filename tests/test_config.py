@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import denitlab
+from denitlab import config as config_module
 from denitlab.cli import _write_manifest
 from denitlab.config import build_search_space, load_config
 from denitlab.errors import InvalidConfig
@@ -27,6 +30,19 @@ def test_manifest_config_loads_back(path, tmp_path):
     again = load_config(copy_path)
     assert again == config
     assert again.run_id() == config.run_id()
+
+
+def test_pyproject_version_is_package_version():
+    found = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert found.group(1) == denitlab.__version__
+
+
+def test_run_id_keyed_on_package_version(monkeypatch):
+    # the same whether the package is installed or run from a source checkout
+    config = load_config(ROOT / "configs/synth_e2e.yaml")
+    run_id = config.run_id()
+    monkeypatch.setattr(config_module, "__version__", "0.0.0")
+    assert config.run_id() != run_id
 
 
 def test_manifest_exponent_floats_load_back(tmp_path):

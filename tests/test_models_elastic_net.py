@@ -1,9 +1,11 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
 from denitlab.errors import DimensionMismatch, InvalidSpec
+from denitlab.models import elastic_net
 from denitlab.models.elastic_net import fit_elastic_net, predict_linear, \
     stationarity_gap
 
@@ -201,3 +203,54 @@ def test_exactly_collinear_design_converges_like_residual_updates():
     assert conv_ref and converged
     assert abs(log.stopped_at - sweeps_ref) <= 0.01 * sweeps_ref
     assert log.train_loss[-1] < 1e-24
+
+
+# sha256 of (w, b, stopped_at, converged) over the grid of
+# test_covariance_updates_match_residual_updates, recorded while the loss log
+# still came from the residuals and the sweep updated all of Gw
+RECORDED_GRID_DIGEST = "49c2d4160b3c5388da31d4e6dd4b757ef9a2105b7aac7c588875d57c013f56c5"
+
+
+def test_solve_bit_identical_to_recorded_digest():
+    digest = hashlib.sha256()
+    for l1_ratio in (0.0, 0.5, 1.0):
+        for channels, h, zero_column, max_iter in [
+                (1, 0, None, 5000), (1, 2, None, 5000), (3, 3, None, 5000),
+                (3, 3, 5, 5000), (10, 2, None, 5000), (10, 2, None, 7)]:
+            X, y = _lagged_design(channels * 10 + h, channels, h,
+                                  zero_column=zero_column)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                w, b, log, converged = fit_elastic_net(
+                    X, y, alpha=1e-2, l1_ratio=l1_ratio, tol=1e-7, max_iter=max_iter)
+            digest.update(w.tobytes())
+            digest.update(np.float64(b).tobytes())
+            digest.update(str((log.stopped_at, converged)).encode())
+    assert digest.hexdigest() == RECORDED_GRID_DIGEST
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6])
+def test_near_exact_fit_log_matches_residual_form(monkeypatch, noise):
+    # the Gram-form objective cancels as the residual vanishes; every logged
+    # entry must still equal the residual form at the same iterate
+    X, y = _lagged_design(33, 3, 3)
+    rng = np.random.default_rng(4)
+    y = X @ rng.normal(size=X.shape[1]) + 0.3 + noise * rng.normal(size=len(y))
+    residual_form = []
+    objectives = elastic_net._objectives
+
+    def spy(X, y, gram, w_log, b_log, alpha, l1_ratio):
+        # the objectives of the same batch of iterates from their residuals,
+        # in one product as the log took them before it used the Gram terms
+        R = X @ np.reshape(w_log, (len(b_log), -1)).T + np.array(b_log) - y[:, None]
+        residual_form.extend(0.5 * np.einsum("ij,ij->j", R, R) / len(y))
+        return objectives(X, y, gram, w_log, b_log, alpha, l1_ratio)
+
+    monkeypatch.setattr(elastic_net, "_objectives", spy)
+    _, _, log, converged = fit_elastic_net(X, y, alpha=0.0, tol=1e-12, max_iter=5000)
+    assert converged
+    np.testing.assert_allclose(log.train_loss, residual_form, rtol=1e-12, atol=0)
+    # entry 0 is taken from the Gram terms; the last entries, whose residual
+    # sum is below the rounding bound of yᵀy/N alone, fall back to the residuals
+    bound = elastic_net._EPS * (X.shape[1] + 1) / elastic_net._LOSS_RTOL * (y @ y) / len(y)
+    assert 2 * residual_form[0] > bound > 2 * residual_form[-1]
