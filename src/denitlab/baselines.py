@@ -3,17 +3,42 @@
 TrainingMean is the only one that sees training data (a single statistic);
 RunningMean deliberately peeks at the evaluation series itself, making it a
 tough comparison rather than a deployable predictor.
+
+What differs between kinds (report name, tasks, target history, prediction)
+is one row of ``BASELINE_TABLE``; the score table's rows are ``REPORT_BASELINES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EmptyTraining, InsufficientHistory
 
-BASELINE_KINDS = ("training_mean", "running_mean", "seasonal", "trend_n")
+
+class Kind(NamedTuple):
+    """What one baseline kind does its own way. ``predict`` looks its
+    ``*_predict`` function up at call time, so a patched one runs."""
+
+    label: str  # report name; ``{n}`` takes the trend window
+    tasks: tuple[str, ...]  # the tasks it can score
+    history: Callable  # spec -> target rows, ending at the anchor, it reads
+    predict: Callable  # (spec, target, train ranges, windows) -> predictions
+
+
+BASELINE_TABLE: dict[str, Kind] = {
+    "training_mean": Kind("BaselineTrainingMean", ("nowcast", "forecast"), lambda s: 1,
+                          lambda s, y, train, ws: training_mean_predict(
+                              np.concatenate([y[a:b] for a, b in train]), ws.y.size)),
+    "running_mean": Kind("BaselineTestRunningMean", ("nowcast",), lambda s: 1,
+                         lambda s, y, train, ws: running_mean_predict(ws.y)),
+    "seasonal": Kind("BaselineSeasonal", ("forecast",), lambda s: s.horizon,
+                     lambda s, y, train, ws: seasonal_predict(ws.y_hist, s.horizon)),
+    "trend_n": Kind("BaselineTrend{n}", ("forecast",), lambda s: s.n,
+                    lambda s, y, train, ws: trend_n_predict(ws.y_hist, s.n, s.horizon)),
+}
 
 
 @dataclass(frozen=True)
@@ -23,7 +48,7 @@ class BaselineSpec:
     n: int = 6  # trend_n window only
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
+        if self.kind not in BASELINE_TABLE:
             raise ValueError(f"unknown baseline {self.kind!r}")
         if self.kind == "trend_n" and self.n < 2:
             raise ValueError("trend_n needs n >= 2")
@@ -32,20 +57,26 @@ class BaselineSpec:
 
     @property
     def name(self) -> str:
-        if self.kind == "trend_n":
-            return f"BaselineTrend{self.n}"
-        return {"training_mean": "BaselineTrainingMean",
-                "running_mean": "BaselineTestRunningMean",
-                "seasonal": "BaselineSeasonal"}[self.kind]
+        return BASELINE_TABLE[self.kind].label.format(n=self.n)
+
+    @property
+    def tasks(self) -> tuple[str, ...]:
+        return BASELINE_TABLE[self.kind].tasks
 
     @property
     def history_needed(self) -> int:
         """Target rows, ending at the anchor, that must be valid."""
-        if self.kind == "seasonal":
-            return self.horizon
-        if self.kind == "trend_n":
-            return self.n
-        return 1
+        return BASELINE_TABLE[self.kind].history(self)
+
+    def predict(self, y: np.ndarray, train, ws) -> np.ndarray:
+        """Flat predictions for windows ``ws`` of ``history_needed`` target rows."""
+        return np.ravel(BASELINE_TABLE[self.kind].predict(self, y, train, ws))
+
+
+#: The score table's baseline rows in report order; a task keeps those it can score.
+REPORT_BASELINES = (BaselineSpec("training_mean"), BaselineSpec("running_mean"),
+                    BaselineSpec("seasonal"), BaselineSpec("trend_n", n=3),
+                    BaselineSpec("trend_n", n=6))
 
 
 def training_mean_predict(train_targets: np.ndarray, query_count: int) -> np.ndarray:
@@ -66,17 +97,13 @@ def running_mean_predict(observed: np.ndarray) -> np.ndarray:
     observed = np.asarray(observed, dtype=float)
     if observed.size == 0:
         raise EmptyTraining("empty series")
-    preds = np.empty(len(observed))
-    total = 0.0
-    count = 0
-    for t, v in enumerate(observed):
-        if count == 0:
-            preds[t] = v if np.isfinite(v) else np.nan
-        else:
-            preds[t] = total / count
-        if np.isfinite(v):
-            total += v
-            count += 1
+    finite = np.isfinite(observed)
+    # summed in series order from +0.0, as a running total would: no -0.0
+    total = np.cumsum(np.where(finite, observed, 0.0)) + 0.0
+    count = np.cumsum(finite)
+    preds = np.where(finite, observed, np.nan)
+    past = np.flatnonzero(count[:-1]) + 1  # steps with a finite value before them
+    preds[past] = total[past - 1] / count[past - 1]
     return preds
 
 

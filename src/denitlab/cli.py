@@ -30,7 +30,7 @@ from . import dataset as ds
 from . import errors as err
 from .ablation import covariate_sweep, history_sweep, importance
 from .anomaly import detect_anomalies, events_to_json
-from .baselines import BaselineSpec
+from .baselines import REPORT_BASELINES
 from .config import ExperimentConfig, build_search_space, load_config
 from .evaluation import EvalReport, aggregate_seeds, evaluate, \
     forecast_horizon_breakdown, model_pairs
@@ -150,16 +150,12 @@ def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
 def _report_rows(config: ExperimentConfig, models, frame, plan) -> list[EvalReport]:
     rows: list[EvalReport] = []
     for model in models:
-        for split in ("train", "validation", "test"):
+        for split in ds.SPLITS:
             rows.append(evaluate(model, frame, plan, config.task, split=split))
-    if config.task == "nowcast":
-        baselines = [BaselineSpec("training_mean"), BaselineSpec("running_mean")]
-    else:
-        baselines = [BaselineSpec("training_mean"), BaselineSpec("seasonal"),
-                     BaselineSpec("trend_n", n=3), BaselineSpec("trend_n", n=6)]
-    for b in baselines:
-        for split in ("validation", "test"):
-            rows.append(evaluate(b, frame, plan, config.task, split=split))
+    for b in REPORT_BASELINES:
+        if config.task in b.tasks:
+            for split in ("validation", "test"):
+                rows.append(evaluate(b, frame, plan, config.task, split=split))
     return rows
 
 

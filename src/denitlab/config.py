@@ -20,16 +20,13 @@ import yaml
 
 from . import __version__
 from .anomaly import AnomalyParams
-from .dataset import COVARIATES, SAMPLES_PER_WEEK
-from .errors import BadParams, InvalidConfig
+from .dataset import COVARIATES, SAMPLES_PER_WEEK, SPLITS, TARGET
+from .errors import BadParams, InvalidConfig, InvalidSpec
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
 from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS
-from .models.spec import in_range
+from .models.spec import check_hyperparams, in_range
 from .preprocess import CleaningParams
 from .synthpilot import SynthConfig
-
-
-SPLITS = ("train", "validation", "test")
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,14 @@ class ExperimentConfig:
                 raise InvalidConfig(f"hyperparams for unknown arch {arch!r}")
             if not isinstance(overrides, dict):
                 raise InvalidConfig(f"hyperparams.{arch} must be a mapping")
+            try:
+                check_hyperparams(arch, overrides)
+            except InvalidSpec as exc:
+                raise InvalidConfig(f"hyperparams.{arch}: {exc}") from None
+        _check_covariates(self.covariates, "covariates")
+        _check_covariates(self.ablation.covariates, "ablation.covariates")
+        if len(set(self.ablation.covariates)) != len(self.ablation.covariates):
+            raise InvalidConfig("ablation.covariates names a covariate twice")
         for arch in self.hyperopt.space:
             build_search_space(self, arch)  # a malformed space fails at load
 
@@ -115,6 +120,15 @@ class ExperimentConfig:
                               "version": __version__},
                              sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _check_covariates(names, what: str) -> None:
+    """Every name a covariate column of the dataset schema."""
+    for name in names:
+        if name == TARGET:
+            raise InvalidConfig(f"{what}: {name!r} is the target, not a covariate")
+        if name not in COVARIATES:
+            raise InvalidConfig(f"{what}: no covariate column {name!r}")
 
 
 def _plain(obj):
@@ -255,4 +269,6 @@ def build_search_space(config: ExperimentConfig, arch: str) -> SearchSpace:
             for c in covariates.values):
         raise InvalidConfig(f"hyperopt.space.{arch}.covariates candidates must be "
                             f"lists of column names")
+    for candidate in covariates.values:
+        _check_covariates(candidate, f"hyperopt.space.{arch}.covariates")
     return SearchSpace(arch=arch, dimensions=dims)

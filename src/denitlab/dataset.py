@@ -133,6 +133,9 @@ class TimeSeriesFrame:
                                np.array(values, dtype=float), self.gaps, self.step)
 
 
+SPLITS = ("train", "validation", "test")  # the fields of a FoldPlan
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     """Train/validation/test partition as half-open sample-index ranges."""
@@ -154,9 +157,6 @@ class FoldPlan:
         test_min = min((s for s, _ in self.test), default=fit_max)
         if test_min < fit_max:
             raise ValueError("test indices must come after all train/val indices")
-
-    def n_indices(self, which: str) -> int:
-        return sum(e - s for s, e in getattr(self, which))
 
 
 @dataclass(frozen=True)

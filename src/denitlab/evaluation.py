@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineSpec, running_mean_predict, seasonal_predict, \
-    training_mean_predict, trend_n_predict
-from .dataset import TARGET, FoldPlan, TimeSeriesFrame, apply_scaler, invert_target
+from .baselines import BaselineSpec
+from .dataset import SPLITS, TARGET, FoldPlan, TimeSeriesFrame, apply_scaler, \
+    invert_target
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch
-from .preprocess import admissible_anchors, build_windows, span_clear
+from .preprocess import admissible_anchors, build_windows, finite_rows, span_clear
 
 FORECAST_HORIZON = 6
 
@@ -76,16 +76,9 @@ class SeedAggregate:
 
 
 def _split_ranges(plan: FoldPlan, split: str):
-    if split not in ("train", "validation", "test"):
+    if split not in SPLITS:
         raise SpecMismatch(f"unknown split {split!r}")
     return getattr(plan, split)
-
-
-def _finite_rows(frame: TimeSeriesFrame, names) -> np.ndarray:
-    if not names:
-        return np.ones(len(frame), dtype=bool)
-    idx = [frame.col_index(n) for n in names]
-    return np.all(np.isfinite(frame.values[:, idx]), axis=1)
 
 
 def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
@@ -110,7 +103,7 @@ def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
     # step s of the rollout reads covariates at t-h+s-1 .. t+s-1, so the
     # rollout also consumes covariates over [t+1, t+horizon-1]; drop anchors
     # where those are missing (admissibility only vets [t-h, t])
-    okcov = _finite_rows(frame, spec.covariates)
+    okcov = finite_rows(frame, spec.covariates)
     keep = span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON - 1)
     anchors = anchors[keep]
     if anchors.size == 0:
@@ -125,31 +118,17 @@ def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
                     split: str, task: str):
     """(pred, actual) in original units for one baseline over a split.
 
-    The anchors are those of ``admissible_anchors`` with no covariates, the
-    last ``history_needed`` target rows as history, and the ``horizon``
-    following rows (forecast) or the anchor itself (nowcast) as truth. A
-    forecast pools the horizon blocks of every anchor, anchor-major.
+    The windows are those of ``build_windows`` with no covariates and the
+    last ``history_needed`` target rows as history; the truth is the anchor
+    itself (nowcast) or the ``horizon`` following rows (forecast). A forecast
+    pools the horizon blocks of every anchor, anchor-major.
     """
-    if task == "nowcast" and spec.kind not in ("training_mean", "running_mean"):
-        raise SpecMismatch(f"{spec.name} is a forecasting baseline")
-    if task != "nowcast" and spec.kind == "running_mean":
-        raise SpecMismatch(f"{spec.name} is not a forecasting baseline")
-    y = frame.col(TARGET)
-    need = spec.history_needed
-    horizon = 0 if task == "nowcast" else spec.horizon
-    anchors, _ = admissible_anchors(frame, (), need - 1, horizon, with_target_history=True,
-                                    plan_ranges=_split_ranges(plan, split))
-    actual = y[anchors] if task == "nowcast" else \
-        y[anchors[:, None] + np.arange(1, horizon + 1)].ravel()
-    if spec.kind == "training_mean":
-        train_y = np.concatenate([y[s:e] for s, e in plan.train])
-        return training_mean_predict(train_y, actual.size), actual
-    if spec.kind == "running_mean":
-        return running_mean_predict(actual), actual
-    history = y[anchors[:, None] + np.arange(1 - need, 1)]
-    if spec.kind == "seasonal":
-        return seasonal_predict(history, horizon).ravel(), actual
-    return trend_n_predict(history, spec.n, horizon).ravel(), actual
+    if task not in spec.tasks:
+        raise SpecMismatch(f"{spec.name} cannot score a {task}")
+    ws = build_windows(frame, (), spec.history_needed - 1,
+                       0 if task == "nowcast" else spec.horizon,
+                       with_target_history=True, plan_ranges=_split_ranges(plan, split))
+    return spec.predict(frame.col(TARGET), plan.train, ws), ws.y.ravel()
 
 
 def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,

@@ -88,6 +88,16 @@ def in_range(name: str, value) -> bool:
         return False
 
 
+def check_hyperparams(arch: str, hyperparams: dict[str, Any]) -> None:
+    """Raise InvalidSpec at the first override ``arch`` lacks or whose value
+    is out of range."""
+    for name, value in hyperparams.items():
+        if name not in DEFAULT_HYPERPARAMS[arch]:
+            raise InvalidSpec(f"{arch} has no hyperparameter {name!r}")
+        if not in_range(name, value):
+            raise InvalidSpec(f"hyperparameter {name}={value!r} out of range")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture + hyperparameters + covariate subset + history length + seed.
@@ -113,12 +123,7 @@ class ModelSpec:
         if not self.covariates and self.task == "nowcast":
             raise InvalidSpec("nowcasting with zero covariates has no inputs")
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        allowed = DEFAULT_HYPERPARAMS[self.arch]
-        for name, value in self.hyperparams.items():
-            if name not in allowed:
-                raise InvalidSpec(f"{self.arch} has no hyperparameter {name!r}")
-            if not in_range(name, value):
-                raise InvalidSpec(f"hyperparameter {name}={value!r} out of range")
+        check_hyperparams(self.arch, self.hyperparams)
 
     def resolved(self) -> dict[str, Any]:
         """Hyperparameters with arch defaults filled in."""

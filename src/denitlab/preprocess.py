@@ -56,14 +56,16 @@ class CleaningMask:
                 raise ValueError(f"bad interval [{s}, {e})")
             prev_end = e
 
-    def indicator(self) -> np.ndarray:
-        flags = np.zeros(self.length, dtype=bool)
-        for s, e in self.intervals:
-            flags[s:e] = True
-        return flags
-
     def to_json(self) -> str:
         return json.dumps([{"start": int(s), "end": int(e)} for s, e in self.intervals])
+
+
+def indicator(length: int, intervals) -> np.ndarray:
+    """True on every row of the half-open ``intervals``, False on the rest."""
+    flags = np.zeros(length, dtype=bool)
+    for s, e in intervals:
+        flags[s:e] = True
+    return flags
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ def interpolate_target(frame: TimeSeriesFrame, mask: CleaningMask) -> TimeSeries
         return frame
     values = np.array(frame.values)
     col = frame.col_index(TARGET)
-    masked = mask.indicator()
+    masked = indicator(mask.length, mask.intervals)
     usable = np.flatnonzero(np.isfinite(values[:, col]) & ~masked)
     # no usable row lies inside an interval, so its first row and every row
     # in it share the bracket usable[k - 1] < row < usable[k]
@@ -180,6 +182,12 @@ def span_clear(ok: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     bad = np.concatenate([[0], np.cumsum(~ok)])
     return bad[hi + 1] - bad[lo] == 0
+
+
+def finite_rows(frame: TimeSeriesFrame, names) -> np.ndarray:
+    """Whether every column of ``names`` is finite, row by row (all True for none)."""
+    idx = [frame.col_index(c) for c in names]
+    return np.all(np.isfinite(frame.values[:, idx]), axis=1)
 
 
 def unbroken_rows(frame: TimeSeriesFrame) -> np.ndarray:
@@ -284,8 +292,7 @@ def admissible_anchors(frame: TimeSeriesFrame,
         blocks.append(np.arange(rs + h, re_ - horizon))
     t = np.concatenate(blocks)
 
-    cov_idx = [frame.col_index(c) for c in covariates]
-    ok_hist = np.all(np.isfinite(frame.values[:, cov_idx]), axis=1)
+    ok_hist = finite_rows(frame, covariates)
     if with_target_history:
         ok_hist &= np.isfinite(y_all)
     first_y = t + 1 if horizon else t

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dataset import SAMPLES_PER_DAY, SCHEMA, TimeSeriesFrame, Range
 from .errors import InvalidConfig, NonFiniteInput
+from .preprocess import indicator
 
 FAULT_KINDS = ("methanol_dropout", "turbidity_spike")
 
@@ -208,13 +209,6 @@ def resolve_schedule(config: SynthConfig) -> FaultSchedule:
                          turbidity_spike=tuple(sorted(by_kind["turbidity_spike"])))
 
 
-def _indicator(n: int, intervals) -> np.ndarray:
-    flags = np.zeros(n, dtype=bool)
-    for s, e in intervals:
-        flags[s:e] = True
-    return flags
-
-
 def _sinusoid(rng: np.random.Generator, n: int, p: SinusoidProfile) -> np.ndarray:
     t = np.arange(n)
     x = p.base + p.amplitude * np.sin(2 * math.pi * t / p.period_samples)
@@ -256,9 +250,9 @@ def generate(config: SynthConfig) -> tuple[TimeSeriesFrame, FaultSchedule]:
     n = config.n_samples
     rng = np.random.default_rng(config.seed)
     schedule = resolve_schedule(config)
-    cleaning = _indicator(n, schedule.cleaning)
-    dropout = _indicator(n, schedule.methanol_dropout)
-    turb_fault = _indicator(n, schedule.turbidity_spike)
+    cleaning = indicator(n, schedule.cleaning)
+    dropout = indicator(n, schedule.methanol_dropout)
+    turb_fault = indicator(n, schedule.turbidity_spike)
 
     temperature = _sinusoid(rng, n, config.temperature)
     water_flow = np.clip(_sinusoid(rng, n, config.flow), 0.01, None)

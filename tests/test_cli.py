@@ -462,6 +462,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "config error: hyperopt.space.gbt.n_trees: grid 2.5 out of range\n")
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("override,message", [
+        ({"archs": ["gbt"], "hyperparams": {"gbt": {"n_trees": 2.5}}},
+         "hyperparams.gbt: hyperparameter n_trees=2.5 out of range"),
+        # an arch the run does not train is still checked
+        ({"hyperparams": {"gbt": {"hiden": 8}}},
+         "hyperparams.gbt: gbt has no hyperparameter 'hiden'"),
+        ({"covariates": ["temprature"]},
+         "covariates: no covariate column 'temprature'"),
+        ({"covariates": ["nitrate_out"]},
+         "covariates: 'nitrate_out' is the target, not a covariate"),
+        ({"ablation": {"covariates": ["pressure_top", "nitrate_out"]}},
+         "ablation.covariates: 'nitrate_out' is the target, not a covariate"),
+        ({"ablation": {"covariates": ["methanol", "methanol"]}},
+         "ablation.covariates names a covariate twice"),
+        (_space("gbt", covariates=[["methanol"], ["nitrate_in", "temprature"]]),
+         "hyperopt.space.gbt.covariates: no covariate column 'temprature'"),
+    ], ids=["hyperparam-float-count", "hyperparam-unknown-other-arch",
+            "covariate-unknown", "covariate-target", "ablation-covariate-target",
+            "ablation-covariate-twice", "space-covariate-unknown"])
+    def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, command,
+                                                    override, message):
+        cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),
+                           synth=None, **override)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("override,code", [
         ({"h": "x"}, 2),
         ({"hyperparams": {"elastic_net": {"alpha": "x"}}}, 2),

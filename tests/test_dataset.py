@@ -127,9 +127,9 @@ class TestCvFolds:
         frame, _ = _uniform_frame(160 * SAMPLES_PER_DAY)
         for p in make_cv_folds(frame):
             n = len(frame)
-            assert p.n_indices("train") / n == pytest.approx(0.6, abs=0.05)
-            assert p.n_indices("validation") / n == pytest.approx(0.2, abs=0.05)
-            assert p.n_indices("test") / n == pytest.approx(0.2, abs=0.01)
+            assert sum(e - s for s, e in p.train) / n == pytest.approx(0.6, abs=0.05)
+            assert sum(e - s for s, e in p.validation) / n == pytest.approx(0.2, abs=0.05)
+            assert sum(e - s for s, e in p.test) / n == pytest.approx(0.2, abs=0.01)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=5 * SAMPLES_PER_WEEK + 1,
