@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .dataset import FORECAST_HORIZON
 from .errors import EmptyTraining, InsufficientHistory
 
 
@@ -34,17 +35,16 @@ BASELINE_TABLE: dict[str, Kind] = {
                               np.concatenate([y[a:b] for a, b in train]), ws.y.size)),
     "running_mean": Kind("BaselineTestRunningMean", ("nowcast",), lambda s: 1,
                          lambda s, y, train, ws: running_mean_predict(ws.y)),
-    "seasonal": Kind("BaselineSeasonal", ("forecast",), lambda s: s.horizon,
-                     lambda s, y, train, ws: seasonal_predict(ws.y_hist, s.horizon)),
+    "seasonal": Kind("BaselineSeasonal", ("forecast",), lambda s: FORECAST_HORIZON,
+                     lambda s, y, train, ws: seasonal_predict(ws.y_hist, ws.horizon)),
     "trend_n": Kind("BaselineTrend{n}", ("forecast",), lambda s: s.n,
-                    lambda s, y, train, ws: trend_n_predict(ws.y_hist, s.n, s.horizon)),
+                    lambda s, y, train, ws: trend_n_predict(ws.y_hist, s.n, ws.horizon)),
 }
 
 
 @dataclass(frozen=True)
 class BaselineSpec:
     kind: str
-    horizon: int = 6
     n: int = 6  # trend_n window only
 
     def __post_init__(self):
@@ -52,8 +52,6 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline {self.kind!r}")
         if self.kind == "trend_n" and self.n < 2:
             raise ValueError("trend_n needs n >= 2")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
     @property
     def name(self) -> str:
@@ -107,7 +105,8 @@ def running_mean_predict(observed: np.ndarray) -> np.ndarray:
     return preds
 
 
-def seasonal_predict(history: np.ndarray, horizon: int = 6) -> np.ndarray:
+def seasonal_predict(history: np.ndarray,
+                     horizon: int = FORECAST_HORIZON) -> np.ndarray:
     """The next block repeats the immediately preceding horizon-length block.
 
     History runs along the last axis: a (B, L) history gives (B, horizon).
@@ -118,7 +117,8 @@ def seasonal_predict(history: np.ndarray, horizon: int = 6) -> np.ndarray:
     return np.array(history[..., -horizon:])
 
 
-def trend_n_predict(history: np.ndarray, n: int, horizon: int = 6) -> np.ndarray:
+def trend_n_predict(history: np.ndarray, n: int,
+                    horizon: int = FORECAST_HORIZON) -> np.ndarray:
     """Least-squares line through the last n points, extrapolated forward.
 
     History runs along the last axis: a (B, L) history gives (B, horizon).

@@ -100,7 +100,11 @@ def _model_specs(config: ExperimentConfig, out: Path) -> list[ModelSpec]:
             if not best_path.exists():
                 raise err.InvalidConfig(
                     f"use_best_specs set but {best_path} is missing; run hyperopt first")
-            base = ModelSpec.from_dict(json.loads(best_path.read_text()))
+            try:
+                base = ModelSpec.from_dict(json.loads(best_path.read_text()))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise err.InvalidConfig(f"{best_path} is not a model spec: "
+                                        f"{type(exc).__name__}: {exc}") from None
             base = replace(base, task=config.task)
         else:
             base = ModelSpec(arch=arch, covariates=config.covariates, h=config.h,
@@ -248,11 +252,17 @@ def cmd_report(config: ExperimentConfig, out: Path, args) -> None:
         raise err.InvalidConfig(f"{path} missing; run evaluate first")
     rows: dict[tuple, list[EvalReport]] = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            report = EvalReport(model_id=rec["model_id"], task=rec["task"],
-                                split=rec["split"], seed=int(rec["seed"]),
-                                mse=float(rec["mse"]), mae=float(rec["mae"]),
-                                n_points=int(rec["n_points"]))
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            try:
+                report = EvalReport(model_id=rec["model_id"], task=rec["task"],
+                                    split=rec["split"], seed=int(rec["seed"]),
+                                    mse=float(rec["mse"]), mae=float(rec["mae"]),
+                                    n_points=int(rec["n_points"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise err.UnparsableValue(
+                    f"{path} line {reader.line_num}: not a score row: "
+                    f"{type(exc).__name__}: {exc}") from None
             key = (report.model_id, report.task, report.split)
             rows.setdefault(key, []).append(report)
     aggregates = {key: aggregate_seeds(group) for key, group in rows.items()}

@@ -107,8 +107,6 @@ class ExperimentConfig:
                 raise InvalidConfig(f"hyperparams.{arch}: {exc}") from None
         _check_covariates(self.covariates, "covariates")
         _check_covariates(self.ablation.covariates, "ablation.covariates")
-        if len(set(self.ablation.covariates)) != len(self.ablation.covariates):
-            raise InvalidConfig("ablation.covariates names a covariate twice")
         for arch in self.hyperopt.space:
             build_search_space(self, arch)  # a malformed space fails at load
 
@@ -123,12 +121,14 @@ class ExperimentConfig:
 
 
 def _check_covariates(names, what: str) -> None:
-    """Every name a covariate column of the dataset schema."""
+    """Every name a covariate column of the dataset schema, none twice."""
     for name in names:
         if name == TARGET:
             raise InvalidConfig(f"{what}: {name!r} is the target, not a covariate")
         if name not in COVARIATES:
             raise InvalidConfig(f"{what}: no covariate column {name!r}")
+    if len(set(names)) != len(names):
+        raise InvalidConfig(f"{what} names a covariate twice")
 
 
 def _plain(obj):

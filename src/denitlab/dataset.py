@@ -134,6 +134,7 @@ class TimeSeriesFrame:
 
 
 SPLITS = ("train", "validation", "test")  # the fields of a FoldPlan
+FORECAST_HORIZON = 6  # steps every forecast is scored on, models and baselines alike
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 multi-seed aggregation.
 
 Models predict in the scaled domain and are inverted before scoring;
-baselines never leave original units. Forecast scores pool all six horizon
-steps of every admissible anchor into a single mean.
+baselines never leave original units. Forecast scores pool all
+``FORECAST_HORIZON`` steps of every admissible anchor into a single mean.
+Every scored window, a model's forecast rollout included, comes from
+``build_windows``, so one rule decides which anchors a row scores.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BaselineSpec
-from .dataset import SPLITS, TARGET, FoldPlan, TimeSeriesFrame, apply_scaler, \
-    invert_target
+from .dataset import FORECAST_HORIZON, SPLITS, TARGET, FoldPlan, TimeSeriesFrame, \
+    apply_scaler, invert_target
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch
-from .preprocess import admissible_anchors, build_windows, finite_rows, span_clear
-
-FORECAST_HORIZON = 6
+from .preprocess import build_windows
 
 
 def _checked_pair(pred, actual) -> tuple[np.ndarray, np.ndarray]:
@@ -97,19 +97,17 @@ def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
         preds = invert_target(scaler, predict_batch(model, ws))
         return ws.t, preds, y[ws.t]
 
-    anchors, _ = admissible_anchors(scaled, spec.covariates, spec.h,
-                                    horizon=FORECAST_HORIZON, with_target_history=True,
-                                    plan_ranges=ranges)
-    # step s of the rollout reads covariates at t-h+s-1 .. t+s-1, so the
-    # rollout also consumes covariates over [t+1, t+horizon-1]; drop anchors
-    # where those are missing (admissibility only vets [t-h, t])
-    okcov = finite_rows(frame, spec.covariates)
-    keep = span_clear(okcov, anchors + 1, anchors + FORECAST_HORIZON - 1)
-    anchors = anchors[keep]
-    if anchors.size == 0:
-        raise NoAdmissibleWindows("no forecast anchors with known future covariates")
-    preds = invert_target(scaler, rollout_forecast_batch(model, scaled, anchors,
-                                                         FORECAST_HORIZON))
+    # the one-step window anchored at t + last spans [t-h, t+FORECAST_HORIZON]:
+    # the rollout's history, future covariates and truth, vetted by one rule
+    last = FORECAST_HORIZON - 1
+    try:
+        ws = build_windows(scaled, spec.covariates, spec.h + last, horizon=1,
+                           with_target_history=True, plan_ranges=ranges)
+    except NoAdmissibleWindows:
+        raise NoAdmissibleWindows(f"no admissible forecast anchors (h={spec.h}, "
+                                  f"horizon={FORECAST_HORIZON})") from None
+    anchors = ws.t - last
+    preds = invert_target(scaler, rollout_forecast_batch(model, ws))
     future = anchors[:, None] + np.arange(1, FORECAST_HORIZON + 1)
     return anchors, preds.ravel(), y[future].ravel()
 
@@ -120,13 +118,13 @@ def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
 
     The windows are those of ``build_windows`` with no covariates and the
     last ``history_needed`` target rows as history; the truth is the anchor
-    itself (nowcast) or the ``horizon`` following rows (forecast). A forecast
-    pools the horizon blocks of every anchor, anchor-major.
+    itself (nowcast) or the ``FORECAST_HORIZON`` following rows (forecast). A
+    forecast pools the horizon blocks of every anchor, anchor-major.
     """
     if task not in spec.tasks:
         raise SpecMismatch(f"{spec.name} cannot score a {task}")
     ws = build_windows(frame, (), spec.history_needed - 1,
-                       0 if task == "nowcast" else spec.horizon,
+                       0 if task == "nowcast" else FORECAST_HORIZON,
                        with_target_history=True, plan_ranges=_split_ranges(plan, split))
     return spec.predict(frame.col(TARGET), plan.train, ws), ws.y.ravel()
 

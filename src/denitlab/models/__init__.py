@@ -4,6 +4,9 @@ Tabular archs (elastic_net, gbt) consume the window flattened row-major:
 one block of channels per time step, oldest step first, with the target
 history (forecasting only) appended as the last channel of each block.
 Sequence archs (recurrent, tcn) consume the same layout unflattened.
+Both ``predict_batch`` and ``rollout_forecast_batch`` read a ``WindowSet``
+from ``build_windows``, so every window a model sees has been vetted there;
+a rollout's windows carry one history row more per extra step.
 
 Adding an arch means one ``ARCH_TABLE`` entry plus its defaults in
 ``spec.DEFAULT_HYPERPARAMS`` (and a ``spec._VALIDATORS`` check per new name).
@@ -16,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..dataset import Scaler, TARGET, TimeSeriesFrame
+from ..dataset import Scaler
 from ..errors import EmptyWindows, SpecMismatch
 from ..preprocess import WindowSet
 from . import elastic_net as _enet
@@ -35,13 +38,15 @@ MODEL_FORMAT = "denitlab-model"
 MODEL_VERSION = 1
 
 
-def _check_window_set(spec: ModelSpec, ws: WindowSet) -> None:
-    if ws.covariates != spec.covariates or ws.h != spec.h \
+def _check_window_set(spec: ModelSpec, ws: WindowSet, steps: int = 1) -> None:
+    """``ws`` holds the spec's inputs for ``steps`` one-step predictions in a row."""
+    h = spec.h + steps - 1
+    if ws.covariates != spec.covariates or ws.h != h \
             or ws.with_target_history != spec.uses_target_history:
         raise SpecMismatch(
             f"window set (covariates={ws.covariates}, h={ws.h}, "
             f"y_hist={ws.with_target_history}) does not match spec "
-            f"(covariates={spec.covariates}, h={spec.h}, task={spec.task})")
+            f"(covariates={spec.covariates}, h={h}, task={spec.task})")
 
 
 def stack_inputs(spec: ModelSpec, ws: WindowSet) -> np.ndarray:
@@ -153,32 +158,30 @@ def predict_batch(model: TrainedModel, ws: WindowSet) -> np.ndarray:
                                                stack_inputs(model.spec, ws))
 
 
-def rollout_forecast_batch(model: TrainedModel, scaled: TimeSeriesFrame,
-                           anchors: np.ndarray, steps: int = 6) -> np.ndarray:
-    """Recursive multi-step forecasts at many anchors, (anchors, steps).
+def rollout_forecast_batch(model: TrainedModel, ws: WindowSet) -> np.ndarray:
+    """Recursive multi-step forecasts, (windows, steps) with steps = ws.h - h + 1.
 
-    Like ``predict_batch``, this works in the scaled domain: ``scaled`` is the
-    frame standardized by the model's scaler, and the forecasts come back
-    scaled (``invert_target`` maps them to original units). Covariates over
-    (t, t+steps-1] are treated as known measurements; the target history
-    channel is fed the model's own predictions. The caller must supply
-    admissible anchors (validated spans).
+    Row i forecasts from anchor ``ws.t[i] - steps + 1``: the window set is the
+    spec's one with ``steps - 1`` more history rows, so it holds the anchor's
+    own history and the covariates over (t, t+steps-1], which are treated as
+    known measurements. Step s reads covariate rows ``s-1 .. s+h`` of the
+    window; the target history channel starts from the anchor's and is fed
+    the model's own predictions. Like ``predict_batch``, this works in the
+    scaled domain (``invert_target`` maps the forecasts to original units).
     """
     spec = model.spec
     if spec.task != "forecast":
         raise SpecMismatch("rollout requires a forecast-task model")
-    anchors = np.asarray(anchors, dtype=int)
     h = spec.h
-    cov = scaled.values[:, [scaled.col_index(n) for n in spec.covariates]]
-    y_scaled = scaled.col(TARGET)
+    steps = ws.h - h + 1
+    _check_window_set(spec, ws, steps=max(steps, 1))  # fails if ws.h < h
     predict = ARCH_TABLE[spec.arch].predict
 
-    hist_idx = anchors[:, None] + np.arange(-h, 1)
-    y_buf = np.empty((len(anchors), h + steps + 1))
-    y_buf[:, :h + 1] = y_scaled[hist_idx]
+    y_buf = np.empty((len(ws), h + steps + 1))
+    y_buf[:, :h + 1] = ws.y_hist[:, :h + 1]
     for s in range(1, steps + 1):
-        row_idx = hist_idx + s - 1
-        inputs = np.concatenate([cov[row_idx], y_buf[:, s - 1:h + s, None]], axis=2)
+        inputs = np.concatenate([ws.X[:, s - 1:s + h], y_buf[:, s - 1:h + s, None]],
+                                axis=2)
         y_buf[:, h + s] = predict(model.parameters, inputs)
     return y_buf[:, h + 1:]
 
@@ -203,22 +206,26 @@ def serialize(model: TrainedModel) -> str:
     return json.dumps(doc, indent=1)
 
 
-def deserialize(text: str) -> TrainedModel:
-    doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise SpecMismatch(f"not a model artifact: format={doc.get('format')!r}")
-    if doc.get("version") != MODEL_VERSION:
-        raise SpecMismatch(f"unsupported artifact version {doc.get('version')!r}")
-    spec = ModelSpec.from_dict(doc["spec"])
-    sc = doc["scaler"]
-    scaler = Scaler(names=tuple(sc["names"]),
-                    mean=np.array(sc["mean"], dtype=float),
-                    std=np.array(sc["std"], dtype=float),
-                    fitted_on=tuple(tuple(r) for r in sc["fitted_on"]),
-                    target_index=int(sc["target_index"]))
-    return TrainedModel(spec=spec,
-                        parameters=ARCH_TABLE[spec.arch].decode(doc["parameters"]),
-                        scaler=scaler)
+def deserialize(text: str | bytes) -> TrainedModel:
+    """The model ``serialize`` wrote; text that is not one is a SpecMismatch."""
+    try:
+        doc = json.loads(text)
+        if doc.get("format") != MODEL_FORMAT:
+            raise SpecMismatch(f"not a model artifact: format={doc.get('format')!r}")
+        if doc.get("version") != MODEL_VERSION:
+            raise SpecMismatch(f"unsupported artifact version {doc.get('version')!r}")
+        spec = ModelSpec.from_dict(doc["spec"])
+        sc = doc["scaler"]
+        scaler = Scaler(names=tuple(sc["names"]),
+                        mean=np.array(sc["mean"], dtype=float),
+                        std=np.array(sc["std"], dtype=float),
+                        fitted_on=tuple(tuple(r) for r in sc["fitted_on"]),
+                        target_index=int(sc["target_index"]))
+        parameters = ARCH_TABLE[spec.arch].decode(doc["parameters"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SpecMismatch(
+            f"malformed model artifact: {type(exc).__name__}: {exc}") from None
+    return TrainedModel(spec=spec, parameters=parameters, scaler=scaler)
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -227,5 +234,5 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes: json decodes them, or deserialize refuses
         return deserialize(fh.read())

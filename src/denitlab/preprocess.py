@@ -8,9 +8,12 @@ covariate untouched.
 
 Windows are arrays indexed by anchor. ``build_windows`` takes the candidate
 anchors of every plan range as one index array, keeps those whose spans are
-admissible, and gathers all windows at once. Admissibility is ``span_clear``:
-a prefix sum of "bad row" flags (gap breaks, missing values) answers "is
-every row of [lo, hi] good" for all anchors in one vectorised step.
+admissible, and gathers all windows at once. It is the one place that decides
+admissibility, for training, scoring and baselines alike: a k-step forecast
+rollout from anchor t reads the window anchored at t+k-1, whose history
+holds k-1 more rows. Admissibility is ``span_clear``: a prefix sum of "bad
+row" flags (gap breaks, missing values) answers "is every row of [lo, hi]
+good" for all anchors in one vectorised step.
 """
 
 from __future__ import annotations
@@ -253,14 +256,13 @@ class WindowSet:
         return _SampleView(self)
 
 
-def admissible_anchors(frame: TimeSeriesFrame,
-                       covariates,
-                       h: int,
-                       horizon: int,
-                       with_target_history: bool,
-                       plan_ranges) -> tuple[np.ndarray, int]:
-    """Anchors of all admissible windows in ``plan_ranges``, in range order,
-    and the number of candidate anchors (every row of the ranges).
+def build_windows(frame: TimeSeriesFrame,
+                  covariates,
+                  h: int,
+                  horizon: int,
+                  with_target_history: bool,
+                  plan_ranges) -> WindowSet:
+    """All admissible windows anchored in ``plan_ranges``, in range order.
 
     An anchor t is admissible when the span [t-h, t+horizon] stays inside a
     single range, crosses no gap, and touches no missing value it needs:
@@ -268,7 +270,8 @@ def admissible_anchors(frame: TimeSeriesFrame,
     and the target at t (nowcast) or t+1..t+horizon (forecast). Staying
     inside range [rs, re) means rs+h <= t < re-horizon, so only those anchors
     are tested; each other condition is one ``span_clear`` over all of them
-    at once.
+    at once. The windows are then gathered from the frame's covariate columns
+    at rows ``t[:, None] + arange(-h, 1)`` in one indexing step.
     """
     if h < 0:
         raise BadParams("history length h must be >= 0")
@@ -302,26 +305,8 @@ def admissible_anchors(frame: TimeSeriesFrame,
     if not t.size:
         raise NoAdmissibleWindows(
             f"no admissible anchors among {candidates} candidates (h={h}, horizon={horizon})")
-    return t, candidates
 
-
-def build_windows(frame: TimeSeriesFrame,
-                  covariates,
-                  h: int,
-                  horizon: int,
-                  with_target_history: bool,
-                  plan_ranges) -> WindowSet:
-    """All admissible windows anchored in ``plan_ranges``, in range order.
-
-    The anchors are those of ``admissible_anchors``; the windows are then
-    gathered from the frame's covariate columns at rows
-    ``t[:, None] + arange(-h, 1)`` in one indexing step.
-    """
-    covariates = tuple(covariates)
-    t, candidates = admissible_anchors(frame, covariates, h, horizon,
-                                       with_target_history, plan_ranges)
     cov_idx = np.array([frame.col_index(c) for c in covariates], dtype=np.intp)
-    y_all = frame.col(TARGET)
     rows = t[:, None] + np.arange(-h, 1)
     y = y_all[t] if horizon == 0 else y_all[t[:, None] + np.arange(1, horizon + 1)]
     y_hist = y_all[rows] if with_target_history else None

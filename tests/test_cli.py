@@ -369,6 +369,40 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"data error: dataset {bad} is not UTF-8 text: byte 0xff at offset 12\n")
 
+    def test_report_csv_missing_a_column_exits_3(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.csv").write_text("model_id,task,split,mse,mae,n_points\n"
+                                        "elastic_net,nowcast,test,1.0,0.5,10\n")
+        assert main(["report", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'report.csv'} line 2: not a score row: "
+            f"KeyError: 'seed'\n")
+
+    @pytest.mark.parametrize("data", [
+        b"not json", json.dumps({"format": "denitlab-model", "version": 1}).encode(),
+        b"\xff\xfe{"], ids=["not-json", "no-spec", "not-utf8"])
+    def test_malformed_model_artifact_exits_3(self, config_path, tmp_path, capsys,
+                                              data):
+        out = tmp_path / "o"
+        (out / "models").mkdir(parents=True)
+        (out / "models" / "elastic_net_seed0.bin").write_bytes(data)
+        assert main(["evaluate", "--config", str(config_path),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model artifact: ")
+        assert err.count("\n") == 1
+
+    def test_malformed_best_spec_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.yaml", use_best_specs=True)
+        out = tmp_path / "o"
+        out.mkdir()
+        best = out / "best_spec_elastic_net.json"
+        best.write_text(json.dumps({"arch": "elastic_net"}))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {best} is not a model spec: KeyError: 'covariates'\n")
+
     @pytest.mark.parametrize("command,override", [
         ("train", {"seeds": ["a"]}),
         ("train", {"ablation": {"seeds": [0, 1.5]}}),
@@ -479,9 +513,14 @@ class TestExitCodes:
          "ablation.covariates names a covariate twice"),
         (_space("gbt", covariates=[["methanol"], ["nitrate_in", "temprature"]]),
          "hyperopt.space.gbt.covariates: no covariate column 'temprature'"),
+        ({"covariates": ["methanol", "methanol"]},
+         "covariates names a covariate twice"),
+        (_space("gbt", covariates=[["methanol"], ["nitrate_in", "nitrate_in"]]),
+         "hyperopt.space.gbt.covariates names a covariate twice"),
     ], ids=["hyperparam-float-count", "hyperparam-unknown-other-arch",
             "covariate-unknown", "covariate-target", "ablation-covariate-target",
-            "ablation-covariate-twice", "space-covariate-unknown"])
+            "ablation-covariate-twice", "space-covariate-unknown",
+            "covariate-twice", "space-covariate-twice"])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, command,
                                                     override, message):
         cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),

@@ -276,6 +276,7 @@ class TestForecastAnchorSets:
         from denitlab.dataset import Scaler, apply_scaler
         from denitlab.evaluation import model_pairs
         from denitlab.models import TrainedModel, rollout_forecast_batch
+        from denitlab.preprocess import build_windows
         rng = np.random.default_rng(0)
         methanol = 10 + rng.normal(size=60)
         methanol[50] = np.nan
@@ -287,10 +288,12 @@ class TestForecastAnchorSets:
         model = TrainedModel(spec=spec, parameters={"w": np.full(6, 0.1), "b": 0.0,
                                                     "converged": True},
                              scaler=scaler)
-        rolled = rollout_forecast_batch(model, apply_scaler(frame, scaler),
-                                        np.array([44, 45]))
-        assert np.all(np.isfinite(rolled[0]))
-        assert np.isnan(rolled[1, -1]) and np.all(np.isfinite(rolled[1, :-1]))
+        # the rollout windows of anchors 44 and 45 end at rows 49 and 50
+        ws = build_windows(apply_scaler(frame, scaler), ("methanol",), 2 + 5,
+                           horizon=1, with_target_history=True,
+                           plan_ranges=((42, 52),))
+        assert (ws.t - 5).tolist() == [44]
+        assert np.all(np.isfinite(rollout_forecast_batch(model, ws)))
         anchors, preds, _ = model_pairs(model, frame, ((30, 60),))
         assert np.array_equal(anchors, np.r_[32:45, 53])
         assert np.all(np.isfinite(preds))
@@ -327,6 +330,7 @@ class TestForecastAnchorSets:
         from denitlab.dataset import apply_scaler, invert_target
         from denitlab.evaluation import model_pairs
         from denitlab.models import rollout_forecast_batch
+        from denitlab.preprocess import build_windows
         frame = _gappy_frame(seed)
         plan = make_final_split(frame, 0.5, 0.2)
         spec = ModelSpec("elastic_net", ("nitrate_in", "methanol"), h=h,
@@ -338,7 +342,12 @@ class TestForecastAnchorSets:
             self._admitted(frame, plan.test, -h, 5, ("nitrate_in", "methanol")))
         _, preds, _ = model_pairs(model, frame, plan.test)
         scaled = apply_scaler(frame, model.scaler)
-        np.testing.assert_allclose(preds, np.concatenate(
-            [invert_target(model.scaler,
-                           rollout_forecast_batch(model, scaled, np.array([t]))[0])
-             for t in anchors]), rtol=1e-13)
+
+        def alone(t):
+            # the one rollout window of the range [t-h, t+7) is anchored at t+5
+            ws = build_windows(scaled, spec.covariates, h + 5, horizon=1,
+                               with_target_history=True, plan_ranges=[(t - h, t + 7)])
+            return invert_target(model.scaler, rollout_forecast_batch(model, ws)[0])
+
+        np.testing.assert_allclose(preds, np.concatenate([alone(t) for t in anchors]),
+                                   rtol=1e-13)

@@ -93,10 +93,17 @@ class TestSerialization:
 
 
 def rollout(model, frame, t, steps=6):
-    """Rollout at the single anchor t, scaled and inverted with the model's scaler."""
-    scaled = apply_scaler(frame, model.scaler)
-    return invert_target(model.scaler,
-                         rollout_forecast_batch(model, scaled, np.array([t]), steps)[0])
+    """Rollout at the single anchor t, scaled and inverted with the model's scaler.
+
+    The window is the spec's with ``steps - 1`` more history rows, anchored at
+    t + steps - 1: the one anchor of the range [t-h, t+steps+1).
+    """
+    h = model.spec.h
+    ws = build_windows(apply_scaler(frame, model.scaler), model.spec.covariates,
+                       h + steps - 1, horizon=1, with_target_history=True,
+                       plan_ranges=[(t - h, t + steps + 1)])
+    assert ws.t.tolist() == [t + steps - 1]
+    return invert_target(model.scaler, rollout_forecast_batch(model, ws)[0])
 
 
 class TestRollout:
