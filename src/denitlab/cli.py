@@ -26,6 +26,12 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+# One BLAS thread per process, set before numpy loads: `--jobs N` forks N
+# workers, and artifacts must not depend on the host's core count. A value
+# the user exported wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import dataset as ds
 from . import errors as err
 from .ablation import covariate_sweep, history_sweep, importance
@@ -207,11 +213,7 @@ def cmd_hyperopt(config: ExperimentConfig, out: Path, args) -> None:
 
 def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
     frame, _, plan = _load_planned(config, args.dataset)
-    arch = config.archs[0]
-    base = ModelSpec(arch=arch, covariates=config.ablation.covariates,
-                     h=config.h, task=config.task,
-                     hyperparams=dict(config.hyperparams.get(arch, {})),
-                     seed=config.seeds[0])
+    base = replace(_model_specs(config, out)[0], covariates=config.ablation.covariates)
     table = covariate_sweep(base, config.ablation.covariates, frame, plan,
                             seeds=config.ablation.seeds or None, jobs=config.jobs)
     table.to_csv(out / "ablation.csv")
@@ -251,7 +253,7 @@ def cmd_report(config: ExperimentConfig, out: Path, args) -> None:
     if not path.exists():
         raise err.InvalidConfig(f"{path} missing; run evaluate first")
     rows: dict[tuple, list[EvalReport]] = {}
-    with open(path, newline="") as fh:
+    with ds.utf8_text(path.read_bytes(), path) as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
             try:

@@ -190,6 +190,18 @@ def read_csv_bytes(path) -> bytes:
         return fh.read()
 
 
+def utf8_text(data: bytes, name) -> io.TextIOWrapper:
+    """``data`` as a text stream for ``csv``; raises ``NotUTF8`` naming ``name``
+    and the offset of the first bad byte if it is not UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUTF8(f"{name} is not UTF-8 text: byte "
+                      f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+    # the stream decodes line by line, as from a file, holding no copy of the text
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
 def load_csv(path, data: bytes | None = None) -> TimeSeriesFrame:
     """Read a frame from the published CSV layout.
 
@@ -200,14 +212,7 @@ def load_csv(path, data: bytes | None = None) -> TimeSeriesFrame:
     """
     if data is None:
         data = read_csv_bytes(path)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise NotUTF8(f"dataset {path} is not UTF-8 text: byte "
-                      f"0x{data[exc.start]:02x} at offset {exc.start}") from None
-    # the parse decodes line by line, as from the file, holding no copy of the text
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                         newline=""))
+    reader = csv.reader(utf8_text(data, f"dataset {path}"))
     try:
         header = next(reader)
     except StopIteration:

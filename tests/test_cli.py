@@ -203,6 +203,29 @@ class TestAblateAnomalyHyperopt:
                                        "history.csv"}
         assert artifacts["2"] == artifacts["1"]
 
+    def test_ablate_uses_best_spec(self, tmp_path):
+        ablation = {"covariates": ["nitrate_in", "methanol"]}
+        best = write_config(tmp_path / "best.yaml", use_best_specs=True,
+                            ablation=ablation)
+        out = tmp_path / "best"
+        out.mkdir()
+        (out / "best_spec_elastic_net.json").write_text(json.dumps(
+            {"arch": "elastic_net", "covariates": ["nitrate_in"], "h": 4,
+             "task": "nowcast", "hyperparams": {"alpha": 0.5}, "seed": 7}))
+        explicit = write_config(tmp_path / "explicit.yaml", h=4, ablation=ablation,
+                                hyperparams={"elastic_net": {"alpha": 0.5}})
+        for cfg, run in ((best, out), (explicit, tmp_path / "explicit")):
+            assert main(["ablate", "--config", str(cfg), "--out", str(run)]) == 0
+        assert ((out / "ablation.csv").read_bytes()
+                == (tmp_path / "explicit" / "ablation.csv").read_bytes())
+
+    def test_ablate_without_best_spec_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.yaml", use_best_specs=True,
+                           ablation={"covariates": ["nitrate_in"]})
+        out = tmp_path / "o"
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "best_spec_elastic_net.json is missing" in capsys.readouterr().err
+
     def test_anomaly_command(self, config_path, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", str(config_path), "--out", str(out)])
@@ -378,6 +401,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"data error: {out / 'report.csv'} line 2: not a score row: "
             f"KeyError: 'seed'\n")
+
+    def test_report_csv_not_utf8_exits_3(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.csv").write_bytes(b"model_id,task,split,seed,mse,mae,n_points\n"
+                                         b"\xff\xfe,nowcast,test,0,1.0,0.5,10\n")
+        assert main(["report", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'report.csv'} is not UTF-8 text: "
+            f"byte 0xff at offset 42\n")
 
     @pytest.mark.parametrize("data", [
         b"not json", json.dumps({"format": "denitlab-model", "version": 1}).encode(),
