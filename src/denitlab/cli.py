@@ -73,7 +73,7 @@ def _load_frame(config: ExperimentConfig, dataset_override: str | None):
     if path is None and config.synth is None:
         path = os.environ.get(DATA_ENV)
     if path is not None:
-        data = ds.read_csv_bytes(path)
+        data = ds.read_file_bytes(path, f"dataset {path}")
         key = (hashlib.sha256(data).digest(), config.cleaning)
     elif config.synth is not None:
         key = (config.synth, config.cleaning)
@@ -107,7 +107,9 @@ def _model_specs(config: ExperimentConfig, out: Path) -> list[ModelSpec]:
                 raise err.InvalidConfig(
                     f"use_best_specs set but {best_path} is missing; run hyperopt first")
             try:
-                base = ModelSpec.from_dict(json.loads(best_path.read_text()))
+                base = ModelSpec.from_dict(json.load(ds.read_text(best_path)))
+            except (err.NotAFile, err.NotUTF8) as exc:
+                raise err.InvalidConfig(str(exc)) from None
             except (ValueError, KeyError, TypeError) as exc:
                 raise err.InvalidConfig(f"{best_path} is not a model spec: "
                                         f"{type(exc).__name__}: {exc}") from None
@@ -253,7 +255,7 @@ def cmd_report(config: ExperimentConfig, out: Path, args) -> None:
     if not path.exists():
         raise err.InvalidConfig(f"{path} missing; run evaluate first")
     rows: dict[tuple, list[EvalReport]] = {}
-    with ds.utf8_text(path.read_bytes(), path) as fh:
+    with ds.read_text(path) as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
             try:

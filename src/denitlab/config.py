@@ -20,8 +20,8 @@ import yaml
 
 from . import __version__
 from .anomaly import AnomalyParams
-from .dataset import COVARIATES, SAMPLES_PER_WEEK, SPLITS, TARGET
-from .errors import BadParams, InvalidConfig, InvalidSpec
+from .dataset import COVARIATES, SAMPLES_PER_WEEK, SPLITS, TARGET, read_text
+from .errors import BadParams, InvalidConfig, InvalidSpec, NotAFile, NotUTF8
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
 from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS
 from .models.spec import check_hyperparams, in_range
@@ -197,10 +197,11 @@ _Loader.add_implicit_resolver(
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            raw = yaml.load(fh, Loader=_Loader)
+        raw = yaml.load(read_text(path, f"config {path}"), Loader=_Loader)
     except FileNotFoundError:
         raise InvalidConfig(f"config file not found: {path}") from None
+    except (NotAFile, NotUTF8) as exc:
+        raise InvalidConfig(str(exc)) from None
     except yaml.YAMLError as exc:
         raise InvalidConfig(f"config is not valid YAML: {exc}") from None
     return _build(ExperimentConfig, {} if raw is None else raw, "")

@@ -182,10 +182,11 @@ def _parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def read_csv_bytes(path) -> bytes:
-    """The raw bytes of a dataset file; a directory is refused."""
+def read_file_bytes(path, name=None) -> bytes:
+    """The raw bytes of a file the toolkit reads; a directory is refused.
+    ``name`` (the path by default) names the file in the error."""
     if os.path.isdir(path):
-        raise NotAFile(f"dataset path {path} is a directory, not a CSV file")
+        raise NotAFile(f"{name or path} is a directory, not a file")
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -202,16 +203,23 @@ def utf8_text(data: bytes, name) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
+def read_text(path, name=None) -> io.TextIOWrapper:
+    """A file the toolkit reads back, as a UTF-8 text stream: ``NotAFile`` for
+    a directory, ``NotUTF8`` for other bytes, each naming ``name`` (the path
+    by default)."""
+    return utf8_text(read_file_bytes(path, name), name or path)
+
+
 def load_csv(path, data: bytes | None = None) -> TimeSeriesFrame:
     """Read a frame from the published CSV layout.
 
     The first column must be ``timestamp`` (ISO-8601 on a 10-minute grid,
     jumps allowed and recorded as gaps); empty fields are missing values.
     The file must be UTF-8 text. ``data`` is its content when the caller
-    has already read it with :func:`read_csv_bytes`, so it is read once.
+    has already read it with :func:`read_file_bytes`, so it is read once.
     """
     if data is None:
-        data = read_csv_bytes(path)
+        data = read_file_bytes(path, f"dataset {path}")
     reader = csv.reader(utf8_text(data, f"dataset {path}"))
     try:
         header = next(reader)

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..dataset import Scaler
+from ..dataset import Scaler, read_file_bytes
 from ..errors import EmptyWindows, SpecMismatch
 from ..preprocess import WindowSet
 from . import elastic_net as _enet
@@ -234,5 +234,5 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "rb") as fh:  # bytes: json decodes them, or deserialize refuses
-        return deserialize(fh.read())
+    # bytes: json decodes them, or deserialize refuses
+    return deserialize(read_file_bytes(path, f"model artifact {path}"))

@@ -436,6 +436,43 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: {best} is not a model spec: KeyError: 'covariates'\n")
 
+    def test_report_csv_directory_exits_3(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "report.csv").mkdir(parents=True)
+        assert main(["report", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'report.csv'} is a directory, not a file\n")
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config {tmp_path} is a directory, not a file\n")
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.yaml")
+        cfg.write_bytes(cfg.read_bytes() + b"# \xe9t\xe9\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {cfg} is not UTF-8 text: byte 0xe9 ")
+        assert err.count("\n") == 1
+
+    def test_model_artifact_directory_exits_3(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        model = out / "models" / "elastic_net_seed0.bin"
+        model.mkdir(parents=True)
+        assert main(["evaluate", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: model artifact {model} is a directory, not a file\n")
+
+    def test_best_spec_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.yaml", use_best_specs=True)
+        best = tmp_path / "o" / "best_spec_elastic_net.json"
+        best.mkdir(parents=True)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {best} is a directory, not a file\n")
+
     @pytest.mark.parametrize("command,override", [
         ("train", {"seeds": ["a"]}),
         ("train", {"ablation": {"seeds": [0, 1.5]}}),

@@ -3,11 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from denitlab.dataset import COVARIATES, apply_scaler, fit_scaler, make_final_split
 from denitlab.errors import DimensionMismatch, InvalidSpec
-from denitlab.models import elastic_net
+from denitlab.models import ModelSpec, elastic_net, stack_inputs, training_targets
 from denitlab.models.elastic_net import fit_elastic_net, predict_linear, \
     stationarity_gap
+from denitlab.pipeline import prepare_frame, spec_windows
+from denitlab.synthpilot import SynthConfig, generate
 
 
 def test_unregularized_exact_fit():
@@ -160,6 +165,22 @@ def _lagged_design(seed, channels, h, n=300, zero_column=None):
     return X, y
 
 
+def _objective(X, y, w, b, alpha, l1_ratio):
+    """The elastic-net objective at (w, b), from the residual."""
+    r = y - X @ w - b
+    return float(0.5 * r @ r / len(y)
+                 + alpha * (l1_ratio * np.abs(w).sum() + 0.5 * (1 - l1_ratio) * w @ w))
+
+
+def _scaled_gap(X, y, w, b, alpha, l1_ratio):
+    """``stationarity_gap`` relative to the size of the sums that form it at
+    w = 0: ``l1`` plus the largest ``|X_j|ᵀ|y - ȳ|/N``, or the mean
+    ``|y - ȳ|`` of the intercept's condition if that is larger."""
+    spread = np.abs(y - y.mean())
+    scale = alpha * l1_ratio + max((np.abs(X).T @ spread).max() / len(y), spread.mean())
+    return stationarity_gap(X, y, w, b, alpha, l1_ratio) / scale
+
+
 @pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("channels,h,zero_column,max_iter", [
     (1, 0, None, 5000),   # p = 1
@@ -180,6 +201,20 @@ def test_covariance_updates_match_residual_updates(channels, h, zero_column,
         w, b, log, converged = fit_elastic_net(X, y, alpha=alpha, l1_ratio=l1_ratio,
                                                tol=tol, max_iter=max_iter)
     assert converged == conv_ref == (max_iter > 7)
+    if conv_ref:
+        # the exact step may end the fit early; every sweep before its exit is
+        # the oracle's, and the exit is an optimum at least as good as the
+        # oracle's stop
+        assert log.stopped_at <= sweeps_ref
+        assert log.stop_reason == "converged"
+        np.testing.assert_allclose(log.train_loss[:log.stopped_at],
+                                   losses_ref[:log.stopped_at], rtol=1e-12, atol=0)
+        assert _scaled_gap(X, y, w, b, alpha, l1_ratio) <= 1e-12
+        assert _objective(X, y, w, b, alpha, l1_ratio) \
+            <= _objective(X, y, w_ref, b_ref, alpha, l1_ratio)
+        if zero_column is not None:
+            assert w[zero_column] == 0.0
+        return
     assert log.stopped_at == sweeps_ref
     assert log.stop_reason == ("converged" if conv_ref else "max_iter")
     assert np.abs(w - w_ref).max() <= 1e-10
@@ -206,9 +241,9 @@ def test_exactly_collinear_design_converges_like_residual_updates():
 
 
 # sha256 of (w, b, stopped_at, converged) over the grid of
-# test_covariance_updates_match_residual_updates, recorded while the loss log
-# still came from the residuals and the sweep updated all of Gw
-RECORDED_GRID_DIGEST = "49c2d4160b3c5388da31d4e6dd4b757ef9a2105b7aac7c588875d57c013f56c5"
+# test_covariance_updates_match_residual_updates, recorded when the solver
+# gained its exact step
+RECORDED_GRID_DIGEST = "6baa6a0c439856b8d209b8b0c2a1d0879a961d5e245403c7f274989b2772109f"
 
 
 def test_solve_bit_identical_to_recorded_digest():
@@ -223,6 +258,9 @@ def test_solve_bit_identical_to_recorded_digest():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 w, b, log, converged = fit_elastic_net(
                     X, y, alpha=1e-2, l1_ratio=l1_ratio, tol=1e-7, max_iter=max_iter)
+            assert converged == (max_iter > 7)
+            if converged:
+                assert _scaled_gap(X, y, w, b, 1e-2, l1_ratio) <= 1e-12
             digest.update(w.tobytes())
             digest.update(np.float64(b).tobytes())
             digest.update(str((log.stopped_at, converged)).encode())
@@ -254,3 +292,59 @@ def test_near_exact_fit_log_matches_residual_form(monkeypatch, noise):
     # sum is below the rounding bound of yᵀy/N alone, fall back to the residuals
     bound = elastic_net._EPS * (X.shape[1] + 1) / elastic_net._LOSS_RTOL * (y @ y) / len(y)
     assert 2 * residual_form[0] > bound > 2 * residual_form[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 8), n=st.integers(20, 200),
+       alpha=st.one_of(st.just(0.0), st.floats(-6, 0).map(lambda e: 10.0 ** e)),
+       l1_ratio=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+       extra=st.sampled_from([None, "zero", "duplicate"]))
+def test_fit_exits_exactly_or_as_the_residual_updates(seed, p, n, alpha, l1_ratio,
+                                                      extra):
+    # correlated, uncentred columns; maybe one all-zero column, or with p > 1
+    # one exact copy of another
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) @ rng.normal(size=(p, p)) + rng.normal(size=p)
+    if extra == "zero":
+        X[:, rng.integers(p)] = 0.0
+    elif extra == "duplicate" and p > 1:
+        X[:, 0] = X[:, 1]
+    y = X @ rng.normal(size=p) + rng.normal(size=n) + rng.normal()
+    tol, max_iter = 1e-7, 1000
+    w_ref, b_ref, losses_ref, sweeps_ref, conv_ref = _residual_update_fit(
+        X, y, alpha, l1_ratio, tol, max_iter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        w, b, log, converged = fit_elastic_net(X, y, alpha=alpha, l1_ratio=l1_ratio,
+                                               tol=tol, max_iter=max_iter)
+    # every sweep before the exit is the oracle's
+    np.testing.assert_allclose(log.train_loss[:log.stopped_at],
+                               losses_ref[:log.stopped_at], rtol=1e-12, atol=0)
+    if (log.stopped_at, converged) != (sweeps_ref, conv_ref):  # the exact step's exit
+        assert converged and log.stop_reason == "converged"
+        assert log.stopped_at <= sweeps_ref
+        assert _scaled_gap(X, y, w, b, alpha, l1_ratio) <= 1e-12
+    else:
+        np.testing.assert_allclose(log.train_loss, losses_ref, rtol=1e-12, atol=0)
+    # where both end at the optimum, their objectives may differ in the last bits
+    ref = _objective(X, y, w_ref, b_ref, alpha, l1_ratio)
+    assert _objective(X, y, w, b, alpha, l1_ratio) <= ref + 1e-12 * ref
+
+
+def test_paper_scale_fit_converges_to_an_exact_optimum():
+    # the design of the `paper_scale_enet` rerun check: a year of samples,
+    # every covariate, h=2; coordinate descent alone stops at max_iter
+    frame, _ = prepare_frame(generate(SynthConfig(days=365, seed=13))[0])
+    plan = make_final_split(frame)
+    spec = ModelSpec("elastic_net", COVARIATES, h=2, task="nowcast",
+                     hyperparams={"alpha": 1e-3})
+    ws = spec_windows(spec, apply_scaler(frame, fit_scaler(frame, plan.train)),
+                      plan.train)
+    X, y = stack_inputs(spec, ws).reshape(len(ws), -1), training_targets(ws)
+    hp = spec.resolved()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, b, log, converged = fit_elastic_net(X, y, **hp)
+    assert converged and log.stop_reason == "converged"
+    assert log.stopped_at < hp["max_iter"] == 2000
+    assert _scaled_gap(X, y, w, b, hp["alpha"], hp["l1_ratio"]) <= 1e-12
