@@ -20,8 +20,13 @@ import yaml
 
 from . import __version__
 from .anomaly import AnomalyParams
-from .dataset import COVARIATES, SAMPLES_PER_WEEK, SPLITS, TARGET, read_text
-from .errors import BadParams, InvalidConfig, InvalidSpec, NotAFile, NotUTF8
+from .dataset import (
+    COVARIATES, SAMPLES_PER_WEEK, SPLITS, TARGET, check_fold_settings,
+    check_split_fractions, read_text,
+)
+from .errors import (
+    BadParams, InvalidConfig, InvalidFractions, InvalidSpec, NotAFile, NotUTF8,
+)
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
 from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS
 from .models.spec import check_hyperparams, in_range
@@ -36,11 +41,18 @@ class FoldSettings:
     val_block: int = SAMPLES_PER_WEEK
     test_fraction: float = 0.20
 
+    def __post_init__(self):
+        check_fold_settings(self.n_folds, self.train_block, self.val_block,
+                            self.test_fraction)
+
 
 @dataclass(frozen=True)
 class FinalSplitSettings:
     train_fraction: float = 0.72
     val_fraction: float = 0.08
+
+    def __post_init__(self):
+        check_split_fractions(self.train_fraction, self.val_fraction)
 
 
 @dataclass(frozen=True)
@@ -91,11 +103,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise InvalidConfig(f"unknown task {self.task!r}")
+        if not self.archs:
+            raise InvalidConfig("need at least one arch")
         for arch in self.archs:
             if arch not in ARCHS:
                 raise InvalidConfig(f"unknown arch {arch!r}")
+        if len(set(self.archs)) != len(self.archs):
+            raise InvalidConfig("archs names an arch twice")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
+        for what, seeds in (("seeds", self.seeds), ("ablation.seeds", self.ablation.seeds)):
+            if len(set(seeds)) != len(seeds):
+                raise InvalidConfig(f"{what} names a seed twice")
+        if self.hyperopt.budget < 1:
+            raise InvalidConfig("hyperopt.budget must be >= 1")
         for arch, overrides in self.hyperparams.items():
             if arch not in ARCHS:
                 raise InvalidConfig(f"hyperparams for unknown arch {arch!r}")
@@ -179,7 +200,7 @@ def _build(cls, data, what: str):
         kwargs[name] = _typed(hints[name], value, path)
     try:
         return cls(**kwargs)
-    except (TypeError, BadParams) as exc:
+    except (TypeError, BadParams, InvalidFractions) as exc:
         raise InvalidConfig(f"{what or 'config'}: {exc}") from None
 
 

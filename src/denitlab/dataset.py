@@ -286,6 +286,31 @@ def save_csv(frame: TimeSeriesFrame, path) -> None:
             writer.writerow(cells)
 
 
+def check_fold_settings(n_folds: int, train_block: int, val_block: int,
+                        test_fraction: float) -> None:
+    """The ``make_cv_folds`` settings that fail on every frame, refused
+    without one."""
+    if n_folds < 1 or train_block < 1 or val_block < 1:
+        raise InvalidFractions("n_folds, train_block, val_block must be positive")
+    if not 0 < test_fraction < 1:
+        raise InvalidFractions(f"test_fraction {test_fraction} outside (0, 1)")
+    cycle = train_block + val_block
+    if n_folds * val_block > cycle:
+        raise InvalidFractions(
+            f"{n_folds} folds with val_block {val_block} exceed one cycle of {cycle}; "
+            "validation ranges would repeat")
+
+
+def check_split_fractions(train_fraction: float, val_fraction: float) -> None:
+    """The ``make_final_split`` fractions that fail on every frame, refused
+    without one."""
+    if train_fraction <= 0 or val_fraction <= 0:
+        raise InvalidFractions("fractions must be positive")
+    if train_fraction + val_fraction >= 1.0 - 1e-9:
+        raise InvalidFractions(
+            f"train {train_fraction} + val {val_fraction} leaves no test data")
+
+
 def make_cv_folds(frame: TimeSeriesFrame,
                   n_folds: int = 4,
                   train_block: int = 3 * SAMPLES_PER_WEEK,
@@ -301,16 +326,8 @@ def make_cv_folds(frame: TimeSeriesFrame,
     Blocks are measured in samples, not calendar time, so gaps do not
     desynchronize the tiling.
     """
-    if n_folds < 1 or train_block < 1 or val_block < 1:
-        raise InvalidFractions("n_folds, train_block, val_block must be positive")
-    if not 0 < test_fraction < 1:
-        raise InvalidFractions(f"test_fraction {test_fraction} outside (0, 1)")
+    check_fold_settings(n_folds, train_block, val_block, test_fraction)
     cycle = train_block + val_block
-    if n_folds * val_block > cycle:
-        raise InvalidFractions(
-            f"{n_folds} folds with val_block {val_block} exceed one cycle of {cycle}; "
-            "validation ranges would repeat")
-
     n = len(frame)
     n_test = math.ceil(test_fraction * n)
     prefix = n - n_test
@@ -350,11 +367,7 @@ def make_final_split(frame: TimeSeriesFrame,
     compensated by 1e-9 so that exactly representable boundaries (0.8 * 25)
     do not fall one sample short through float rounding.
     """
-    if train_fraction <= 0 or val_fraction <= 0:
-        raise InvalidFractions("fractions must be positive")
-    if train_fraction + val_fraction >= 1.0 - 1e-9:
-        raise InvalidFractions(
-            f"train {train_fraction} + val {val_fraction} leaves no test data")
+    check_split_fractions(train_fraction, val_fraction)
     n = len(frame)
     train_end = math.floor(n * train_fraction + 1e-9)
     val_end = math.floor(n * (train_fraction + val_fraction) + 1e-9)

@@ -36,6 +36,16 @@ Re-measured with stacked taps (3,133 windows, 6 inputs, hidden 8, min of
 repeats, the same 2-core Xeon): the tcn forward took 1.24, 1.20 and 1.17 ms
 in blocks of 384, 512 and 1,024 rows and 3.1 ms in one batch; the recurrent
 forward 4.1, 4.3 and 4.5 ms against 7.7 ms. 512 rows stays.
+
+Re-measured with the gate-major recurrent cell, one block size per fresh
+process, min of repeats over 8 alternating rounds: the recurrent forward
+took 4.27 and 4.34 ms at 384 and 512 rows (384 faster in 5 of 8 rounds) and
+4.49 ms at 1,024; the tcn 1.83 and 2.03 ms (8 of 8) and 2.13 ms. The
+``hyperopt_forecast`` benchmark did not follow: with 384-row blocks its
+``wall_s`` was 0.274 s against 0.273 s at 512 (better in 1 of 6 alternating
+50-s pairs). The allocator's history in a process, which glibc's sliding
+mmap threshold carries, moves these timings more than the block size does.
+512 rows stays.
 """
 
 from __future__ import annotations

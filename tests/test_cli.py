@@ -587,10 +587,29 @@ class TestExitCodes:
          "covariates names a covariate twice"),
         (_space("gbt", covariates=[["methanol"], ["nitrate_in", "nitrate_in"]]),
          "hyperopt.space.gbt.covariates names a covariate twice"),
+        ({"archs": []}, "need at least one arch"),
+        ({"archs": ["elastic_net", "elastic_net"]}, "archs names an arch twice"),
+        ({"seeds": [0, 0]}, "seeds names a seed twice"),
+        ({"ablation": {"seeds": [1, 2, 1]}}, "ablation.seeds names a seed twice"),
+        ({"folds": {"n_folds": 0}},
+         "folds: n_folds, train_block, val_block must be positive"),
+        ({"folds": {"val_block": 0}},
+         "folds: n_folds, train_block, val_block must be positive"),
+        ({"folds": {"test_fraction": 1.0}}, "folds: test_fraction 1.0 outside (0, 1)"),
+        ({"folds": {"n_folds": 5, "train_block": 3, "val_block": 1}},
+         "folds: 5 folds with val_block 1 exceed one cycle of 4; "
+         "validation ranges would repeat"),
+        ({"final_split": {"train_fraction": 0.9, "val_fraction": 0.2}},
+         "final_split: train 0.9 + val 0.2 leaves no test data"),
+        ({"final_split": {"val_fraction": 0}}, "final_split: fractions must be positive"),
+        ({"hyperopt": {"budget": 0}}, "hyperopt.budget must be >= 1"),
     ], ids=["hyperparam-float-count", "hyperparam-unknown-other-arch",
             "covariate-unknown", "covariate-target", "ablation-covariate-target",
             "ablation-covariate-twice", "space-covariate-unknown",
-            "covariate-twice", "space-covariate-twice"])
+            "covariate-twice", "space-covariate-twice", "archs-empty", "arch-twice",
+            "seed-twice", "ablation-seed-twice", "folds-zero", "val-block-zero", "test-fraction-one",
+            "folds-exceed-cycle", "split-leaves-no-test", "split-fraction-zero",
+            "budget-zero"])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, command,
                                                     override, message):
         cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),

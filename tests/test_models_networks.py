@@ -220,13 +220,123 @@ def _two_division_sigmoid(z):
 
 def test_sigmoid_matches_two_division_form_bitwise():
     mag = np.geomspace(1e-3, 800, 4001)
-    special = [0.0, np.inf, 5e-324, 1e308]
-    z = np.concatenate([mag, -mag, special, np.negative(special)])
+    subnormal = [5e-324, 1e-320, 2.2e-308]
+    special = [0.0, np.inf, 1e308, np.finfo(float).tiny, *subnormal]
+    z = np.concatenate([mag, -mag, special, np.negative(special)])  # and -0.0
     assert np.array_equal(bits(_sigmoid(z)), bits(_two_division_sigmoid(z)))
-    # the forward passes a column slice of the packed gate pre-activations
-    packed = z[:4000].reshape(1000, 4)[:, :3]
-    assert np.array_equal(bits(_sigmoid(packed)), bits(_two_division_sigmoid(packed)))
+    # the forward activates the contiguous (3, B, H) block of i, f and o of
+    # its gate-major pre-activations in place
+    picks = np.concatenate([special, np.negative(special), mag[::35], -mag[::35]])
+    block = picks[:3 * 7 * 11].reshape(3, 7, 11)
+    want = _two_division_sigmoid(block)
+    assert np.array_equal(bits(_sigmoid(block)), bits(want))
+    assert _sigmoid(block, out=block) is block
+    assert np.array_equal(bits(block), bits(want))
     assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def _oracle_recurrent_forward(params, X):
+    """``recurrent.forward`` as it was on strided (B, H) column slices of the
+    packed (T, B, 4H) pre-activations, kept as the bitwise oracle for the
+    gate-major cell. Its logistic is the two-division form, which the
+    ``where`` form it then used matched bit for bit."""
+    B, T, n_in = X.shape
+    H = params["Wh"].shape[1]
+    Xt = X.transpose(1, 0, 2).reshape(T * B, n_in)
+    zx = (Xt @ params["Wx"].T + params["b"]).reshape(T, B, 4 * H)
+    hs = np.empty((T, B, H))
+    steps = []
+    c = None
+    for t in range(T):
+        z = zx[t] if t == 0 else zx[t] + hs[t - 1] @ params["Wh"].T
+        gates = _two_division_sigmoid(z[:, :3 * H])
+        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
+        g = np.tanh(z[:, 3 * H:])
+        c_prev = c
+        c = i * g if c_prev is None else f * c_prev + i * g
+        tc = np.tanh(c)
+        np.multiply(o, tc, out=hs[t])
+        steps.append((i, f, o, g, tc, c_prev))
+    yhat = hs[-1] @ params["head_w"] + params["head_b"][0]
+    return yhat, {"steps": steps, "Xt": Xt, "hs": hs}
+
+
+def _oracle_recurrent_backward(params, cache, dyhat):
+    """``recurrent.backward`` as it was, with four gate temporaries per step
+    joined by ``concatenate``."""
+    hs = cache["hs"]
+    T, B, H = hs.shape
+    grads = {"head_w": hs[-1].T @ dyhat, "head_b": np.array([dyhat.sum()])}
+    dZ = np.empty((T, B, 4 * H))
+    dh = np.outer(dyhat, params["head_w"])
+    dc = None
+    for t in range(T - 1, -1, -1):
+        i, f, o, g, tc, c_prev = cache["steps"][t]
+        dc_t = dh * o * (1.0 - tc ** 2)
+        dc = dc_t if dc is None else dc + dc_t
+        dforget = np.zeros((B, H)) if c_prev is None else dc * c_prev * f * (1.0 - f)
+        np.concatenate([
+            dc * g * i * (1.0 - i),
+            dforget,
+            dh * tc * o * (1.0 - o),
+            dc * i * (1.0 - g ** 2),
+        ], axis=1, out=dZ[t])
+        if t:
+            dh = dZ[t] @ params["Wh"]
+            dc = dc * f
+    dZ2 = dZ.reshape(T * B, 4 * H)
+    grads["Wx"] = dZ2.T @ cache["Xt"]
+    grads["Wh"] = dZ2[B:].T @ hs[:-1].reshape((T - 1) * B, H)
+    grads["b"] = dZ2.sum(axis=0)
+    return grads
+
+
+@pytest.mark.parametrize("B", [1, 7, 64, 512, 1031])
+@pytest.mark.parametrize("T", [1, 2, 3, 13])
+def test_recurrent_cell_matches_strided_oracle_bitwise(B, T):
+    recurrent = _BACKENDS["recurrent"]
+    for H in (1, 6, 8, 64):
+        for n_in in (1, 4, 11):
+            rng = np.random.default_rng([B, T, H, n_in])
+            params = recurrent.init_params(n_in, {"hidden": H}, rng)
+            params["head_w"] += rng.normal(0, 0.5, H)
+            params["head_b"] += rng.normal()
+            for bias in ("generic", "saturating"):
+                # saturating biases pin some gates at exactly 0 or 1 (the
+                # logistic) and at +-1 (tanh) whatever the inputs do
+                scale = [0.3, 40.0, 800.0] if bias == "saturating" else [0.3]
+                params["b"] = rng.choice(scale, 4 * H) * rng.choice([-1.0, 1.0], 4 * H)
+                X = rng.normal(0, 2, size=(B, T, n_in))
+                dyhat = rng.normal(size=B) / B
+                yhat, cache = recurrent.forward(params, X)
+                o_yhat, o_cache = _oracle_recurrent_forward(params, X)
+                where = f"H={H} n_in={n_in} {bias}"
+                assert np.array_equal(bits(yhat), bits(o_yhat)), where
+                grads = recurrent.backward(params, cache, dyhat)
+                o_grads = _oracle_recurrent_backward(params, o_cache, dyhat)
+                assert grads.keys() == o_grads.keys()
+                for k in grads:
+                    assert np.array_equal(bits(grads[k]), bits(o_grads[k])), (where, k)
+
+
+def test_one_step_cell_matches_oracle_with_nan_forget_gate():
+    """At step 0 the forget gate meets the zero state, so a one-step window
+    predicts even where the gate is NaN, and the gate's gradient is 0."""
+    recurrent = _BACKENDS["recurrent"]
+    rng = np.random.default_rng(0)
+    H = 6
+    params = recurrent.init_params(4, {"hidden": H}, rng)
+    params["b"][H:2 * H] = np.nan
+    X = rng.normal(size=(9, 1, 4))
+    dyhat = rng.normal(size=9)
+    yhat, cache = recurrent.forward(params, X)
+    o_yhat, o_cache = _oracle_recurrent_forward(params, X)
+    assert np.isfinite(yhat).all()
+    assert np.array_equal(bits(yhat), bits(o_yhat))
+    grads = recurrent.backward(params, cache, dyhat)
+    o_grads = _oracle_recurrent_backward(params, o_cache, dyhat)
+    for k in grads:
+        assert np.array_equal(bits(grads[k]), bits(o_grads[k])), k
 
 
 def _oracle_train_network(spec, X_train, y_train, X_val, y_val, init=None):
