@@ -9,19 +9,10 @@ import argparse
 import os
 import sys
 
-from denitlab.baselines import BaselineSpec
+from denitlab.baselines import PUBLISHED_TEST_MSE
 from denitlab.dataset import load_csv, make_final_split
 from denitlab.evaluation import evaluate
 from denitlab.pipeline import prepare_frame
-
-REFERENCE = [
-    ("forecast", BaselineSpec("seasonal"), 0.51),
-    ("forecast", BaselineSpec("trend_n", n=6), 0.50),
-    ("forecast", BaselineSpec("trend_n", n=3), 0.73),
-    ("forecast", BaselineSpec("training_mean"), 7.16),
-    ("nowcast", BaselineSpec("training_mean"), 7.18),
-    ("nowcast", BaselineSpec("running_mean"), 4.42),
-]
 
 
 def main() -> int:
@@ -39,7 +30,7 @@ def main() -> int:
 
     failures = 0
     print(f"{'task':<9} {'baseline':<26} {'got':>8} {'reference':>10}  verdict")
-    for task, spec, reference in REFERENCE:
+    for task, spec, reference in PUBLISHED_TEST_MSE:
         got = evaluate(spec, frame, plan, task, split="test").mse
         ok = abs(got - reference) / reference <= 0.05
         failures += not ok

@@ -168,14 +168,21 @@ def detect_anomalies(pred, actual,
     return events
 
 
-def events_to_json(events: list[AnomalyEvent], timestamps=None) -> str:
-    """JSON export for plot overlays; timestamps map indices to wall-clock."""
+def events_to_json(events: list[AnomalyEvent], anchors=None, timestamps=None) -> str:
+    """JSON export for plot overlays, one item per event.
+
+    ``anchors`` maps series positions to frame rows (identity when None);
+    ``timestamps``, indexed by frame row, maps rows to wall-clock.
+    """
     payload = []
     for ev in events:
-        item = {"class": ev.klass, "start": ev.start_index, "end": ev.end_index,
+        first, last = ev.start_index, ev.end_index - 1
+        if anchors is not None:
+            first, last = int(anchors[first]), int(anchors[last])
+        item = {"class": ev.klass, "start": first, "end": last + 1,
                 "magnitude": ev.magnitude}
         if timestamps is not None:
-            item["start_time"] = timestamps[ev.start_index].isoformat()
-            item["end_time"] = timestamps[ev.end_index - 1].isoformat()
+            item["start_time"] = timestamps[first].isoformat()
+            item["end_time"] = timestamps[last].isoformat()
         payload.append(item)
     return json.dumps(payload, indent=2)

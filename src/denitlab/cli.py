@@ -240,13 +240,8 @@ def cmd_anomaly(config: ExperimentConfig, out: Path, args) -> None:
     anchors, preds, actual = model_pairs(model, frame,
                                          getattr(plan, config.anomaly.split))
     events = detect_anomalies(preds, actual, config.anomaly)
-    stamps = frame.timestamps()
-    anchor_stamps = [stamps[int(a)] for a in anchors]
-    doc = json.loads(events_to_json(events, anchor_stamps))
-    for item, ev in zip(doc, events):
-        item["start"] = int(anchors[ev.start_index])
-        item["end"] = int(anchors[ev.end_index - 1]) + 1
-    (out / "anomalies.json").write_text(json.dumps(doc, indent=2))
+    (out / "anomalies.json").write_text(
+        events_to_json(events, anchors, frame.timestamps()))
     print(f"wrote {out / 'anomalies.json'} ({len(events)} events)")
 
 

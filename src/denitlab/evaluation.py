@@ -4,8 +4,11 @@ multi-seed aggregation.
 Models predict in the scaled domain and are inverted before scoring;
 baselines never leave original units. Forecast scores pool all
 ``FORECAST_HORIZON`` steps of every admissible anchor into a single mean.
-Every scored window, a model's forecast rollout included, comes from
-``build_windows``, so one rule decides which anchors a row scores.
+Every scored window comes from ``build_windows``, so one rule decides which
+anchors a row scores; a model's are ``models.spec_windows``, as in training.
+Models and baselines alike give one ``(anchors, pred, actual)`` triple: one
+pair per anchor for a nowcast, each anchor's steps, anchor-major, for a
+forecast.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .dataset import FORECAST_HORIZON, SPLITS, TARGET, FoldPlan, TimeSeriesFrame
     apply_scaler, invert_target
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
     NonFinite, SpecMismatch
-from .models import TrainedModel, predict_batch, rollout_forecast_batch
+from .models import TrainedModel, predict_batch, rollout_forecast_batch, spec_windows
 from .preprocess import build_windows
 
 
@@ -84,29 +87,25 @@ def _split_ranges(plan: FoldPlan, split: str):
 def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
     """(anchors, pred, actual) in original units for one model over the ranges.
 
-    A nowcast gives one prediction per anchor; a forecast gives the
-    ``FORECAST_HORIZON`` rollout steps of each anchor, flattened anchor-major.
+    A forecast reads the windows of ``FORECAST_HORIZON`` steps in a row: the
+    one anchored at t + FORECAST_HORIZON - 1 spans [t-h, t+FORECAST_HORIZON],
+    the rollout's history, future covariates and truth, vetted by one rule.
     """
     spec = model.spec
     scaler = model.scaler
-    scaled = apply_scaler(frame, scaler)
-    y = frame.col(TARGET)
-    if spec.task == "nowcast":
-        ws = build_windows(scaled, spec.covariates, spec.h, horizon=0,
-                           with_target_history=False, plan_ranges=ranges)
-        preds = invert_target(scaler, predict_batch(model, ws))
-        return ws.t, preds, y[ws.t]
-
-    # the one-step window anchored at t + last spans [t-h, t+FORECAST_HORIZON]:
-    # the rollout's history, future covariates and truth, vetted by one rule
-    last = FORECAST_HORIZON - 1
+    forecast = spec.task == "forecast"
+    steps = FORECAST_HORIZON if forecast else 1
     try:
-        ws = build_windows(scaled, spec.covariates, spec.h + last, horizon=1,
-                           with_target_history=True, plan_ranges=ranges)
+        ws = spec_windows(spec, apply_scaler(frame, scaler), ranges, steps)
     except NoAdmissibleWindows:
+        if not forecast:
+            raise
         raise NoAdmissibleWindows(f"no admissible forecast anchors (h={spec.h}, "
                                   f"horizon={FORECAST_HORIZON})") from None
-    anchors = ws.t - last
+    anchors = ws.t - (steps - 1)
+    y = frame.col(TARGET)
+    if not forecast:
+        return anchors, invert_target(scaler, predict_batch(model, ws)), y[anchors]
     preds = invert_target(scaler, rollout_forecast_batch(model, ws))
     future = anchors[:, None] + np.arange(1, FORECAST_HORIZON + 1)
     return anchors, preds.ravel(), y[future].ravel()
@@ -114,19 +113,18 @@ def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
 
 def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
                     split: str, task: str):
-    """(pred, actual) in original units for one baseline over a split.
+    """(anchors, pred, actual) in original units for one baseline over a split.
 
     The windows are those of ``build_windows`` with no covariates and the
     last ``history_needed`` target rows as history; the truth is the anchor
-    itself (nowcast) or the ``FORECAST_HORIZON`` following rows (forecast). A
-    forecast pools the horizon blocks of every anchor, anchor-major.
+    itself (nowcast) or the ``FORECAST_HORIZON`` following rows (forecast).
     """
     if task not in spec.tasks:
         raise SpecMismatch(f"{spec.name} cannot score a {task}")
     ws = build_windows(frame, (), spec.history_needed - 1,
                        0 if task == "nowcast" else FORECAST_HORIZON,
                        with_target_history=True, plan_ranges=_split_ranges(plan, split))
-    return spec.predict(frame.col(TARGET), plan.train, ws), ws.y.ravel()
+    return ws.t, spec.predict(frame.col(TARGET), plan.train, ws), ws.y.ravel()
 
 
 def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,
@@ -139,7 +137,7 @@ def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,
         model_id = predictor.spec.arch
         seed = predictor.spec.seed
     elif isinstance(predictor, BaselineSpec):
-        preds, actual = _baseline_pairs(predictor, frame, plan, split, task)
+        _, preds, actual = _baseline_pairs(predictor, frame, plan, split, task)
         model_id = predictor.name
         seed = 0
     else:

@@ -4,7 +4,8 @@ Tabular archs (elastic_net, gbt) consume the window flattened row-major:
 one block of channels per time step, oldest step first, with the target
 history (forecasting only) appended as the last channel of each block.
 Sequence archs (recurrent, tcn) consume the same layout unflattened.
-Both ``predict_batch`` and ``rollout_forecast_batch`` read a ``WindowSet``
+Which windows a spec reads is decided once, by ``spec_windows``: training,
+``predict_batch`` and ``rollout_forecast_batch`` all read its ``WindowSet``
 from ``build_windows``, so every window a model sees has been vetted there;
 a rollout's windows carry one history row more per extra step.
 
@@ -19,9 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..dataset import Scaler, read_file_bytes
+from ..dataset import Scaler, TimeSeriesFrame, read_file_bytes
 from ..errors import EmptyWindows, SpecMismatch
-from ..preprocess import WindowSet
+from ..preprocess import WindowSet, build_windows
 from . import elastic_net as _enet
 from . import gbt as _gbt
 from .networks import loss_and_grad, network_forward, train_network
@@ -29,13 +30,24 @@ from .spec import ARCHS, DEFAULT_HYPERPARAMS, ModelSpec, TASKS, TrainLog, Traine
 
 __all__ = [
     "ARCH_TABLE", "Arch", "ARCHS", "TASKS", "DEFAULT_HYPERPARAMS", "ModelSpec",
-    "TrainLog", "TrainedModel", "train_model", "predict_batch",
+    "TrainLog", "TrainedModel", "spec_windows", "train_model", "predict_batch",
     "rollout_forecast_batch", "serialize", "deserialize",
     "save_model", "load_model", "loss_and_grad", "network_forward",
 ]
 
 MODEL_FORMAT = "denitlab-model"
 MODEL_VERSION = 1
+
+
+def spec_windows(spec: ModelSpec, scaled: TimeSeriesFrame, ranges,
+                 steps: int = 1) -> WindowSet:
+    """The windows ``spec`` reads over ``ranges`` for ``steps`` one-step
+    predictions in a row: ``steps - 1`` more history rows than training's, so
+    a rollout from anchor t reads the window anchored at t + steps - 1."""
+    return build_windows(scaled, spec.covariates, spec.h + steps - 1,
+                         horizon=1 if spec.task == "forecast" else 0,
+                         with_target_history=spec.uses_target_history,
+                         plan_ranges=ranges)
 
 
 def _check_window_set(spec: ModelSpec, ws: WindowSet, steps: int = 1) -> None:

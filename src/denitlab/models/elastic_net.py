@@ -223,7 +223,6 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray,
                       f"(last move {max_move:.3e} >= tol {tol:.3e})",
                       RuntimeWarning, stacklevel=2)
     log = TrainLog(train_loss=tuple(losses), val_loss=(),
-                   stopped_at=sweeps,
                    stop_reason="converged" if converged else "max_iter")
     return w, b, log, converged
 

@@ -246,7 +246,6 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
 
     params = {"init": init, "trees": trees, "learning_rate": learning_rate}
     log = TrainLog(train_loss=tuple(losses), val_loss=(),
-                   stopped_at=len(losses) - 1,
                    stop_reason="converged" if degenerate else "max_iter")
     return params, log
 

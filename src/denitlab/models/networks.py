@@ -146,8 +146,7 @@ def train_network(spec: ModelSpec,
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"training loss diverged in epoch {epoch}",
-                        log=TrainLog(tuple(train_losses), tuple(val_losses),
-                                     len(train_losses) - 1, "max_iter"))
+                        log=TrainLog(tuple(train_losses), tuple(val_losses), "max_iter"))
                 epoch_sse += loss * len(batch)
                 step = np.concatenate([grads[k] for k in shapes], axis=None)
                 step *= lr
@@ -159,8 +158,7 @@ def train_network(spec: ModelSpec,
             if not (np.isfinite(tr) and np.isfinite(vl)):
                 raise NonFiniteLoss(
                     f"loss non-finite after epoch {epoch}",
-                    log=TrainLog(tuple(train_losses), tuple(val_losses),
-                                 len(train_losses) - 1, "max_iter"))
+                    log=TrainLog(tuple(train_losses), tuple(val_losses), "max_iter"))
             train_losses.append(tr)
             val_losses.append(vl)
             if vl < best_val:
@@ -177,5 +175,5 @@ def train_network(spec: ModelSpec,
                 break
 
     log = TrainLog(train_loss=tuple(train_losses), val_loss=tuple(val_losses),
-                   stopped_at=len(train_losses) - 1, stop_reason=stop_reason)
+                   stop_reason=stop_reason)
     return _views(best_flat, shapes), log

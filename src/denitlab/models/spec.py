@@ -169,16 +169,18 @@ class TrainLog:
 
     train_loss: tuple[float, ...]
     val_loss: tuple[float, ...]
-    stopped_at: int
     stop_reason: str  # early_stop | max_iter | converged
 
     def __post_init__(self):
         if self.stop_reason not in ("early_stop", "max_iter", "converged"):
             raise ValueError(f"bad stop_reason {self.stop_reason!r}")
-        if len(self.train_loss) != self.stopped_at + 1:
-            raise ValueError("train_loss length inconsistent with stopped_at")
-        if self.val_loss and len(self.val_loss) != self.stopped_at + 1:
-            raise ValueError("val_loss length inconsistent with stopped_at")
+        if self.val_loss and len(self.val_loss) != len(self.train_loss):
+            raise ValueError("val_loss length differs from train_loss length")
+
+    @property
+    def stopped_at(self) -> int:
+        """The last iteration run."""
+        return len(self.train_loss) - 1
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from .dataset import FoldPlan, TimeSeriesFrame, apply_scaler, fit_scaler
 from .errors import EmptyWindows, NoAdmissibleWindows, NonFiniteLoss, \
     TrainingLossRose
 from .evaluation import evaluate
-from .models import ARCH_TABLE, ModelSpec, TrainLog, TrainedModel, train_model
-from .preprocess import CleaningMask, CleaningParams, WindowSet, build_windows, \
-    detect_cleaning, interpolate_target
+from .models import ARCH_TABLE, ModelSpec, TrainLog, TrainedModel, spec_windows, \
+    train_model
+from .preprocess import CleaningMask, CleaningParams, detect_cleaning, interpolate_target
 from .utils import parallel_map
 
 
@@ -25,14 +25,6 @@ def prepare_frame(frame: TimeSeriesFrame,
     mask = detect_cleaning(frame.col("pressure_bottom"), frame.col("pressure_top"),
                            params)
     return interpolate_target(frame, mask), mask
-
-
-def spec_windows(spec: ModelSpec, scaled: TimeSeriesFrame, ranges) -> WindowSet:
-    """Training windows matching a spec: horizon 1 for forecast, 0 for nowcast."""
-    horizon = 1 if spec.task == "forecast" else 0
-    return build_windows(scaled, spec.covariates, spec.h, horizon=horizon,
-                         with_target_history=spec.uses_target_history,
-                         plan_ranges=ranges)
 
 
 def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan

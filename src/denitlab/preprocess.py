@@ -241,7 +241,6 @@ class WindowSet:
     y: np.ndarray
     t: np.ndarray
     y_hist: np.ndarray | None
-    skipped: int
     candidates: int
     covariates: tuple[str, ...]
     h: int
@@ -250,6 +249,10 @@ class WindowSet:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def skipped(self) -> int:
+        return self.candidates - len(self.t)
 
     @property
     def samples(self) -> Sequence[WindowSample]:
@@ -314,6 +317,5 @@ def build_windows(frame: TimeSeriesFrame,
     for a in arrays:
         if a is not None:
             a.setflags(write=False)
-    return WindowSet(*arrays, skipped=candidates - len(t), candidates=candidates,
-                     covariates=covariates, h=h, horizon=horizon,
-                     with_target_history=with_target_history)
+    return WindowSet(*arrays, candidates=candidates, covariates=covariates, h=h,
+                     horizon=horizon, with_target_history=with_target_history)

@@ -6,8 +6,11 @@ dataset-free and must always pass. Each criterion prints one PASS line on the
 way out (a failed assertion aborts before the print).
 """
 
+import importlib.util
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ import pytest
 from denitlab import dataset as ds
 from denitlab.ablation import covariate_sweep
 from denitlab.anomaly import AnomalyParams, detect_anomalies
-from denitlab.baselines import BaselineSpec, running_mean_predict, trend_n_predict
+from denitlab.baselines import PUBLISHED_TEST_MSE, BaselineSpec, running_mean_predict, \
+    trend_n_predict
 from denitlab.dataset import make_cv_folds, make_final_split
 from denitlab.evaluation import aggregate_seeds, evaluate
 from denitlab.hyperopt import search
@@ -35,15 +39,6 @@ DATASET = os.environ.get("DENITLAB_DATA")
 needs_dataset = pytest.mark.skipif(
     not DATASET, reason="published dataset not present at $DENITLAB_DATA")
 
-TABLE1_BASELINES = {
-    ("forecast", "BaselineSeasonal"): 0.51,
-    ("forecast", "BaselineTrend6"): 0.50,
-    ("forecast", "BaselineTrend3"): 0.73,
-    ("forecast", "BaselineTrainingMean"): 7.16,
-    ("nowcast", "BaselineTrainingMean"): 7.18,
-    ("nowcast", "BaselineTestRunningMean"): 4.42,
-}
-
 
 def _ok(line: str) -> None:
     print(f"ACCEPTANCE {line}: PASS")
@@ -56,19 +51,22 @@ def _ok(line: str) -> None:
 def test_criterion_1_baseline_point_reproduction():
     frame, _ = prepare_frame(ds.load_csv(DATASET))
     plan = make_final_split(frame)
-    specs = {
-        ("forecast", "BaselineSeasonal"): BaselineSpec("seasonal"),
-        ("forecast", "BaselineTrend6"): BaselineSpec("trend_n", n=6),
-        ("forecast", "BaselineTrend3"): BaselineSpec("trend_n", n=3),
-        ("forecast", "BaselineTrainingMean"): BaselineSpec("training_mean"),
-        ("nowcast", "BaselineTrainingMean"): BaselineSpec("training_mean"),
-        ("nowcast", "BaselineTestRunningMean"): BaselineSpec("running_mean"),
-    }
-    for (task, name), expected in TABLE1_BASELINES.items():
-        got = evaluate(specs[(task, name)], frame, plan, task, split="test").mse
+    for task, spec, expected in PUBLISHED_TEST_MSE:
+        got = evaluate(spec, frame, plan, task, split="test").mse
         assert abs(got - expected) / expected <= 0.05, \
-            f"{task}/{name}: got {got:.4f}, published {expected}"
+            f"{task}/{spec.name}: got {got:.4f}, published {expected}"
     _ok("1 baseline point reproduction")
+
+
+def test_reproduce_baselines_script_without_dataset_exits_2(monkeypatch):
+    # the script's imports and argument handling run with no dataset at all
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_baselines.py"
+    module_spec = importlib.util.spec_from_file_location("reproduce_baselines", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    monkeypatch.delenv("DENITLAB_DATA", raising=False)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    assert script.main() == 2
 
 
 # --- criterion 2: learned-model ranking (dataset-conditional, slow) ---------

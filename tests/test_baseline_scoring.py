@@ -46,11 +46,26 @@ def test_baseline_pairs_match_recorded_digest():
     for task, specs in REPORT_ROWS.items():
         for spec in specs:
             for split in ("train", "validation", "test"):
-                pred, actual = _baseline_pairs(spec, frame, plan, split, task)
+                _, pred, actual = _baseline_pairs(spec, frame, plan, split, task)
                 assert pred.shape == actual.shape and np.isfinite(pred).all()
                 digest.update(np.ascontiguousarray(pred, dtype=float).tobytes())
                 digest.update(np.ascontiguousarray(actual, dtype=float).tobytes())
     assert digest.hexdigest() == GOLDEN
+
+
+def test_baseline_anchors_index_the_truth():
+    frame = _frame()
+    plan = make_final_split(frame, 0.6, 0.2)
+    y = frame.col("nitrate_out")
+    for task, specs in REPORT_ROWS.items():
+        for spec in specs:
+            for split in ("train", "validation", "test"):
+                anchors, _, actual = _baseline_pairs(spec, frame, plan, split, task)
+                if task == "nowcast":
+                    assert np.array_equal(actual, y[anchors])
+                else:
+                    assert np.array_equal(actual.reshape(-1, 6),
+                                          y[anchors[:, None] + np.arange(1, 7)])
 
 
 def test_report_baselines_keep_their_order_per_task():

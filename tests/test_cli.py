@@ -1,9 +1,11 @@
 import csv
 import functools
+import hashlib
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -12,7 +14,11 @@ from hypothesis import strategies as st
 from denitlab import cli, errors
 from denitlab import dataset as ds
 from denitlab.cli import main
-from denitlab.synthpilot import SynthConfig, generate
+from denitlab.synthpilot import Fault, SynthConfig, generate
+
+# sha256 of anomalies.json from the gappy chain below, recorded before
+# ``events_to_json`` mapped event positions to frame rows itself
+ANOMALIES_GOLDEN = "e7a07f786bcd9a2aaaa1ecf6177e5d153faccb4dfc1381478bb64b6d4bd808df"
 
 
 def write_config(path, **overrides):
@@ -233,6 +239,25 @@ class TestAblateAnomalyHyperopt:
                      "--out", str(out)]) == 0
         events = json.loads((out / "anomalies.json").read_text())
         assert isinstance(events, list)
+
+    def test_anomalies_json_matches_recorded_digest(self, tmp_path):
+        # a 12-row outage inside the test split, so an event's rows and
+        # timestamps differ from its positions in the scored series
+        frame, _ = generate(SynthConfig(days=8, seed=3, faults=(
+            Fault("methanol_dropout", start=1040, duration=24),)))
+        keep = np.ones(len(frame), dtype=bool)
+        keep[1000:1012] = False
+        gappy = ds.TimeSeriesFrame(frame.start_time, frame.names, frame.units,
+                                   frame.values[keep], gaps=(ds.Gap(999, 12),))
+        csv_path = tmp_path / "gappy.csv"
+        ds.save_csv(gappy, csv_path)
+        cfg = _csv_config(tmp_path / "c.yaml", csv_path)
+        out = tmp_path / "run"
+        for command in ("train", "anomaly"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "anomalies.json").read_text()
+        assert [e["start"] for e in json.loads(text)] == [1049, 1102]
+        assert hashlib.sha256(text.encode()).hexdigest() == ANOMALIES_GOLDEN
 
     def test_hyperopt_artifacts_and_use_best(self, tmp_path):
         cfg = write_config(

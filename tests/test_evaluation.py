@@ -204,6 +204,26 @@ def _gappy_frame(seed, n=300):
     return make_frame(cols, gaps=tuple(Gap(int(b), 3) for b in breaks))
 
 
+@pytest.mark.parametrize("h", [0, 2])
+@pytest.mark.parametrize("task", ["nowcast", "forecast"])
+def test_model_scores_the_anchors_of_its_training_rule(task, h):
+    from denitlab.dataset import FORECAST_HORIZON, SPLITS, apply_scaler
+    from denitlab.evaluation import model_pairs
+    from denitlab.models import spec_windows
+    frame = _gappy_frame(0)
+    plan = make_final_split(frame, 0.5, 0.2)
+    spec = ModelSpec("elastic_net", ("nitrate_in", "methanol"), h=h, task=task,
+                     hyperparams={"alpha": 1e-3})
+    model, _ = train_on_plan(spec, frame, plan)
+    scaled = apply_scaler(frame, model.scaler)
+    steps = FORECAST_HORIZON if task == "forecast" else 1
+    for split in SPLITS:
+        ranges = getattr(plan, split)
+        anchors, _, _ = model_pairs(model, frame, ranges)
+        assert np.array_equal(anchors,
+                              spec_windows(spec, scaled, ranges, steps).t - (steps - 1))
+
+
 class TestForecastAnchorSets:
     """Forecast scoring keeps exactly the anchors a per-anchor scan admits."""
 
@@ -248,7 +268,7 @@ class TestForecastAnchorSets:
             else:
                 blocks = [trend_n_predict(y[t - spec.n + 1:t + 1], spec.n, 6)
                           for t in anchors]
-            preds, actual = _baseline_pairs(spec, frame, plan, split, "forecast")
+            _, preds, actual = _baseline_pairs(spec, frame, plan, split, "forecast")
             assert np.array_equal(actual, np.concatenate(
                 [y[t + 1:t + 7] for t in anchors]))
             assert np.array_equal(preds, np.concatenate(blocks))
@@ -264,7 +284,7 @@ class TestForecastAnchorSets:
                            gaps=(Gap(90, 2),))
         plan = make_final_split(frame, 0.5, 0.2)
         assert plan.test == ((70, 100),)
-        _, actual = _baseline_pairs(BaselineSpec("training_mean"), frame, plan,
+        _, _, actual = _baseline_pairs(BaselineSpec("training_mean"), frame, plan,
                                     "test", "forecast")
         anchors = actual.reshape(-1, 6)[:, 0] - 1  # y[t + 1] == t + 1
         # parent rule (t+1 .. t+6 only) also admitted 80 and 90

@@ -10,10 +10,10 @@ from denitlab.dataset import Scaler, apply_scaler, fit_scaler, invert_target, \
 from denitlab.errors import InvalidSpec, SpecMismatch
 from denitlab.models import (
     ARCH_TABLE, ARCHS, TASKS, ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast_batch,
-    serialize, train_model,
+    serialize, spec_windows, train_model,
 )
 from denitlab.models.spec import DEFAULT_HYPERPARAMS
-from denitlab.pipeline import spec_windows, train_on_plan
+from denitlab.pipeline import train_on_plan
 from denitlab.preprocess import build_windows
 
 from conftest import make_frame

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from denitlab.dataset import COVARIATES, apply_scaler, fit_scaler, make_final_split
 from denitlab.errors import DimensionMismatch, InvalidSpec
-from denitlab.models import ModelSpec, elastic_net, stack_inputs, training_targets
+from denitlab.models import ModelSpec, elastic_net, spec_windows, stack_inputs, \
+    training_targets
 from denitlab.models.elastic_net import fit_elastic_net, predict_linear, \
     stationarity_gap
-from denitlab.pipeline import prepare_frame, spec_windows
+from denitlab.pipeline import prepare_frame
 from denitlab.synthpilot import SynthConfig, generate
 
 

@@ -366,8 +366,7 @@ def _oracle_train_network(spec, X_train, y_train, X_val, y_val, init=None):
 
     def diverged(message):
         return None, None, epoch_means, NonFiniteLoss(
-            message, log=TrainLog(tuple(train_losses), tuple(val_losses),
-                                  len(train_losses) - 1, "max_iter"))
+            message, log=TrainLog(tuple(train_losses), tuple(val_losses), "max_iter"))
 
     tr, vl = full_losses()
     train_losses, val_losses, epoch_means = [tr], [vl], []
@@ -410,8 +409,7 @@ def _oracle_train_network(spec, X_train, y_train, X_val, y_val, init=None):
             if epochs_since_best >= hp["patience"]:
                 stop_reason = "early_stop"
                 break
-    log = TrainLog(tuple(train_losses), tuple(val_losses),
-                   len(train_losses) - 1, stop_reason)
+    log = TrainLog(tuple(train_losses), tuple(val_losses), stop_reason)
     return best_params, log, epoch_means, None
 
 
