@@ -61,6 +61,15 @@ def _check_window_set(spec: ModelSpec, ws: WindowSet, steps: int = 1) -> None:
             f"(covariates={spec.covariates}, h={h}, task={spec.task})")
 
 
+def _check_training_horizon(spec: ModelSpec, ws: WindowSet) -> None:
+    """``ws`` holds the targets the spec's task learns: t+1 for a forecast, t
+    for a nowcast."""
+    horizon = 1 if spec.task == "forecast" else 0
+    if ws.horizon != horizon:
+        raise SpecMismatch(f"window set has horizon {ws.horizon}, a {spec.task} "
+                           f"trains on horizon {horizon}")
+
+
 def stack_inputs(spec: ModelSpec, ws: WindowSet) -> np.ndarray:
     """Model inputs (B, h+1, channels); target history is the last channel."""
     if not spec.uses_target_history:
@@ -144,7 +153,10 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
     Validation windows drive early stopping for the network archs and are
     ignored by the tabular ones.
     """
-    _check_window_set(spec, train_windows)
+    for ws in (train_windows, val_windows):
+        if ws is not None:
+            _check_window_set(spec, ws)
+            _check_training_horizon(spec, ws)
     if len(train_windows) == 0:
         raise EmptyWindows("no training windows")
     arch = ARCH_TABLE[spec.arch]
@@ -154,7 +166,6 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
     if arch.needs_validation:
         if val_windows is None or len(val_windows) == 0:
             raise EmptyWindows(f"{spec.arch} needs validation windows for early stopping")
-        _check_window_set(spec, val_windows)
         val = (stack_inputs(spec, val_windows), training_targets(val_windows))
     params, log = arch.fit(spec, X3, y, val, spec.resolved())
     return TrainedModel(spec=spec, parameters=params, scaler=scaler), log

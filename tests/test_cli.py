@@ -680,10 +680,10 @@ class TestExitCodes:
         assert "training error" in capsys.readouterr().err
 
     def test_rising_gbt_loss_is_exit_4(self, tmp_path, capsys, monkeypatch):
-        import numpy as np
         from denitlab.models import gbt
-        monkeypatch.setattr(gbt, "_tree_predict",
-                            lambda tree, X: np.full(len(X), 1.0e3))
+        leaf = gbt._leaf
+        monkeypatch.setattr(gbt, "_leaf",
+                            lambda value, idx, out: leaf(1.0e3, idx, out))
         cfg = write_config(tmp_path / "gbt.yaml", archs=["gbt"],
                            hyperparams={"gbt": {"n_trees": 3, "max_depth": 2}},
                            synth={"days": 6, "seed": 3})

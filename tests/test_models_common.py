@@ -167,6 +167,26 @@ class TestTrainModelContract:
         with pytest.raises(SpecMismatch):
             train_model(wrong, ws, None, scaler)
 
+    @pytest.mark.parametrize("task, horizon, side", [
+        ("nowcast", 1, "train"), ("nowcast", 1, "validation"),
+        ("forecast", 0, "train"), ("forecast", 0, "validation")])
+    def test_window_horizon_must_match_task(self, task, horizon, side):
+        # a nowcast fitted on horizon-1 windows would learn y[t+1]
+        from denitlab.synthpilot import SynthConfig, generate
+        frame, _ = generate(SynthConfig(days=8, seed=1))
+        plan = make_final_split(frame)
+        scaler = fit_scaler(frame, plan.train)
+        scaled = apply_scaler(frame, scaler)
+        spec = ModelSpec("elastic_net", ("nitrate_in",), h=1, task=task,
+                         hyperparams={"alpha": 0.0})
+        right = spec_windows(spec, scaled, plan.train)
+        wrong = build_windows(scaled, ["nitrate_in"], h=1, horizon=horizon,
+                              with_target_history=spec.uses_target_history,
+                              plan_ranges=plan.train)
+        train, val = (wrong, right) if side == "train" else (right, wrong)
+        with pytest.raises(SpecMismatch, match=f"horizon {horizon}"):
+            train_model(spec, train, val, scaler)
+
 
 GOLDEN_HYPERPARAMS = {
     "elastic_net": {"alpha": 1e-3},

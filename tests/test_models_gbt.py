@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denitlab.errors import DimensionMismatch, TrainingLossRose
 from denitlab.models import gbt
@@ -282,7 +284,7 @@ def test_binned_splits_route_training_rows_by_bin(subsample):
     params, _ = fit_gbt(X, y, n_trees=6, max_depth=4, learning_rate=0.3,
                         min_samples_leaf=2, subsample=subsample, seed=3)
     bins = gbt._Bins(X)
-    codes = bins.codes - np.arange(X.shape[1]) * gbt.MAX_BINS
+    codes = bins.codes.T - np.arange(X.shape[1]) * gbt.MAX_BINS
 
     # at most MAX_BINS distinct values: one bin per value (==)
     x = X[:, 1]
@@ -453,8 +455,120 @@ def test_dimension_mismatch():
 
 
 def test_rising_training_loss_is_typed_error(monkeypatch):
-    monkeypatch.setattr(gbt, "_tree_predict",
-                        lambda tree, X: np.full(len(X), 1.0e3))
+    leaf = gbt._leaf
+    monkeypatch.setattr(gbt, "_leaf", lambda value, idx, out: leaf(1.0e3, idx, out))
     X, y = _problem(0, n=40, p=2)
     with pytest.raises(TrainingLossRose, match="stage 1"):
         fit_gbt(X, y, n_trees=3)
+
+
+# --- pinned trees: digests recorded before stage outputs came from the leaves --
+
+def _pinned_design(seed, n, p, held=100):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n + held, p))
+    y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, -1] + rng.normal(0, 0.3, n + held)
+    return X[:n], y[:n], X[n:]
+
+
+def _pinned_case(name):
+    """(X, y, held-out rows, fit kwargs) of one pinned fit."""
+    if name == "depth_6_leaf_1":
+        X, y, held = _pinned_design(30, 400, 6)
+        return X, y, held, dict(n_trees=15, max_depth=6, min_samples_leaf=1,
+                                learning_rate=0.2)
+    if name.startswith("subsample_seed_"):
+        X, y, held = _pinned_design(31, 300, 4)
+        return X, y, held, dict(n_trees=20, max_depth=3, subsample=0.7,
+                                seed=int(name[-1]))
+    if name == "few_values_ties_signed_zeros":
+        X, y, held = _pinned_design(32, 500, 3)
+        X[:, 0] = np.round(X[:, 0] * 4)  # ties, -0.0 and 0.0 among them
+        held[:, 0] = np.round(held[:, 0] * 4)
+        assert len(np.unique(X[:, 0])) <= gbt.MAX_BINS
+        assert np.any((X[:, 0] == 0) & np.signbit(X[:, 0]))
+        assert np.any((X[:, 0] == 0) & ~np.signbit(X[:, 0]))
+        return X, y, held, dict(n_trees=20, max_depth=3, min_samples_leaf=2)
+    if name == "quantile_bins":
+        X, y, held = _pinned_design(33, 1000, 3)
+        X[:, 1] = np.round(X[:, 1], 2)  # more values than bins, with ties
+        assert len(np.unique(X[:, 0])) > gbt.MAX_BINS
+        assert len(np.unique(X[:, 1])) > gbt.MAX_BINS
+        return X, y, held, dict(n_trees=20, max_depth=4)
+    if name == "constant_target":
+        X, _, held = _pinned_design(34, 50, 2)
+        return X, np.full(len(X), 0.75), held, dict(n_trees=10)
+    assert name == "lag_stacked_nowcast"
+    from denitlab.dataset import apply_scaler, fit_scaler, make_final_split
+    from denitlab.models import ModelSpec, spec_windows, stack_inputs, \
+        training_targets
+    from denitlab.pipeline import prepare_frame
+    from denitlab.synthpilot import SynthConfig, generate
+    frame, _ = prepare_frame(generate(SynthConfig(days=8, seed=5))[0])
+    plan = make_final_split(frame)
+    spec = ModelSpec("gbt", ("nitrate_in", "methanol", "temperature",
+                             "water_flow"), h=2, task="nowcast", seed=0)
+    scaled = apply_scaler(frame, fit_scaler(frame, plan.train))
+    train = spec_windows(spec, scaled, plan.train)
+    held = spec_windows(spec, scaled, plan.validation)
+    X = stack_inputs(spec, train).reshape(len(train), -1)
+    return X, training_targets(train), \
+        stack_inputs(spec, held).reshape(len(held), -1), dict(n_trees=30)
+
+
+PINNED_DIGESTS = {
+    "depth_6_leaf_1": ("fd97ec1408e55b82f5c72de83d19e9feb66d8dc0f5178a9d8c7945f0a1c422bb",
+        "d1b85156e315837b7609c9a9d5c47413b75fa0d4713233192b73f312d4312f26"),
+    "subsample_seed_0": ("560369f4da1c089f418a459fb79a5b25b61f466ddfc0a45bcdea42b7c82c687d",
+        "8cdb29524562b67ba5e19ae9a2f5abad033912fdc0d7e5fa4cb0ec6330e0935e"),
+    "subsample_seed_1": ("e4954fd8c711e71bd9691c506b7ed029d089511d05ace27c333fb09431cbd21f",
+        "3e7bf5d86b6b0901cca5ff7945a00e23fedcacc7c1ac1e1327d6bd7a2c169150"),
+    "few_values_ties_signed_zeros": ("9cdd87a6012047d68495637ae66f0ab02a858b5fcc264ce9ae6b3dbb9c12d5ed",
+        "2f29b8f43853a2fd47ae2f61968bcc8eb31d9f9497c822b780f8d74a9a1c762c"),
+    "quantile_bins": ("7ea75bf57cfcfe3475bd7ea56eab36be88ea5bd38c83535bb7ac4faf6358d52d",
+        "c41f0b99d74a2f467d5b4fbb6130132e364446df07695e1d1fac927c062f183c"),
+    "constant_target": ("79ac085eba3ce23eabf0c1423da6ad71453d0de2fe65bc1f5ad176a1414d8690",
+        "e5f1d29cf913a5b7bd86841f045e17ce343fb81047cf090e2d123fd4fcb9f013"),
+    "lag_stacked_nowcast": ("94a8b26c980950effecd142563c2e0c492cfe8c3e5c2b4c90a91e466521a061b",
+        "850d1440f72d5589dafd622d9cf14e750c9b1b7d66f47202ed35f47699e17a79"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_pinned_trees_and_predictions_unchanged(case):
+    X, y, held, kwargs = _pinned_case(case)
+    params, log = fit_gbt(X, y, **kwargs)
+    fit_digest = hashlib.sha256(
+        json.dumps([params, log.train_loss]).encode()).hexdigest()
+    predicted = np.ascontiguousarray(predict_gbt(params, held), dtype=float)
+    assert (fit_digest, hashlib.sha256(predicted.tobytes()).hexdigest()) \
+        == PINNED_DIGESTS[case]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 4),
+       decimals=st.sampled_from([None, 0, 1]), max_depth=st.integers(1, 4),
+       min_samples_leaf=st.integers(1, 6), n_trees=st.integers(1, 6))
+def test_leaf_stage_outputs_replay_through_tree_walk(seed, n, p, decimals, max_depth,
+                                                     min_samples_leaf, n_trees):
+    # a full-sample fit takes each stage's output from its leaves; regrowing
+    # every tree from the residuals that walking the rows through the trees
+    # leaves gives the same trees and the same losses
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    if decimals is not None:
+        X = np.round(X, decimals)  # ties, -0.0 among them
+    y = np.sin(2 * X[:, 0]) + rng.normal(0, 0.3, n)
+    kwargs = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    params, log = fit_gbt(X, y, n_trees=n_trees, learning_rate=0.3, **kwargs)
+
+    bins, rows = gbt._Bins(X), np.arange(n)
+    r = y - params["init"]
+    losses = [float((r ** 2).mean())]
+    for tree in params["trees"]:
+        regrown = gbt._build_tree(r, bins, rows, bins.node_hist(r, rows),
+                                  out=None, **kwargs)
+        assert regrown == tree
+        r -= 0.3 * gbt._tree_predict(tree, X)
+        losses.append(float((r ** 2).mean()))
+    assert log.train_loss == tuple(losses)

@@ -25,14 +25,14 @@ def frame():
 def fail_wide_fits(monkeypatch):
     """GBT fits on more than one input column raise the given error."""
     def install(exc_type):
-        original = gbt._tree_predict
+        original = gbt._Bins
 
-        def tree_predict(tree, X):
+        def bins(X):
             if X.shape[1] > 1:
                 raise exc_type("boom")
-            return original(tree, X)
+            return original(X)
 
-        monkeypatch.setattr(gbt, "_tree_predict", tree_predict)
+        monkeypatch.setattr(gbt, "_Bins", bins)
     return install
 
 
