@@ -92,18 +92,18 @@ def _subset(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
 
 
 def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFrame,
-                    plan: FoldPlan, seeds: tuple[int, ...] | None = None,
+                    plan: FoldPlan, seeds: tuple[int, ...] = (),
                     jobs: int = 1) -> AblationTable:
     """Train one model per non-empty covariate subset and seed; deterministic
     per (subset, seed). A row holds its seeds' mean scores, or none if any
-    of its trainings failed. ``seeds`` None or empty trains the base spec's seed."""
+    of its trainings failed. Empty ``seeds`` trains the base spec's seed."""
     names = tuple(covariate_names)
     if len(names) > MAX_SWEEP_COVARIATES:
         raise GuardrailExceeded(
             f"{len(names)} covariates would need {2 ** len(names)} trainings")
     if len(set(names)) != len(names):
         raise GuardrailExceeded("duplicate covariate names")
-    seeds = tuple(() if seeds is None else seeds) or (base_spec.seed,)
+    seeds = tuple(seeds) or (base_spec.seed,)
 
     masks = range(1, 2 ** len(names))
     tasks = [(replace(base_spec, covariates=_subset(names, m), seed=seed), plan)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Range
 from .errors import BadParams, LengthMismatch, NonFinite
-from .preprocess import rolling_median, runs
+from .preprocess import centred_half_width, rolling_median, runs
 
 MISSED_TARGET_PEAK = 1
 SPURIOUS_PREDICTED_PEAK = 2
@@ -63,12 +63,9 @@ class AnomalyEvent:
 
 
 def _centred_window(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-open bounds [lo, hi) of the centred window at each of n indices.
-
-    Even widths are widened by one so the window stays symmetric; windows
-    shrink at the edges.
-    """
-    half = (window if window % 2 else window + 1) // 2
+    """Half-open bounds [lo, hi) of the centred window at each of n indices;
+    windows shrink at the edges."""
+    half = centred_half_width(window)
     j = np.arange(n)
     return np.maximum(j - half, 0), np.minimum(j + half + 1, n)
 
@@ -141,20 +138,15 @@ def detect_anomalies(pred, actual,
 
     exc_a, mad_a = _peak_excess(actual, params.peak_window)
     exc_p, mad_p = _peak_excess(pred, params.peak_window)
-    peaks_a = exc_a > params.peak_sigma * mad_a
-    peaks_p = exc_p > params.peak_sigma * mad_p
 
     events: list[AnomalyEvent] = []
-    for s, e in runs(peaks_a):
-        a_height = float(exc_a[s:e].max())
-        p_height = float(exc_p[s:e].max())
-        if p_height < params.follow_ratio * a_height:
-            events.append(AnomalyEvent(MISSED_TARGET_PEAK, s, e, a_height))
-    for s, e in runs(peaks_p):
-        p_height = float(exc_p[s:e].max())
-        a_height = float(exc_a[s:e].max())
-        if a_height < params.follow_ratio * p_height:
-            events.append(AnomalyEvent(SPURIOUS_PREDICTED_PEAK, s, e, p_height))
+    # a peak of one series that the other does not follow
+    for klass, exc, mad, other in ((MISSED_TARGET_PEAK, exc_a, mad_a, exc_p),
+                                   (SPURIOUS_PREDICTED_PEAK, exc_p, mad_p, exc_a)):
+        for s, e in runs(exc > params.peak_sigma * mad):
+            height = float(exc[s:e].max())
+            if float(other[s:e].max()) < params.follow_ratio * height:
+                events.append(AnomalyEvent(klass, s, e, height))
 
     err = pred - actual
     roll_err = _rolling_mean(err, params.bias_window)

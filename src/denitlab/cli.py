@@ -113,13 +113,14 @@ def _model_specs(config: ExperimentConfig, out: Path) -> list[ModelSpec]:
             except (ValueError, KeyError, TypeError) as exc:
                 raise err.InvalidConfig(f"{best_path} is not a model spec: "
                                         f"{type(exc).__name__}: {exc}") from None
+            if base.arch != arch:
+                raise err.InvalidConfig(f"{best_path} holds a spec for {base.arch}, "
+                                        f"not {arch}")
             base = replace(base, task=config.task)
         else:
-            base = ModelSpec(arch=arch, covariates=config.covariates, h=config.h,
-                             task=config.task,
-                             hyperparams=dict(config.hyperparams.get(arch, {})))
+            base = config.base_spec(arch)
         for seed in config.seeds:
-            specs.append(base.with_seed(int(seed)))
+            specs.append(replace(base, seed=int(seed)))
     return specs
 
 
@@ -137,12 +138,13 @@ def cmd_synth(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
+    specs = _model_specs(config, out)
     frame, mask, plan = _load_planned(config, args.dataset)
     (out / "cleaning_mask.json").write_text(mask.to_json())
     (out / "models").mkdir(exist_ok=True)
     logs = {}
     first = True
-    for spec in _model_specs(config, out):
+    for spec in specs:
         model, log = train_on_plan(spec, frame, plan)
         save_model(model, _model_path(out, spec))
         if first:
@@ -217,7 +219,7 @@ def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
     frame, _, plan = _load_planned(config, args.dataset)
     base = replace(_model_specs(config, out)[0], covariates=config.ablation.covariates)
     table = covariate_sweep(base, config.ablation.covariates, frame, plan,
-                            seeds=config.ablation.seeds or None, jobs=config.jobs)
+                            seeds=config.ablation.seeds, jobs=config.jobs)
     table.to_csv(out / "ablation.csv")
     (out / "importance.json").write_text(importance(table).to_json())
     if config.ablation.h_values:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -28,7 +28,7 @@ from .errors import (
     BadParams, InvalidConfig, InvalidFractions, InvalidSpec, NotAFile, NotUTF8,
 )
 from .hyperopt import GridDim, LogUniformDim, SearchSpace
-from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS
+from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS, ModelSpec
 from .models.spec import check_hyperparams, in_range
 from .preprocess import CleaningParams
 from .synthpilot import SynthConfig
@@ -130,6 +130,20 @@ class ExperimentConfig:
         _check_covariates(self.ablation.covariates, "ablation.covariates")
         for arch in self.hyperopt.space:
             build_search_space(self, arch)  # a malformed space fails at load
+        if not self.ablation.covariates:
+            raise InvalidConfig("ablation.covariates names no covariate")
+        # the specs the commands build, so that ModelSpec's rules fail at load
+        bases = [self.base_spec(arch) for arch in self.archs]
+        for h in self.ablation.h_values:  # the ablation base spec with each h
+            try:
+                replace(bases[0], covariates=self.ablation.covariates, h=h)
+            except InvalidSpec as exc:
+                raise InvalidConfig(f"ablation.h_values: {exc}") from None
+
+    def base_spec(self, arch: str) -> ModelSpec:
+        """The spec ``arch`` trains with, unless a best spec replaces it."""
+        return ModelSpec(arch=arch, covariates=self.covariates, h=self.h,
+                         task=self.task, hyperparams=dict(self.hyperparams.get(arch, {})))
 
     def resolved_dict(self) -> dict:
         return _plain(asdict(self))

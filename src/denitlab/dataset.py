@@ -85,7 +85,6 @@ class TimeSeriesFrame:
     units: tuple[str, ...]
     values: np.ndarray
     gaps: tuple[Gap, ...] = ()
-    step: timedelta = STEP
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.names):
@@ -121,7 +120,7 @@ class TimeSeriesFrame:
         offsets = np.zeros(len(self), dtype=np.int64)
         for g in self.gaps:
             offsets[g.after_index + 1:] += g.missing_steps
-        return [self.start_time + self.step * int(i + o)
+        return [self.start_time + STEP * int(i + o)
                 for i, o in enumerate(offsets)]
 
     def gap_break_indices(self) -> frozenset[int]:
@@ -130,7 +129,7 @@ class TimeSeriesFrame:
 
     def with_values(self, values: np.ndarray) -> "TimeSeriesFrame":
         return TimeSeriesFrame(self.start_time, self.names, self.units,
-                               np.array(values, dtype=float), self.gaps, self.step)
+                               np.array(values, dtype=float), self.gaps)
 
 
 SPLITS = ("train", "validation", "test")  # the fields of a FoldPlan

@@ -60,8 +60,12 @@ class EvalReport:
     seed: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.mse) and np.isfinite(self.mae)):
+            raise ValueError(f"non-finite metric: mse {self.mse!r}, mae {self.mae!r}")
         if self.mse < 0 or self.mae < 0:
             raise ValueError("negative metric")
+        if self.n_points < 0:
+            raise ValueError(f"negative n_points {self.n_points}")
         if self.mae ** 2 > self.mse * (1 + 1e-9):
             raise ValueError(f"mae^2 {self.mae**2} exceeds mse {self.mse}")
 

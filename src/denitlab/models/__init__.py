@@ -4,10 +4,11 @@ Tabular archs (elastic_net, gbt) consume the window flattened row-major:
 one block of channels per time step, oldest step first, with the target
 history (forecasting only) appended as the last channel of each block.
 Sequence archs (recurrent, tcn) consume the same layout unflattened.
-Which windows a spec reads is decided once, by ``spec_windows``: training,
-``predict_batch`` and ``rollout_forecast_batch`` all read its ``WindowSet``
-from ``build_windows``, so every window a model sees has been vetted there;
-a rollout's windows carry one history row more per extra step.
+Which windows a spec reads is decided once, by ``_window_rule``:
+``spec_windows`` builds them with ``build_windows``, so every window a model
+sees has been vetted there, and training, ``predict_batch`` and
+``rollout_forecast_batch`` check the ``WindowSet`` they get against the same
+rule; a rollout's windows carry one history row more per extra step.
 
 Adding an arch means one ``ARCH_TABLE`` entry plus its defaults in
 ``spec.DEFAULT_HYPERPARAMS`` (and a ``spec._VALIDATORS`` check per new name).
@@ -39,42 +40,45 @@ MODEL_FORMAT = "denitlab-model"
 MODEL_VERSION = 1
 
 
+def _window_rule(spec: ModelSpec, steps: int = 1) -> dict:
+    """The ``build_windows`` arguments of the windows ``spec`` reads for
+    ``steps`` one-step predictions in a row: h + steps - 1 history rows, and
+    horizon 1 with target history for a forecast, horizon 0 for a nowcast."""
+    return {"covariates": spec.covariates, "h": spec.h + steps - 1,
+            "horizon": 1 if spec.task == "forecast" else 0,
+            "with_target_history": spec.uses_target_history}
+
+
 def spec_windows(spec: ModelSpec, scaled: TimeSeriesFrame, ranges,
                  steps: int = 1) -> WindowSet:
-    """The windows ``spec`` reads over ``ranges`` for ``steps`` one-step
-    predictions in a row: ``steps - 1`` more history rows than training's, so
-    a rollout from anchor t reads the window anchored at t + steps - 1."""
-    return build_windows(scaled, spec.covariates, spec.h + steps - 1,
-                         horizon=1 if spec.task == "forecast" else 0,
-                         with_target_history=spec.uses_target_history,
-                         plan_ranges=ranges)
+    """The windows ``spec`` reads over ``ranges``; a rollout of ``steps``
+    steps from anchor t reads the window anchored at t + steps - 1."""
+    return build_windows(scaled, **_window_rule(spec, steps), plan_ranges=ranges)
 
 
-def _check_window_set(spec: ModelSpec, ws: WindowSet, steps: int = 1) -> None:
-    """``ws`` holds the spec's inputs for ``steps`` one-step predictions in a row."""
-    h = spec.h + steps - 1
-    if ws.covariates != spec.covariates or ws.h != h \
-            or ws.with_target_history != spec.uses_target_history:
-        raise SpecMismatch(
-            f"window set (covariates={ws.covariates}, h={ws.h}, "
-            f"y_hist={ws.with_target_history}) does not match spec "
-            f"(covariates={spec.covariates}, h={h}, task={spec.task})")
+def _check_window_set(spec: ModelSpec, ws: WindowSet, steps: int = 1,
+                      training: bool = False) -> None:
+    """``ws`` holds the windows ``spec_windows`` gives for ``steps`` one-step
+    predictions in a row. Only training compares the horizon, the targets the
+    task learns; a prediction reads no target."""
+    wrong = [f"{name} {getattr(ws, name)!r}, not {want!r}"
+             for name, want in _window_rule(spec, steps).items()
+             if getattr(ws, name) != want and (training or name != "horizon")]
+    if wrong:
+        raise SpecMismatch(f"window set does not match the {spec.task} spec: "
+                           + "; ".join(wrong))
 
 
-def _check_training_horizon(spec: ModelSpec, ws: WindowSet) -> None:
-    """``ws`` holds the targets the spec's task learns: t+1 for a forecast, t
-    for a nowcast."""
-    horizon = 1 if spec.task == "forecast" else 0
-    if ws.horizon != horizon:
-        raise SpecMismatch(f"window set has horizon {ws.horizon}, a {spec.task} "
-                           f"trains on horizon {horizon}")
+def _with_target_channel(X: np.ndarray, y_hist: np.ndarray) -> np.ndarray:
+    """Covariate rows (B, T, c) with the target history (B, T) as the last channel."""
+    return np.concatenate([X, y_hist[:, :, None]], axis=2)
 
 
 def stack_inputs(spec: ModelSpec, ws: WindowSet) -> np.ndarray:
-    """Model inputs (B, h+1, channels); target history is the last channel."""
+    """Model inputs (B, h+1, channels) of the window set."""
     if not spec.uses_target_history:
         return ws.X
-    return np.concatenate([ws.X, ws.y_hist[:, :, None]], axis=2)
+    return _with_target_channel(ws.X, ws.y_hist)
 
 
 def training_targets(ws: WindowSet) -> np.ndarray:
@@ -155,8 +159,7 @@ def train_model(spec: ModelSpec, train_windows: WindowSet,
     """
     for ws in (train_windows, val_windows):
         if ws is not None:
-            _check_window_set(spec, ws)
-            _check_training_horizon(spec, ws)
+            _check_window_set(spec, ws, training=True)
     if len(train_windows) == 0:
         raise EmptyWindows("no training windows")
     arch = ARCH_TABLE[spec.arch]
@@ -203,8 +206,7 @@ def rollout_forecast_batch(model: TrainedModel, ws: WindowSet) -> np.ndarray:
     y_buf = np.empty((len(ws), h + steps + 1))
     y_buf[:, :h + 1] = ws.y_hist[:, :h + 1]
     for s in range(1, steps + 1):
-        inputs = np.concatenate([ws.X[:, s - 1:s + h], y_buf[:, s - 1:h + s, None]],
-                                axis=2)
+        inputs = _with_target_channel(ws.X[:, s - 1:s + h], y_buf[:, s - 1:h + s])
         y_buf[:, h + s] = predict(model.parameters, inputs)
     return y_buf[:, h + 1:]
 

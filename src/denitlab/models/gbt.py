@@ -110,13 +110,13 @@ class _Bins:
         self._codes = np.empty(n * p, dtype=np.intp)
         self._weights = np.empty(n * p)
 
-    def histogram(self, codes: np.ndarray, r: np.ndarray,
-                  idx: np.ndarray | None = None, counts: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+    def histogram(self, r: np.ndarray, idx: np.ndarray | None = None,
+                  counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Per-bin residual sums and row counts, shaped ``(p, MAX_BINS)``, of
-        rows ``idx`` (all rows if None) of the feature-major ``codes`` (those
-        of ``self.codes``) and residuals ``r``. ``counts``, if given, are
-        those rows' counts, taken as they are rather than counted again."""
+        rows ``idx`` (all rows if None) of residuals ``r``. ``counts``, if
+        given, are those rows' counts, taken as they are rather than counted
+        again."""
+        codes = self.codes
         p = codes.shape[0]
         if idx is not None:
             # node row ids are in range; mode="raise" would copy through a buffer
@@ -133,7 +133,7 @@ class _Bins:
 
     def node_hist(self, r: np.ndarray, idx: np.ndarray) -> _Hist:
         """The histogram of rows ``idx``, counted and summed."""
-        sums, counts = self.histogram(self.codes, r, idx)
+        sums, counts = self.histogram(r, idx)
         return _Hist(sums, counts, counts.cumsum(axis=1, dtype=float))
 
     def best_split(self, hist: _Hist, n: int, min_samples_leaf: int
@@ -289,12 +289,12 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3
             else:
                 # the root's counts and the boundaries they rule out: once per fit
                 if root is None:
-                    sums, counts = bins.histogram(bins.codes, r)
+                    sums, counts = bins.histogram(r)
                     n_left = counts.cumsum(axis=1, dtype=float)
                     root = _Hist(sums, counts, n_left, _invalid(
                         counts, n_left, n - n_left, min_samples_leaf))
                 else:
-                    sums, _ = bins.histogram(bins.codes, r, counts=root.counts)
+                    sums, _ = bins.histogram(r, counts=root.counts)
                     root = root._replace(sums=sums)
                 tree = _build_tree(r, bins, all_rows, root, max_depth,
                                    min_samples_leaf, out)

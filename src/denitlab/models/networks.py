@@ -21,31 +21,14 @@ bit-identical to it.
 
 Whole-batch forwards (the loss before training, the per-epoch validation
 loss, batch prediction, rollout) run in blocks of ``FORWARD_BLOCK_ROWS``
-rows. Over all 3,133 training windows of a hyperopt fold, every temporary
-of one forward is larger than glibc's 128 KiB mmap threshold, so each costs
-an allocator round trip and fresh page faults; that, not arithmetic, is
-where the time goes. On a 2-core Xeon with one BLAS thread, the recurrent
-forward at hidden 8 took 4.0 ms in one batch and 2.5 ms in 512-row blocks;
-with the process's ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_``
-raised, the one batch ran about as fast as the blocks. Each row goes through
-the same operations either way, so the predictions are bit-identical.
-
-A tcn level's stacked-tap matrix is K times as wide as its input, so at 512
-rows of window 3 it passes the threshold (144 KiB at 6 inputs and kernel 2).
-Re-measured with stacked taps (3,133 windows, 6 inputs, hidden 8, min of
-repeats, the same 2-core Xeon): the tcn forward took 1.24, 1.20 and 1.17 ms
-in blocks of 384, 512 and 1,024 rows and 3.1 ms in one batch; the recurrent
-forward 4.1, 4.3 and 4.5 ms against 7.7 ms. 512 rows stays.
-
-Re-measured with the gate-major recurrent cell, one block size per fresh
-process, min of repeats over 8 alternating rounds: the recurrent forward
-took 4.27 and 4.34 ms at 384 and 512 rows (384 faster in 5 of 8 rounds) and
-4.49 ms at 1,024; the tcn 1.83 and 2.03 ms (8 of 8) and 2.13 ms. The
-``hyperopt_forecast`` benchmark did not follow: with 384-row blocks its
-``wall_s`` was 0.274 s against 0.273 s at 512 (better in 1 of 6 alternating
-50-s pairs). The allocator's history in a process, which glibc's sliding
-mmap threshold carries, moves these timings more than the block size does.
-512 rows stays.
+rows. Each row goes through the same operations either way, so the
+predictions are bit-identical to one forward over the whole batch. Blocks
+took the ``hyperopt_forecast`` benchmark from 0.446 to 0.380 s per unit in
+alternating pairs on a 2-core host. Per-block timings taken inside one
+process depend on what ran earlier in it (the allocator's history), and
+fresh processes ranked 384, 512 and 1,024 rows differently; only
+benchmark-level pairs ranked block sizes reliably, and those did not tell
+384 rows from 512. 512 rows stays.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Any
 
@@ -134,9 +134,6 @@ class ModelSpec:
     @property
     def uses_target_history(self) -> bool:
         return self.task == "forecast"
-
-    def with_seed(self, seed: int) -> "ModelSpec":
-        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         return {

@@ -86,20 +86,24 @@ class WindowSample:
     y_hist: np.ndarray | None = None
 
 
+def centred_half_width(window: int) -> int:
+    """Rows on each side of a centred window ``window`` rows wide, which is
+    ``2 * half + 1`` rows: even widths are widened by one to stay symmetric."""
+    return window // 2
+
+
 def rolling_median(x: np.ndarray, window: int) -> np.ndarray:
     """Centered rolling median ignoring NaNs; windows shrink at the edges.
 
-    Even window widths are widened by one so the window stays symmetric.
     The series is padded with NaNs, which the median ignores, so the edge
     windows are the interior ones cut short.
     """
     x = np.asarray(x, dtype=float)
-    width = window if window % 2 else window + 1
-    half = width // 2
+    half = centred_half_width(window)
     if not len(x):  # the padding alone is narrower than one window
         return np.empty(0)
     padded = np.concatenate([np.full(half, np.nan), x, np.full(half, np.nan)])
-    sw = np.lib.stride_tricks.sliding_window_view(padded, width)
+    sw = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN windows
         return np.nanmedian(sw, axis=1)

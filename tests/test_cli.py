@@ -461,6 +461,39 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: {best} is not a model spec: KeyError: 'covariates'\n")
 
+    def test_best_spec_of_another_arch_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.yaml", archs=["elastic_net", "gbt"],
+                           use_best_specs=True)
+        out = tmp_path / "o"
+        out.mkdir()
+        spec = json.dumps({"arch": "elastic_net", "covariates": ["methanol"],
+                           "h": 1, "task": "nowcast"})
+        for arch in ("elastic_net", "gbt"):
+            (out / f"best_spec_{arch}.json").write_text(spec)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {out / 'best_spec_gbt.json'} holds a spec for "
+            f"elastic_net, not gbt\n")
+        assert not (out / "models").exists()
+
+    @pytest.mark.parametrize("scores,error", [
+        ("nan,0.5,10", "non-finite metric: mse nan, mae 0.5"),
+        ("inf,0.5,10", "non-finite metric: mse inf, mae 0.5"),
+        ("1.0,nan,10", "non-finite metric: mse 1.0, mae nan"),
+        ("1.0,0.5,-1", "negative n_points -1"),
+    ], ids=["mse-nan", "mse-inf", "mae-nan", "n-points-negative"])
+    def test_report_csv_bad_score_exits_3(self, config_path, tmp_path, capsys,
+                                          scores, error):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.csv").write_text("model_id,task,split,seed,mse,mae,n_points\n"
+                                        f"elastic_net,nowcast,test,0,{scores}\n")
+        assert main(["report", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'report.csv'} line 2: not a score row: "
+            f"ValueError: {error}\n")
+        assert not (out / "table1.json").exists()
+
     def test_report_csv_directory_exits_3(self, config_path, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "report.csv").mkdir(parents=True)
@@ -628,13 +661,20 @@ class TestExitCodes:
          "final_split: train 0.9 + val 0.2 leaves no test data"),
         ({"final_split": {"val_fraction": 0}}, "final_split: fractions must be positive"),
         ({"hyperopt": {"budget": 0}}, "hyperopt.budget must be >= 1"),
+        ({"h": -1}, "history length h must be an integer >= 0, got -1"),
+        ({"covariates": []}, "nowcasting with zero covariates has no inputs"),
+        ({"ablation": {"h_values": [2, -1]}},
+         "ablation.h_values: history length h must be an integer >= 0, got -1"),
+        ({"task": "forecast", "ablation": {"covariates": []}},
+         "ablation.covariates names no covariate"),
     ], ids=["hyperparam-float-count", "hyperparam-unknown-other-arch",
             "covariate-unknown", "covariate-target", "ablation-covariate-target",
             "ablation-covariate-twice", "space-covariate-unknown",
             "covariate-twice", "space-covariate-twice", "archs-empty", "arch-twice",
             "seed-twice", "ablation-seed-twice", "folds-zero", "val-block-zero", "test-fraction-one",
             "folds-exceed-cycle", "split-leaves-no-test", "split-fraction-zero",
-            "budget-zero"])
+            "budget-zero", "h-negative", "nowcast-no-covariates", "ablation-h-negative",
+            "ablation-covariates-empty"])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, command,
                                                     override, message):
         cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),

@@ -437,10 +437,10 @@ def test_root_counted_once_per_fit_and_trees_unchanged(monkeypatch):
     roots = []
     histogram = gbt._Bins.histogram
 
-    def spy(self, codes, r, idx=None, counts=None):
+    def spy(self, r, idx=None, counts=None):
         if idx is None:
             roots.append(counts is None)
-        return histogram(self, codes, r, idx, counts)
+        return histogram(self, r, idx, counts)
 
     monkeypatch.setattr(gbt._Bins, "histogram", spy)
     params, log = fit_gbt(X, y, n_trees=25, max_depth=3, min_samples_leaf=5)
