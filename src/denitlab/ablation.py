@@ -3,9 +3,8 @@ input-history-length sweep.
 
 Every non-empty subset of the candidate covariates gets one model, trained on
 the final split with the base spec's (typically optimized) hyperparameters
-held fixed; the empty subset is recorded but skipped rather than fitted as an
-intercept-only model, so it contributes to neither side of the
-with/without-covariate comparison.
+held fixed. The empty subset is not fitted as an intercept-only model, so it
+contributes to neither side of the with/without-covariate comparison.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ class AblationRow:
 
 @dataclass(frozen=True)
 class AblationTable:
-    """2^n rows, one per bitmask; the empty subset carries a skip note."""
+    """2^n - 1 rows, one per non-empty subset in bitmask order; a subset
+    whose training failed has no scores and the note "training failed"."""
 
-    base_spec: ModelSpec
     covariate_names: tuple[str, ...]
     rows: tuple[AblationRow, ...]
 
@@ -110,8 +109,7 @@ def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFram
              for m in masks for seed in seeds]
     scores = score_grid(frame, tasks, ("validation", "test"), jobs=jobs)
 
-    rows = [AblationRow(bitmask=0, covariates=(), val_mse=None, test_mse=None,
-                        note="empty subset skipped")]
+    rows = []
     k = len(seeds)
     for i, mask in enumerate(masks):
         runs = scores[i * k:(i + 1) * k]
@@ -120,8 +118,7 @@ def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFram
         else:  # the seed mean, summed in seed order
             row = (sum(s[0] for s in runs) / k, sum(s[1] for s in runs) / k, "")
         rows.append(AblationRow(mask, _subset(names, mask), *row))
-    return AblationTable(base_spec=base_spec, covariate_names=names,
-                         rows=tuple(rows))
+    return AblationTable(covariate_names=names, rows=tuple(rows))
 
 
 def importance(table: AblationTable, k: int | None = None) -> ImportanceSummary:

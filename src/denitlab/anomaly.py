@@ -124,9 +124,14 @@ def _diff_corr(pred: np.ndarray, actual: np.ndarray, window: int) -> np.ndarray:
     return np.concatenate([corr_d[:1], corr_d])
 
 
-def detect_anomalies(pred, actual,
-                     params: AnomalyParams = AnomalyParams()) -> list[AnomalyEvent]:
-    """Classify anomalous stretches of a prediction series against the truth."""
+def detect_anomalies(pred, actual, params: AnomalyParams = AnomalyParams(),
+                     starts=()) -> list[AnomalyEvent]:
+    """Classify anomalous stretches of a prediction series against the truth.
+
+    ``starts`` are the positions where a contiguous stretch of the series
+    begins after an outage. Each stretch is analysed alone, so no event spans
+    an outage; a stretch of fewer than 2 samples is skipped.
+    """
     pred = np.asarray(pred, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if pred.shape != actual.shape or pred.ndim != 1:
@@ -136,6 +141,17 @@ def detect_anomalies(pred, actual,
     if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(actual))):
         raise NonFinite("series must be finite")
 
+    bounds = [0, *map(int, starts), len(pred)]
+    events: list[AnomalyEvent] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo >= 2:
+            events += _detect(pred[lo:hi], actual[lo:hi], params, lo)
+    events.sort(key=lambda ev: (ev.klass, ev.start_index))
+    return events
+
+
+def _detect(pred, actual, params: AnomalyParams, offset: int) -> list[AnomalyEvent]:
+    """The events of one contiguous series, at positions ``offset`` on."""
     exc_a, mad_a = _peak_excess(actual, params.peak_window)
     exc_p, mad_p = _peak_excess(pred, params.peak_window)
 
@@ -146,7 +162,7 @@ def detect_anomalies(pred, actual,
         for s, e in runs(exc > params.peak_sigma * mad):
             height = float(exc[s:e].max())
             if float(other[s:e].max()) < params.follow_ratio * height:
-                events.append(AnomalyEvent(klass, s, e, height))
+                events.append(AnomalyEvent(klass, s + offset, e + offset, height))
 
     err = pred - actual
     roll_err = _rolling_mean(err, params.bias_window)
@@ -154,9 +170,8 @@ def detect_anomalies(pred, actual,
     biased = (np.abs(roll_err) > params.bias_threshold) & (corr >= DIFF_CORR_MIN)
     for s, e in runs(biased):
         if e - s >= params.bias_window:
-            events.append(AnomalyEvent(SUSTAINED_BIAS, s, e, float(err[s:e].mean())))
-
-    events.sort(key=lambda ev: (ev.klass, ev.start_index))
+            events.append(AnomalyEvent(SUSTAINED_BIAS, s + offset, e + offset,
+                                       float(err[s:e].mean())))
     return events
 
 

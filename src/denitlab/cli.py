@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,6 +31,8 @@ from pathlib import Path
 # the user exported wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np
 
 from . import dataset as ds
 from . import errors as err
@@ -43,6 +45,7 @@ from .evaluation import EvalReport, aggregate_seeds, evaluate, \
 from .hyperopt import search
 from .models import ModelSpec, load_model, save_model
 from .pipeline import prepare_frame, train_on_plan
+from .preprocess import segments
 from .synthpilot import generate
 
 DATA_ENV = "DENITLAB_DATA"
@@ -93,35 +96,34 @@ def _load_frame(config: ExperimentConfig, dataset_override: str | None):
 def _load_planned(config: ExperimentConfig, dataset_override: str | None):
     """The cleaned frame, its cleaning mask and the final train/val/test plan."""
     frame, mask = _load_frame(config, dataset_override)
-    plan = ds.make_final_split(frame, config.final_split.train_fraction,
-                               config.final_split.val_fraction)
-    return frame, mask, plan
+    return frame, mask, ds.make_final_split(frame, **asdict(config.final_split))
+
+
+def _arch_spec(config: ExperimentConfig, out: Path, arch: str) -> ModelSpec:
+    """The spec ``arch`` trains with: its best spec under ``use_best_specs``."""
+    if not config.use_best_specs:
+        return config.base_spec(arch)
+    best_path = out / f"best_spec_{arch}.json"
+    if not best_path.exists():
+        raise err.InvalidConfig(
+            f"use_best_specs set but {best_path} is missing; run hyperopt first")
+    try:
+        base = ModelSpec.from_dict(json.load(ds.read_text(best_path)))
+    except (err.NotAFile, err.NotUTF8) as exc:
+        raise err.InvalidConfig(str(exc)) from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise err.InvalidConfig(f"{best_path} is not a model spec: "
+                                f"{type(exc).__name__}: {exc}") from None
+    if base.arch != arch:
+        raise err.InvalidConfig(f"{best_path} holds a spec for {base.arch}, "
+                                f"not {arch}")
+    return replace(base, task=config.task)
 
 
 def _model_specs(config: ExperimentConfig, out: Path) -> list[ModelSpec]:
-    specs = []
-    for arch in config.archs:
-        if config.use_best_specs:
-            best_path = out / f"best_spec_{arch}.json"
-            if not best_path.exists():
-                raise err.InvalidConfig(
-                    f"use_best_specs set but {best_path} is missing; run hyperopt first")
-            try:
-                base = ModelSpec.from_dict(json.load(ds.read_text(best_path)))
-            except (err.NotAFile, err.NotUTF8) as exc:
-                raise err.InvalidConfig(str(exc)) from None
-            except (ValueError, KeyError, TypeError) as exc:
-                raise err.InvalidConfig(f"{best_path} is not a model spec: "
-                                        f"{type(exc).__name__}: {exc}") from None
-            if base.arch != arch:
-                raise err.InvalidConfig(f"{best_path} holds a spec for {base.arch}, "
-                                        f"not {arch}")
-            base = replace(base, task=config.task)
-        else:
-            base = config.base_spec(arch)
-        for seed in config.seeds:
-            specs.append(replace(base, seed=int(seed)))
-    return specs
+    """One spec per arch and seed, arch-major."""
+    return [replace(_arch_spec(config, out, arch), seed=int(seed))
+            for arch in config.archs for seed in config.seeds]
 
 
 def _model_path(out: Path, spec: ModelSpec) -> Path:
@@ -192,8 +194,7 @@ def cmd_evaluate(config: ExperimentConfig, out: Path, args) -> None:
 
 def cmd_hyperopt(config: ExperimentConfig, out: Path, args) -> None:
     frame, _ = _load_frame(config, args.dataset)
-    folds = ds.make_cv_folds(frame, config.folds.n_folds, config.folds.train_block,
-                             config.folds.val_block, config.folds.test_fraction)
+    folds = ds.make_cv_folds(frame, **asdict(config.folds))
     with open(out / "trials.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["arch", "trial", "fold", "val_mse", "mean_val_mse", "spec"])
@@ -217,7 +218,8 @@ def cmd_hyperopt(config: ExperimentConfig, out: Path, args) -> None:
 
 def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
     frame, _, plan = _load_planned(config, args.dataset)
-    base = replace(_model_specs(config, out)[0], covariates=config.ablation.covariates)
+    base = replace(_arch_spec(config, out, config.archs[0]), seed=int(config.seeds[0]),
+                   covariates=config.ablation.covariates)
     table = covariate_sweep(base, config.ablation.covariates, frame, plan,
                             seeds=config.ablation.seeds, jobs=config.jobs)
     table.to_csv(out / "ablation.csv")
@@ -241,7 +243,9 @@ def cmd_anomaly(config: ExperimentConfig, out: Path, args) -> None:
         raise err.SpecMismatch("anomaly analysis expects a nowcast model")
     anchors, preds, actual = model_pairs(model, frame,
                                          getattr(plan, config.anomaly.split))
-    events = detect_anomalies(preds, actual, config.anomaly)
+    # each contiguous stretch of the frame alone: no event spans an outage
+    starts = np.searchsorted(anchors, [lo for lo, _ in segments(frame)])
+    events = detect_anomalies(preds, actual, config.anomaly, starts)
     (out / "anomalies.json").write_text(
         events_to_json(events, anchors, frame.timestamps()))
     print(f"wrote {out / 'anomalies.json'} ({len(events)} events)")

@@ -21,45 +21,16 @@ import yaml
 from . import __version__
 from .anomaly import AnomalyParams
 from .dataset import (
-    COVARIATES, SAMPLES_PER_WEEK, SPLITS, TARGET, check_fold_settings,
-    check_split_fractions, read_text,
+    COVARIATES, SPLITS, TARGET, FinalSplitSettings, FoldSettings, read_text,
 )
 from .errors import (
     BadParams, InvalidConfig, InvalidFractions, InvalidSpec, NotAFile, NotUTF8,
 )
-from .hyperopt import GridDim, LogUniformDim, SearchSpace
+from .hyperopt import GridDim, HyperoptSettings, LogUniformDim, SearchSpace
 from .models import ARCH_TABLE, ARCHS, DEFAULT_HYPERPARAMS, TASKS, ModelSpec
 from .models.spec import check_hyperparams, in_range
 from .preprocess import CleaningParams
 from .synthpilot import SynthConfig
-
-
-@dataclass(frozen=True)
-class FoldSettings:
-    n_folds: int = 4
-    train_block: int = 3 * SAMPLES_PER_WEEK
-    val_block: int = SAMPLES_PER_WEEK
-    test_fraction: float = 0.20
-
-    def __post_init__(self):
-        check_fold_settings(self.n_folds, self.train_block, self.val_block,
-                            self.test_fraction)
-
-
-@dataclass(frozen=True)
-class FinalSplitSettings:
-    train_fraction: float = 0.72
-    val_fraction: float = 0.08
-
-    def __post_init__(self):
-        check_split_fractions(self.train_fraction, self.val_fraction)
-
-
-@dataclass(frozen=True)
-class HyperoptSettings:
-    budget: int = 50
-    seed: int = 0
-    space: dict = field(default_factory=dict)  # per-arch dimension overrides
 
 
 @dataclass(frozen=True)
@@ -108,15 +79,14 @@ class ExperimentConfig:
         for arch in self.archs:
             if arch not in ARCHS:
                 raise InvalidConfig(f"unknown arch {arch!r}")
-        if len(set(self.archs)) != len(self.archs):
-            raise InvalidConfig("archs names an arch twice")
+        _check_distinct(self.archs, "archs", "an arch")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
-        for what, seeds in (("seeds", self.seeds), ("ablation.seeds", self.ablation.seeds)):
-            if len(set(seeds)) != len(seeds):
-                raise InvalidConfig(f"{what} names a seed twice")
-        if self.hyperopt.budget < 1:
-            raise InvalidConfig("hyperopt.budget must be >= 1")
+        _check_distinct(self.seeds, "seeds", "a seed")
+        _check_distinct(self.ablation.seeds, "ablation.seeds", "a seed")
+        _check_distinct(self.ablation.h_values, "ablation.h_values", "a history length")
+        if self.jobs < 1:
+            raise InvalidConfig(f"jobs must be >= 1, got {self.jobs}")
         for arch, overrides in self.hyperparams.items():
             if arch not in ARCHS:
                 raise InvalidConfig(f"hyperparams for unknown arch {arch!r}")
@@ -155,6 +125,11 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _check_distinct(values, what: str, noun: str) -> None:
+    if len(set(values)) != len(values):
+        raise InvalidConfig(f"{what} names {noun} twice")
+
+
 def _check_covariates(names, what: str) -> None:
     """Every name a covariate column of the dataset schema, none twice."""
     for name in names:
@@ -162,8 +137,7 @@ def _check_covariates(names, what: str) -> None:
             raise InvalidConfig(f"{what}: {name!r} is the target, not a covariate")
         if name not in COVARIATES:
             raise InvalidConfig(f"{what}: no covariate column {name!r}")
-    if len(set(names)) != len(names):
-        raise InvalidConfig(f"{what} names a covariate twice")
+    _check_distinct(names, what, "a covariate")
 
 
 def _plain(obj):

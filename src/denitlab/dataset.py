@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -167,7 +167,7 @@ class Scaler:
     mean: np.ndarray
     std: np.ndarray
     fitted_on: tuple[Range, ...]
-    target_index: int = field(default=-1)
+    target_index: int  # the target's column
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -285,36 +285,47 @@ def save_csv(frame: TimeSeriesFrame, path) -> None:
             writer.writerow(cells)
 
 
-def check_fold_settings(n_folds: int, train_block: int, val_block: int,
-                        test_fraction: float) -> None:
-    """The ``make_cv_folds`` settings that fail on every frame, refused
-    without one."""
-    if n_folds < 1 or train_block < 1 or val_block < 1:
-        raise InvalidFractions("n_folds, train_block, val_block must be positive")
-    if not 0 < test_fraction < 1:
-        raise InvalidFractions(f"test_fraction {test_fraction} outside (0, 1)")
-    cycle = train_block + val_block
-    if n_folds * val_block > cycle:
-        raise InvalidFractions(
-            f"{n_folds} folds with val_block {val_block} exceed one cycle of {cycle}; "
-            "validation ranges would repeat")
+@dataclass(frozen=True)
+class FoldSettings:
+    """:func:`make_cv_folds`' settings; those failing on every frame are refused."""
+
+    n_folds: int = 4
+    train_block: int = 3 * SAMPLES_PER_WEEK
+    val_block: int = SAMPLES_PER_WEEK
+    test_fraction: float = 0.20
+
+    def __post_init__(self):
+        if self.n_folds < 1 or self.train_block < 1 or self.val_block < 1:
+            raise InvalidFractions("n_folds, train_block, val_block must be positive")
+        if not 0 < self.test_fraction < 1:
+            raise InvalidFractions(f"test_fraction {self.test_fraction} outside (0, 1)")
+        cycle = self.train_block + self.val_block
+        if self.n_folds * self.val_block > cycle:
+            raise InvalidFractions(
+                f"{self.n_folds} folds with val_block {self.val_block} exceed one "
+                f"cycle of {cycle}; validation ranges would repeat")
 
 
-def check_split_fractions(train_fraction: float, val_fraction: float) -> None:
-    """The ``make_final_split`` fractions that fail on every frame, refused
-    without one."""
-    if train_fraction <= 0 or val_fraction <= 0:
-        raise InvalidFractions("fractions must be positive")
-    if train_fraction + val_fraction >= 1.0 - 1e-9:
-        raise InvalidFractions(
-            f"train {train_fraction} + val {val_fraction} leaves no test data")
+@dataclass(frozen=True)
+class FinalSplitSettings:
+    """:func:`make_final_split`'s fractions; those failing on every frame are refused."""
+
+    train_fraction: float = 0.72
+    val_fraction: float = 0.08
+
+    def __post_init__(self):
+        if self.train_fraction <= 0 or self.val_fraction <= 0:
+            raise InvalidFractions("fractions must be positive")
+        if self.train_fraction + self.val_fraction >= 1.0 - 1e-9:
+            raise InvalidFractions(f"train {self.train_fraction} + val "
+                                   f"{self.val_fraction} leaves no test data")
 
 
 def make_cv_folds(frame: TimeSeriesFrame,
-                  n_folds: int = 4,
-                  train_block: int = 3 * SAMPLES_PER_WEEK,
-                  val_block: int = SAMPLES_PER_WEEK,
-                  test_fraction: float = 0.20) -> list[FoldPlan]:
+                  n_folds: int = FoldSettings.n_folds,
+                  train_block: int = FoldSettings.train_block,
+                  val_block: int = FoldSettings.val_block,
+                  test_fraction: float = FoldSettings.test_fraction) -> list[FoldPlan]:
     """Blocked cross-validation plans over the pre-test prefix.
 
     The last ``ceil(test_fraction * len)`` samples are the common held-out
@@ -325,7 +336,7 @@ def make_cv_folds(frame: TimeSeriesFrame,
     Blocks are measured in samples, not calendar time, so gaps do not
     desynchronize the tiling.
     """
-    check_fold_settings(n_folds, train_block, val_block, test_fraction)
+    FoldSettings(n_folds, train_block, val_block, test_fraction)  # refuses bad settings
     cycle = train_block + val_block
     n = len(frame)
     n_test = math.ceil(test_fraction * n)
@@ -357,8 +368,8 @@ def make_cv_folds(frame: TimeSeriesFrame,
 
 
 def make_final_split(frame: TimeSeriesFrame,
-                     train_fraction: float = 0.72,
-                     val_fraction: float = 0.08) -> FoldPlan:
+                     train_fraction: float = FinalSplitSettings.train_fraction,
+                     val_fraction: float = FinalSplitSettings.val_fraction) -> FoldPlan:
     """Contiguous train/validation/test split; test takes the remainder.
 
     Boundaries floor fractional positions, so rounding slack accrues to the
@@ -366,7 +377,7 @@ def make_final_split(frame: TimeSeriesFrame,
     compensated by 1e-9 so that exactly representable boundaries (0.8 * 25)
     do not fall one sample short through float rounding.
     """
-    check_split_fractions(train_fraction, val_fraction)
+    FinalSplitSettings(train_fraction, val_fraction)  # refuses bad fractions
     n = len(frame)
     train_end = math.floor(n * train_fraction + 1e-9)
     val_end = math.floor(n * (train_fraction + val_fraction) + 1e-9)

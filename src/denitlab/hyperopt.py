@@ -12,7 +12,7 @@ early-stopped on its validation range, by the CLI ``train`` command with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -22,6 +22,19 @@ from .errors import AllTrialsFailed, InvalidConfig
 from .models import ModelSpec
 # perfbench/test_spans.py checks that the tracer patches hyperopt.train_on_plan
 from .pipeline import score_grid, train_on_plan  # noqa: F401
+
+
+@dataclass(frozen=True)
+class HyperoptSettings:
+    """:func:`search`'s budget and seed, and per-arch search-space overrides."""
+
+    budget: int = 50
+    seed: int = 0
+    space: dict = field(default_factory=dict)  # arch -> dimension overrides
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise InvalidConfig("hyperopt.budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,15 +101,15 @@ class Trial:
 
 
 def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
-           task: str, budget: int = 50, search_seed: int = 0,
+           task: str, budget: int = HyperoptSettings.budget,
+           search_seed: int = HyperoptSettings.seed,
            jobs: int = 1) -> tuple[ModelSpec, list[Trial]]:
     """Sample ``budget`` specs, score each on every fold, return the winner.
 
     Ties break on the earliest trial index; identical (space, seed, data)
     reruns reproduce the identical trial list.
     """
-    if budget < 1:
-        raise InvalidConfig("budget must be >= 1")
+    HyperoptSettings(budget, search_seed)  # refuses a budget below 1
     rng = np.random.default_rng(search_seed)
     specs = [space.sample_spec(rng, task) for _ in range(budget)]
 

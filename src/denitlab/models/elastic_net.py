@@ -60,13 +60,14 @@ from operator import mul
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyWindows, InvalidSpec
-from .spec import TrainLog
+from .spec import DEFAULT_HYPERPARAMS, TrainLog
 
 _LOSS_BATCH = 32  # iterates per batch of the loss log
 _LOSS_RTOL = 1e-12  # largest rounding bound, relative, of a Gram-form objective
 _EXACT_EVERY = 8  # exact steps at the sweeps dividing it (1, 2, 4), then every 8th
 _KKT_RTOL = 1e-10  # optimality slack of an exact step, relative to l1 + max|c|
 _EPS = float(np.finfo(float).eps)
+_DEFAULTS = DEFAULT_HYPERPARAMS["elastic_net"]  # fit_elastic_net's, read once
 
 
 def _objectives(X: np.ndarray, y: np.ndarray, gram: tuple, w_log: list,
@@ -130,9 +131,9 @@ def _exact_step(sigma: np.ndarray, c: np.ndarray, w: list, l1: float, l2: float,
     return cand if slack.max(initial=0.0) <= eps else None
 
 
-def fit_elastic_net(X: np.ndarray, y: np.ndarray,
-                    alpha: float = 1e-3, l1_ratio: float = 0.5,
-                    tol: float = 1e-8, max_iter: int = 1000):
+def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alpha"],
+                    l1_ratio: float = _DEFAULTS["l1_ratio"], tol: float = _DEFAULTS["tol"],
+                    max_iter: int = _DEFAULTS["max_iter"]):
     """Cyclic coordinate descent; stops when the largest coordinate move < tol,
     or at an exact step that passes the optimality check (module docstring).
 

@@ -59,11 +59,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DimensionMismatch, EmptyWindows, TrainingLossRose
-from .spec import TrainLog
+from .spec import DEFAULT_HYPERPARAMS, TrainLog
 
 #: Most bins a feature is coded into; a feature with more distinct values
 #: gets quantile bins.
 MAX_BINS = 256
+_DEFAULTS = DEFAULT_HYPERPARAMS["gbt"]  # fit_gbt's, read once
 
 
 class _Hist(NamedTuple):
@@ -250,9 +251,11 @@ def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3,
-            learning_rate: float = 0.1, min_samples_leaf: int = 5,
-            subsample: float = 1.0, seed: int = 0):
+def fit_gbt(X: np.ndarray, y: np.ndarray, n_trees: int = _DEFAULTS["n_trees"],
+            max_depth: int = _DEFAULTS["max_depth"],
+            learning_rate: float = _DEFAULTS["learning_rate"],
+            min_samples_leaf: int = _DEFAULTS["min_samples_leaf"],
+            subsample: float = _DEFAULTS["subsample"], seed: int = 0):
     """Boost ``n_trees`` stages; returns ``(params, log)``.
 
     All-identical targets degenerate to a 0-tree ensemble predicting the

@@ -207,6 +207,13 @@ def unbroken_rows(frame: TimeSeriesFrame) -> np.ndarray:
     return ok
 
 
+def segments(frame: TimeSeriesFrame) -> list[Range]:
+    """The frame's contiguous stretches: half-open row ranges between its
+    gap breaks, in order."""
+    bounds = [0, *sorted(i + 1 for i in frame.gap_break_indices()), len(frame)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 class _SampleView(Sequence):
     """Read-only per-window view of a WindowSet; items are built on access."""
 

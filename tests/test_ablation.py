@@ -28,19 +28,18 @@ class TestCovariateSweep:
         plan = make_final_split(linear_frame)
         table = covariate_sweep(BASE, ("nitrate_in", "temperature", "ammonium"),
                                 linear_frame, plan)
-        assert len(table.rows) == 8
+        assert len(table.rows) == 7
         assert len(table.scored_rows()) == 7
-        empty = table.rows[0]
-        assert empty.bitmask == 0 and empty.skipped
+        assert [r.bitmask for r in table.rows] == list(range(1, 8))
 
     def test_bitmasks_enumerate_power_set(self, linear_frame):
         plan = make_final_split(linear_frame)
         names = ("nitrate_in", "temperature")
         table = covariate_sweep(BASE, names, linear_frame, plan)
-        assert [r.bitmask for r in table.rows] == [0, 1, 2, 3]
-        assert table.rows[1].covariates == ("nitrate_in",)
-        assert table.rows[2].covariates == ("temperature",)
-        assert table.rows[3].covariates == names
+        assert [r.bitmask for r in table.rows] == [1, 2, 3]
+        assert table.rows[0].covariates == ("nitrate_in",)
+        assert table.rows[1].covariates == ("temperature",)
+        assert table.rows[2].covariates == names
 
     def test_empty_seeds_train_the_base_seed(self, linear_frame):
         plan = make_final_split(linear_frame)
@@ -90,8 +89,7 @@ class TestCovariateSweep:
                                jobs=jobs)
         assert any(ra.test_mse != rb.test_mse
                    for ra, rb in zip(a.scored_rows(), b.scored_rows()))
-        assert [r.bitmask for r in both.rows] == [0, 1, 2, 3]
-        assert both.rows[0] == a.rows[0]
+        assert [r.bitmask for r in both.rows] == [1, 2, 3]
         for r, ra, rb in zip(both.scored_rows(), a.scored_rows(), b.scored_rows()):
             assert r.covariates == ra.covariates and r.note == ""
             assert r.val_mse == (ra.val_mse + rb.val_mse) / 2
@@ -101,11 +99,11 @@ class TestCovariateSweep:
 def _toy_table(scores):
     """Synthetic 2-covariate table with given test MSEs by bitmask."""
     names = ("a", "b")
-    rows = [AblationRow(0, (), None, None, "empty subset skipped")]
+    rows = []
     for mask in range(1, 4):
         covs = tuple(n for i, n in enumerate(names) if mask >> i & 1)
         rows.append(AblationRow(mask, covs, scores[mask], scores[mask]))
-    return AblationTable(base_spec=BASE, covariate_names=names, rows=tuple(rows))
+    return AblationTable(covariate_names=names, rows=tuple(rows))
 
 
 class TestImportance:
@@ -137,8 +135,8 @@ class TestImportance:
         assert importance(table).k == 1  # ceil(0.05 * 3)
 
     def test_empty_table_rejected(self):
-        empty = AblationTable(base_spec=BASE, covariate_names=("a",),
-                              rows=(AblationRow(0, (), None, None, "skipped"),))
+        empty = AblationTable(covariate_names=("a",), rows=(
+            AblationRow(1, ("a",), None, None, "training failed"),))
         with pytest.raises(EmptyTable):
             importance(empty)
 

@@ -220,7 +220,7 @@ def test_criterion_3i_ablation_row_counts():
                                       "tol": 1e-3}, seed=0)
         table = covariate_sweep(base, names[:n], frame, plan)
         assert len(table.scored_rows()) == 2 ** n - 1
-        assert len(table.rows) == 2 ** n
+        assert len(table.rows) == 2 ** n - 1
     _ok("3i ablation scores 2^n - 1 subsets for n in 1..6")
 
 

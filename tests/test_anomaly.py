@@ -70,6 +70,32 @@ class TestDetect:
         events = detect_anomalies(pred, actual, PARAMS)
         assert all(ev.klass != SUSTAINED_BIAS for ev in events)
 
+    def test_stretches_are_analysed_apart(self):
+        # two 60-row stretches with a +1.5 bias on the 30 rows either side of
+        # the join: taken as one series they give a class-3 event across it,
+        # each alone is shorter than bias_window
+        actual = wiggly(120)
+        pred = np.array(actual)
+        pred[30:90] += 1.5
+        assert [ev.klass for ev in detect_anomalies(pred, actual)] == [SUSTAINED_BIAS]
+        assert detect_anomalies(pred, actual, AnomalyParams(), starts=[60]) == []
+
+    def test_stretch_events_are_each_stretch_alone_at_its_offset(self):
+        actual = wiggly(seed=3)
+        pred = np.array(actual)
+        pred[20:26] = 8.0
+        pred[150:200] += 2 * PARAMS.bias_threshold
+        actual[90:95] = 6.0
+        starts = [0, 80, 80, 140, 141, 240]  # repeats and a 1-row stretch
+        got = detect_anomalies(pred, actual, PARAMS, starts)
+        want = []
+        for lo, hi in [(0, 80), (80, 140), (141, 240)]:
+            want += [(ev.klass, ev.start_index + lo, ev.end_index + lo, ev.magnitude)
+                     for ev in detect_anomalies(pred[lo:hi], actual[lo:hi], PARAMS)]
+        assert [(ev.klass, ev.start_index, ev.end_index, ev.magnitude)
+                for ev in got] == sorted(want, key=lambda ev: ev[:2])
+        assert {ev.klass for ev in got} == {1, 2, 3}
+
     def test_length_mismatch_and_nan_rejected(self):
         with pytest.raises(LengthMismatch):
             detect_anomalies(np.zeros(5), np.zeros(6), PARAMS)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from denitlab import cli, errors
 from denitlab import dataset as ds
 from denitlab.cli import main
+from denitlab.pipeline import prepare_frame
 from denitlab.synthpilot import Fault, SynthConfig, generate
 
 # sha256 of anomalies.json from the gappy chain below, recorded before
@@ -225,6 +226,27 @@ class TestAblateAnomalyHyperopt:
         assert ((out / "ablation.csv").read_bytes()
                 == (tmp_path / "explicit" / "ablation.csv").read_bytes())
 
+    def test_ablate_reads_only_the_best_spec_it_uses(self, tmp_path):
+        # ablate trains the first arch's spec only: a second arch's missing
+        # best spec does not stop it
+        cfg = write_config(tmp_path / "exp.yaml", archs=["elastic_net", "gbt"],
+                           use_best_specs=True,
+                           ablation={"covariates": ["nitrate_in", "methanol"]})
+        best = json.dumps({"arch": "elastic_net", "covariates": ["nitrate_in"],
+                           "h": 4, "task": "nowcast",
+                           "hyperparams": {"alpha": 0.5}, "seed": 7})
+        both, one = tmp_path / "both", tmp_path / "one"
+        for out in (both, one):
+            out.mkdir()
+            (out / "best_spec_elastic_net.json").write_text(best)
+        (both / "best_spec_gbt.json").write_text(json.dumps(
+            {"arch": "gbt", "covariates": ["methanol"], "h": 0,
+             "task": "nowcast", "hyperparams": {}, "seed": 3}))
+        for out in (both, one):
+            assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert ((one / "ablation.csv").read_bytes()
+                == (both / "ablation.csv").read_bytes())
+
     def test_ablate_without_best_spec_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.yaml", use_best_specs=True,
                            ablation={"covariates": ["nitrate_in"]})
@@ -258,6 +280,32 @@ class TestAblateAnomalyHyperopt:
         text = (out / "anomalies.json").read_text()
         assert [e["start"] for e in json.loads(text)] == [1049, 1102]
         assert hashlib.sha256(text.encode()).hexdigest() == ANOMALIES_GOLDEN
+
+    def test_no_anomaly_event_spans_an_outage(self, tmp_path):
+        # oxygen_in is a copy of the cleaned target, so the model tracks the
+        # target's shape; the target is shifted by +1.5 on the 30 test rows
+        # before a 12-row outage and the 30 after it. At h=0 the outage skips
+        # no anchor, so the scored series runs on across it.
+        frame, _ = prepare_frame(generate(SynthConfig(days=8, seed=3))[0])
+        keep = np.ones(len(frame), dtype=bool)
+        keep[1000:1012] = False
+        values = frame.values[keep].copy()
+        target = frame.col_index("nitrate_out")
+        values[:, frame.col_index("oxygen_in")] = values[:, target]
+        values[970:1030, target] += 1.5
+        csv_path = tmp_path / "gappy.csv"
+        ds.save_csv(ds.TimeSeriesFrame(frame.start_time, frame.names, frame.units,
+                                       values, gaps=(ds.Gap(999, 12),)), csv_path)
+        cfg = _csv_config(tmp_path / "c.yaml", csv_path, covariates=["oxygen_in"],
+                          h=0)
+        out = tmp_path / "run"
+        for command in ("train", "anomaly"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        # 30 rows on either side is less than bias_window: no class-3 event,
+        # where the two stretches taken as one series give one across the gap
+        events = json.loads((out / "anomalies.json").read_text())
+        assert all(e["end"] <= 1000 or e["start"] >= 1000 for e in events)
+        assert [e for e in events if e["class"] == 3] == []
 
     def test_hyperopt_artifacts_and_use_best(self, tmp_path):
         cfg = write_config(
@@ -667,6 +715,9 @@ class TestExitCodes:
          "ablation.h_values: history length h must be an integer >= 0, got -1"),
         ({"task": "forecast", "ablation": {"covariates": []}},
          "ablation.covariates names no covariate"),
+        ({"jobs": 0}, "jobs must be >= 1, got 0"),
+        ({"ablation": {"h_values": [2, 2]}},
+         "ablation.h_values names a history length twice"),
     ], ids=["hyperparam-float-count", "hyperparam-unknown-other-arch",
             "covariate-unknown", "covariate-target", "ablation-covariate-target",
             "ablation-covariate-twice", "space-covariate-unknown",
@@ -674,7 +725,7 @@ class TestExitCodes:
             "seed-twice", "ablation-seed-twice", "folds-zero", "val-block-zero", "test-fraction-one",
             "folds-exceed-cycle", "split-leaves-no-test", "split-fraction-zero",
             "budget-zero", "h-negative", "nowcast-no-covariates", "ablation-h-negative",
-            "ablation-covariates-empty"])
+            "ablation-covariates-empty", "jobs-zero", "ablation-h-twice"])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, command,
                                                     override, message):
         cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),
@@ -682,6 +733,13 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_jobs_flag_below_one_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", dataset=str(tmp_path / "absent.csv"),
+                           synth=None)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--jobs", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: jobs must be >= 1, got -1\n"
 
     @pytest.mark.parametrize("override,code", [
         ({"h": "x"}, 2),

@@ -57,6 +57,11 @@ class TestSearch:
         assert len(trials) == 1
         assert best == trials[0].spec
 
+    def test_budget_below_one_rejected(self):
+        frame, folds = _frame_and_folds()
+        with pytest.raises(InvalidConfig, match="hyperopt.budget must be >= 1"):
+            search(_space([("nitrate_in",)]), frame, folds, "nowcast", budget=0)
+
     def test_deterministic_rerun(self):
         frame, folds = _frame_and_folds()
         space = _space([("nitrate_in",), ("methanol",), ("temperature",)])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -12,6 +13,8 @@ from denitlab.models import (
     ARCH_TABLE, ARCHS, TASKS, ModelSpec, TrainedModel, deserialize, predict_batch, rollout_forecast_batch,
     serialize, spec_windows, train_model,
 )
+from denitlab.models.elastic_net import fit_elastic_net
+from denitlab.models.gbt import fit_gbt
 from denitlab.models.spec import DEFAULT_HYPERPARAMS
 from denitlab.pipeline import train_on_plan
 from denitlab.preprocess import build_windows
@@ -280,3 +283,12 @@ class TestSpecValidation:
     def test_bool_history_length_rejected(self):
         with pytest.raises(InvalidSpec):
             ModelSpec("elastic_net", ("nitrate_in",), h=True, task="nowcast")
+
+    @pytest.mark.parametrize("arch,fit", [("elastic_net", fit_elastic_net),
+                                          ("gbt", fit_gbt)])
+    def test_fitter_defaults_are_the_arch_defaults(self, arch, fit):
+        params = inspect.signature(fit).parameters
+        assert ({name: params[name].default for name in DEFAULT_HYPERPARAMS[arch]}
+                == DEFAULT_HYPERPARAMS[arch])
+        with pytest.raises(TypeError):  # a misspelled hyperparameter
+            fit(np.eye(3), np.arange(3.0), max_iters=5)

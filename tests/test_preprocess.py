@@ -7,7 +7,7 @@ from denitlab.dataset import Gap
 from denitlab.errors import BadParams, MaskTouchesBoundary, NoAdmissibleWindows
 from denitlab.preprocess import (
     CleaningMask, CleaningParams, build_windows, detect_cleaning,
-    interpolate_target, rolling_median, runs,
+    interpolate_target, rolling_median, runs, segments,
 )
 
 from conftest import make_frame
@@ -93,6 +93,14 @@ class TestRuns:
         assert got == _loop_runs(flags)
         # bounds reach JSON artifacts, which take Python ints only
         assert all(type(i) is int for run in got for i in run)
+
+
+class TestSegments:
+    def test_ranges_between_gap_breaks(self):
+        y = np.arange(10.0)
+        assert segments(make_frame({"nitrate_out": y})) == [(0, 10)]
+        gappy = make_frame({"nitrate_out": y}, gaps=[Gap(0, 3), Gap(6, 1)])
+        assert segments(gappy) == [(0, 1), (1, 7), (7, 10)]
 
 
 class TestInterpolateTarget:
