@@ -30,11 +30,11 @@ def main() -> int:
 
     failures = 0
     print(f"{'task':<9} {'baseline':<26} {'got':>8} {'reference':>10}  verdict")
-    for task, spec, reference in PUBLISHED_TEST_MSE:
-        got = evaluate(spec, frame, plan, task, split="test").mse
+    for task, baseline, reference in PUBLISHED_TEST_MSE:
+        got = evaluate(baseline, frame, plan, task, split="test").mse
         ok = abs(got - reference) / reference <= 0.05
         failures += not ok
-        print(f"{task:<9} {spec.name:<26} {got:8.3f} {reference:10.2f}  "
+        print(f"{task:<9} {baseline.name:<26} {got:8.3f} {reference:10.2f}  "
               f"{'ok' if ok else 'OUT OF TOLERANCE'}")
     return 1 if failures else 0
 

@@ -29,11 +29,14 @@ class AblationRow:
     covariates: tuple[str, ...]
     val_mse: float | None
     test_mse: float | None
-    note: str = ""
 
     @property
     def skipped(self) -> bool:
         return self.test_mse is None
+
+    @property
+    def note(self) -> str:
+        return "training failed" if self.skipped else ""
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,9 @@ def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFram
     for i, mask in enumerate(masks):
         runs = scores[i * k:(i + 1) * k]
         if None in runs:
-            row = (None, None, "training failed")
+            row = (None, None)
         else:  # the seed mean, summed in seed order
-            row = (sum(s[0] for s in runs) / k, sum(s[1] for s in runs) / k, "")
+            row = (sum(s[0] for s in runs) / k, sum(s[1] for s in runs) / k)
         rows.append(AblationRow(mask, _subset(names, mask), *row))
     return AblationTable(covariate_names=names, rows=tuple(rows))
 

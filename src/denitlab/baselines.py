@@ -4,13 +4,13 @@ TrainingMean is the only one that sees training data (a single statistic);
 RunningMean deliberately peeks at the evaluation series itself, making it a
 tough comparison rather than a deployable predictor.
 
-What differs between kinds (report name, tasks, target history, prediction)
-is one row of ``BASELINE_TABLE``; the score table's rows are ``REPORT_BASELINES``.
+Each baseline is one ``Baseline`` row: report name, the tasks it can score,
+the target history it reads and its prediction. The score table's rows are
+``REPORT_BASELINES``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,72 +19,45 @@ from .dataset import FORECAST_HORIZON
 from .errors import EmptyTraining, InsufficientHistory
 
 
-class Kind(NamedTuple):
-    """What one baseline kind does its own way. ``predict`` looks its
-    ``*_predict`` function up at call time, so a patched one runs."""
+class Baseline(NamedTuple):
+    """One reference predictor. ``predict`` looks its ``*_predict`` function
+    up at call time, so a patched one runs."""
 
-    label: str  # report name; ``{n}`` takes the trend window
+    name: str  # report name
     tasks: tuple[str, ...]  # the tasks it can score
-    history: Callable  # spec -> target rows, ending at the anchor, it reads
-    predict: Callable  # (spec, target, train ranges, windows) -> predictions
+    history_needed: int  # target rows, ending at the anchor, that must be valid
+    predict: Callable  # (target, train ranges, windows) -> predictions
 
 
-BASELINE_TABLE: dict[str, Kind] = {
-    "training_mean": Kind("BaselineTrainingMean", ("nowcast", "forecast"), lambda s: 1,
-                          lambda s, y, train, ws: training_mean_predict(
-                              np.concatenate([y[a:b] for a, b in train]), ws.y.size)),
-    "running_mean": Kind("BaselineTestRunningMean", ("nowcast",), lambda s: 1,
-                         lambda s, y, train, ws: running_mean_predict(ws.y)),
-    "seasonal": Kind("BaselineSeasonal", ("forecast",), lambda s: FORECAST_HORIZON,
-                     lambda s, y, train, ws: seasonal_predict(ws.y_hist, ws.horizon)),
-    "trend_n": Kind("BaselineTrend{n}", ("forecast",), lambda s: s.n,
-                    lambda s, y, train, ws: trend_n_predict(ws.y_hist, s.n, ws.horizon)),
-}
+TRAINING_MEAN = Baseline("BaselineTrainingMean", ("nowcast", "forecast"), 1,
+                         lambda y, train, ws: training_mean_predict(
+                             np.concatenate([y[a:b] for a, b in train]), ws.y.size))
+RUNNING_MEAN = Baseline("BaselineTestRunningMean", ("nowcast",), 1,
+                        lambda y, train, ws: running_mean_predict(ws.y))
+SEASONAL = Baseline("BaselineSeasonal", ("forecast",), FORECAST_HORIZON,
+                    lambda y, train, ws: seasonal_predict(ws.y_hist, ws.horizon))
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    kind: str
-    n: int = 6  # trend_n window only
+def _trend(n: int) -> Baseline:
+    return Baseline(f"BaselineTrend{n}", ("forecast",), n,
+                    lambda y, train, ws: trend_n_predict(ws.y_hist, n, ws.horizon))
 
-    def __post_init__(self):
-        if self.kind not in BASELINE_TABLE:
-            raise ValueError(f"unknown baseline {self.kind!r}")
-        if self.kind == "trend_n" and self.n < 2:
-            raise ValueError("trend_n needs n >= 2")
 
-    @property
-    def name(self) -> str:
-        return BASELINE_TABLE[self.kind].label.format(n=self.n)
-
-    @property
-    def tasks(self) -> tuple[str, ...]:
-        return BASELINE_TABLE[self.kind].tasks
-
-    @property
-    def history_needed(self) -> int:
-        """Target rows, ending at the anchor, that must be valid."""
-        return BASELINE_TABLE[self.kind].history(self)
-
-    def predict(self, y: np.ndarray, train, ws) -> np.ndarray:
-        """Flat predictions for windows ``ws`` of ``history_needed`` target rows."""
-        return np.ravel(BASELINE_TABLE[self.kind].predict(self, y, train, ws))
-
+TREND3 = _trend(3)
+TREND6 = _trend(6)
 
 #: The score table's baseline rows in report order; a task keeps those it can score.
-REPORT_BASELINES = (BaselineSpec("training_mean"), BaselineSpec("running_mean"),
-                    BaselineSpec("seasonal"), BaselineSpec("trend_n", n=3),
-                    BaselineSpec("trend_n", n=6))
+REPORT_BASELINES = (TRAINING_MEAN, RUNNING_MEAN, SEASONAL, TREND3, TREND6)
 
 #: The published test-set MSEs (mg²/L²) of the baselines on the pilot
 #: dataset's final split, as (task, baseline, MSE) rows.
 PUBLISHED_TEST_MSE = (
-    ("forecast", BaselineSpec("seasonal"), 0.51),
-    ("forecast", BaselineSpec("trend_n", n=6), 0.50),
-    ("forecast", BaselineSpec("trend_n", n=3), 0.73),
-    ("forecast", BaselineSpec("training_mean"), 7.16),
-    ("nowcast", BaselineSpec("training_mean"), 7.18),
-    ("nowcast", BaselineSpec("running_mean"), 4.42),
+    ("forecast", SEASONAL, 0.51),
+    ("forecast", TREND6, 0.50),
+    ("forecast", TREND3, 0.73),
+    ("forecast", TRAINING_MEAN, 7.16),
+    ("nowcast", TRAINING_MEAN, 7.18),
+    ("nowcast", RUNNING_MEAN, 4.42),
 )
 
 

@@ -104,6 +104,13 @@ class ExperimentConfig:
             raise InvalidConfig("ablation.covariates names no covariate")
         # the specs the commands build, so that ModelSpec's rules fail at load
         bases = [self.base_spec(arch) for arch in self.archs]
+        for what, seeds in (("seeds", self.seeds),
+                            ("ablation.seeds", self.ablation.seeds)):
+            for seed in seeds:  # the base spec with each seed
+                try:
+                    replace(bases[0], seed=seed)
+                except InvalidSpec as exc:
+                    raise InvalidConfig(f"{what}: {exc}") from None
         for h in self.ablation.h_values:  # the ablation base spec with each h
             try:
                 replace(bases[0], covariates=self.ablation.covariates, h=h)

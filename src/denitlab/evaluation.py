@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import BaselineSpec
+from .baselines import Baseline
 from .dataset import FORECAST_HORIZON, SPLITS, TARGET, FoldPlan, TimeSeriesFrame, \
     apply_scaler, invert_target
 from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
@@ -115,7 +115,7 @@ def model_pairs(model: TrainedModel, frame: TimeSeriesFrame, ranges):
     return anchors, preds.ravel(), y[future].ravel()
 
 
-def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
+def _baseline_pairs(baseline: Baseline, frame: TimeSeriesFrame, plan: FoldPlan,
                     split: str, task: str):
     """(anchors, pred, actual) in original units for one baseline over a split.
 
@@ -123,24 +123,28 @@ def _baseline_pairs(spec: BaselineSpec, frame: TimeSeriesFrame, plan: FoldPlan,
     last ``history_needed`` target rows as history; the truth is the anchor
     itself (nowcast) or the ``FORECAST_HORIZON`` following rows (forecast).
     """
-    if task not in spec.tasks:
-        raise SpecMismatch(f"{spec.name} cannot score a {task}")
-    ws = build_windows(frame, (), spec.history_needed - 1,
+    if task not in baseline.tasks:
+        raise SpecMismatch(f"{baseline.name} cannot score a {task}")
+    ws = build_windows(frame, (), baseline.history_needed - 1,
                        0 if task == "nowcast" else FORECAST_HORIZON,
                        with_target_history=True, plan_ranges=_split_ranges(plan, split))
-    return ws.t, spec.predict(frame.col(TARGET), plan.train, ws), ws.y.ravel()
+    preds = baseline.predict(frame.col(TARGET), plan.train, ws)
+    return ws.t, np.ravel(preds), ws.y.ravel()
 
 
 def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,
              split: str = "test") -> EvalReport:
-    """Score a TrainedModel or BaselineSpec on one split, original units."""
+    """Score a TrainedModel or a Baseline row on one split, original units.
+
+    A baseline's ``model_id`` is its report name and its seed is 0.
+    """
     if isinstance(predictor, TrainedModel):
         if predictor.spec.task != task:
             raise SpecMismatch(f"model trained for {predictor.spec.task}, asked {task}")
         _, preds, actual = model_pairs(predictor, frame, _split_ranges(plan, split))
         model_id = predictor.spec.arch
         seed = predictor.spec.seed
-    elif isinstance(predictor, BaselineSpec):
+    elif isinstance(predictor, Baseline):
         _, preds, actual = _baseline_pairs(predictor, frame, plan, split, task)
         model_id = predictor.name
         seed = 0

@@ -35,6 +35,8 @@ class HyperoptSettings:
     def __post_init__(self):
         if self.budget < 1:
             raise InvalidConfig("hyperopt.budget must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"hyperopt.seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
     Ties break on the earliest trial index; identical (space, seed, data)
     reruns reproduce the identical trial list.
     """
-    HyperoptSettings(budget, search_seed)  # refuses a budget below 1
+    HyperoptSettings(budget, search_seed)  # refuses a budget < 1 or a seed < 0
     rng = np.random.default_rng(search_seed)
     specs = [space.sample_spec(rng, task) for _ in range(budget)]
 

@@ -120,6 +120,8 @@ class ModelSpec:
             raise InvalidSpec(f"unknown task {self.task!r}")
         if not in_range("h", self.h):
             raise InvalidSpec(f"history length h must be an integer >= 0, got {self.h!r}")
+        if not (_is_count(self.seed) and self.seed >= 0):
+            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.covariates and self.task == "nowcast":
             raise InvalidSpec("nowcasting with zero covariates has no inputs")
         object.__setattr__(self, "covariates", tuple(self.covariates))

@@ -166,6 +166,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.days < 1:
             raise InvalidConfig("days must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"synth.seed must be an integer >= 0, got {self.seed}")
         n = self.days * SAMPLES_PER_DAY
         for f in self.faults:
             if f.start + f.duration > n:
@@ -180,18 +182,16 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """Resolved sample-index intervals; a pure function of the config."""
+    """Resolved sample-index intervals; a pure function of the config.
+    ``faults`` maps each of ``FAULT_KINDS``, in that order, to its intervals."""
 
     cleaning: tuple[Range, ...]
-    methanol_dropout: tuple[Range, ...]
-    turbidity_spike: tuple[Range, ...]
+    faults: dict[str, tuple[Range, ...]]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "cleaning": [[int(s), int(e)] for s, e in self.cleaning],
-            "methanol_dropout": [[int(s), int(e)] for s, e in self.methanol_dropout],
-            "turbidity_spike": [[int(s), int(e)] for s, e in self.turbidity_spike],
-        }, indent=2)
+        return json.dumps({name: [[int(s), int(e)] for s, e in ranges]
+                           for name, ranges in (("cleaning", self.cleaning),
+                                                *self.faults.items())}, indent=2)
 
 
 def resolve_schedule(config: SynthConfig) -> FaultSchedule:
@@ -205,8 +205,7 @@ def resolve_schedule(config: SynthConfig) -> FaultSchedule:
     for f in config.faults:
         by_kind[f.kind].append((f.start, f.start + f.duration))
     return FaultSchedule(cleaning=tuple(cleaning),
-                         methanol_dropout=tuple(sorted(by_kind["methanol_dropout"])),
-                         turbidity_spike=tuple(sorted(by_kind["turbidity_spike"])))
+                         faults={k: tuple(sorted(v)) for k, v in by_kind.items()})
 
 
 def _sinusoid(rng: np.random.Generator, n: int, p: SinusoidProfile) -> np.ndarray:
@@ -251,8 +250,7 @@ def generate(config: SynthConfig) -> tuple[TimeSeriesFrame, FaultSchedule]:
     rng = np.random.default_rng(config.seed)
     schedule = resolve_schedule(config)
     cleaning = indicator(n, schedule.cleaning)
-    dropout = indicator(n, schedule.methanol_dropout)
-    turb_fault = indicator(n, schedule.turbidity_spike)
+    fault = {kind: indicator(n, ranges) for kind, ranges in schedule.faults.items()}
 
     temperature = _sinusoid(rng, n, config.temperature)
     water_flow = np.clip(_sinusoid(rng, n, config.flow), 0.01, None)
@@ -265,10 +263,10 @@ def generate(config: SynthConfig) -> tuple[TimeSeriesFrame, FaultSchedule]:
     ammonium = np.clip(_spiky(rng, n, config.ammonium), 0.0, None)
     phosphate = np.clip(_spiky(rng, n, config.ortho_phosphate), 0.0, None)
     turbidity = np.clip(_spiky(rng, n, config.turbidity), 0.0, None)
-    turbidity[turb_fault] += config.turbidity.spike_magnitude
+    turbidity[fault["turbidity_spike"]] += config.turbidity.spike_magnitude
 
     required = methanol_dose(water_flow, nitrate_in, oxygen, config.dosing)
-    methanol = np.where(dropout, 0.0, required)
+    methanol = np.where(fault["methanol_dropout"], 0.0, required)
 
     pp = config.pressure
     pressure_top = pp.top_base + rng.normal(0.0, pp.noise, n)
@@ -284,7 +282,7 @@ def generate(config: SynthConfig) -> tuple[TimeSeriesFrame, FaultSchedule]:
     temp_factor = np.clip(rp.q10 ** ((temperature - rp.t_ref_c) / 10.0), 0.0, 1.0)
     carrier_factor = np.clip(_carrier_volume(config) / config.carrier.initial_m3, 0.0, 1.0)
     eta = rp.eta_max * sat * temp_factor * carrier_factor
-    eta[turb_fault] *= rp.turbidity_fault_efficiency
+    eta[fault["turbidity_spike"]] *= rp.turbidity_fault_efficiency
     eta = np.clip(eta, 0.0, 1.0)
 
     steady = nitrate_in * (1.0 - eta)

@@ -136,7 +136,7 @@ class TestImportance:
 
     def test_empty_table_rejected(self):
         empty = AblationTable(covariate_names=("a",), rows=(
-            AblationRow(1, ("a",), None, None, "training failed"),))
+            AblationRow(1, ("a",), None, None),))
         with pytest.raises(EmptyTable):
             importance(empty)
 

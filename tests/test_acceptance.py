@@ -18,8 +18,8 @@ import pytest
 from denitlab import dataset as ds
 from denitlab.ablation import covariate_sweep
 from denitlab.anomaly import AnomalyParams, detect_anomalies
-from denitlab.baselines import PUBLISHED_TEST_MSE, BaselineSpec, running_mean_predict, \
-    trend_n_predict
+from denitlab.baselines import PUBLISHED_TEST_MSE, SEASONAL, TRAINING_MEAN, \
+    running_mean_predict, trend_n_predict
 from denitlab.dataset import make_cv_folds, make_final_split
 from denitlab.evaluation import aggregate_seeds, evaluate
 from denitlab.hyperopt import search
@@ -80,8 +80,7 @@ def test_criterion_2_learned_models_halve_seasonal_baseline():
     frame, _ = prepare_frame(ds.load_csv(DATASET))
     folds = make_cv_folds(frame)
     plan = make_final_split(frame)
-    seasonal = evaluate(BaselineSpec("seasonal"), frame, plan, "forecast",
-                        split="test").mse
+    seasonal = evaluate(SEASONAL, frame, plan, "forecast", split="test").mse
     config = ExperimentConfig(task="forecast")
     for arch in ("elastic_net", "gbt", "recurrent", "tcn"):
         space = build_search_space(config, arch)
@@ -283,8 +282,7 @@ def test_criterion_4_end_to_end_synthetic_pipeline():
                      hyperparams={"alpha": 1e-3}, seed=0)
     model, _ = train_on_plan(spec, cleaned, plan)
     en = evaluate(model, cleaned, plan, "nowcast", split="test")
-    tm = evaluate(BaselineSpec("training_mean"), cleaned, plan, "nowcast",
-                  split="test")
+    tm = evaluate(TRAINING_MEAN, cleaned, plan, "nowcast", split="test")
     assert en.mse < tm.mse  # (a)
 
     scaled = ds.apply_scaler(cleaned, model.scaler)

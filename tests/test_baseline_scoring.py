@@ -13,16 +13,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denitlab.baselines import REPORT_BASELINES, BaselineSpec, running_mean_predict
+from denitlab.baselines import REPORT_BASELINES, RUNNING_MEAN, SEASONAL, TRAINING_MEAN, \
+    TREND3, TREND6, running_mean_predict
 from denitlab.dataset import Gap, make_final_split
 from denitlab.evaluation import _baseline_pairs
 
 from conftest import make_frame
 
 REPORT_ROWS = {
-    "nowcast": (BaselineSpec("training_mean"), BaselineSpec("running_mean")),
-    "forecast": (BaselineSpec("training_mean"), BaselineSpec("seasonal"),
-                 BaselineSpec("trend_n", n=3), BaselineSpec("trend_n", n=6)),
+    "nowcast": (TRAINING_MEAN, RUNNING_MEAN),
+    "forecast": (TRAINING_MEAN, SEASONAL, TREND3, TREND6),
 }
 
 GOLDEN = "02254cf2355669e796fb8646561dc006fb883b8b83a1c1f3bdc78c64eea53f1b"

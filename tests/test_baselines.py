@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denitlab.baselines import (
-    BaselineSpec, running_mean_predict, seasonal_predict, training_mean_predict,
-    trend_n_predict,
+    RUNNING_MEAN, SEASONAL, TRAINING_MEAN, TREND3, TREND6, running_mean_predict,
+    seasonal_predict, training_mean_predict, trend_n_predict,
 )
 from denitlab.errors import EmptyTraining, InsufficientHistory
 
@@ -124,13 +124,13 @@ class TestBatchedHistory:
 
 
 def test_spec_names_match_reporting_convention():
-    assert BaselineSpec("training_mean").name == "BaselineTrainingMean"
-    assert BaselineSpec("running_mean").name == "BaselineTestRunningMean"
-    assert BaselineSpec("seasonal").name == "BaselineSeasonal"
-    assert BaselineSpec("trend_n", n=6).name == "BaselineTrend6"
-    assert BaselineSpec("trend_n", n=3).name == "BaselineTrend3"
+    assert TRAINING_MEAN.name == "BaselineTrainingMean"
+    assert RUNNING_MEAN.name == "BaselineTestRunningMean"
+    assert SEASONAL.name == "BaselineSeasonal"
+    assert TREND6.name == "BaselineTrend6"
+    assert TREND3.name == "BaselineTrend3"
 
 
 def test_trend_requires_two_points():
-    with pytest.raises(ValueError):
-        BaselineSpec("trend_n", n=1)
+    with pytest.raises(InsufficientHistory):
+        trend_n_predict(np.zeros(5), n=1)

@@ -718,6 +718,13 @@ class TestExitCodes:
         ({"jobs": 0}, "jobs must be >= 1, got 0"),
         ({"ablation": {"h_values": [2, 2]}},
          "ablation.h_values names a history length twice"),
+        ({"archs": ["gbt"], "seeds": [-1]},
+         "seeds: seed must be an integer >= 0, got -1"),
+        ({"ablation": {"seeds": [1, -2]}},
+         "ablation.seeds: seed must be an integer >= 0, got -2"),
+        ({"hyperopt": {"seed": -2}}, "hyperopt.seed must be an integer >= 0, got -2"),
+        ({"synth": {"days": 8, "seed": -5}},
+         "synth.seed must be an integer >= 0, got -5"),
     ], ids=["hyperparam-float-count", "hyperparam-unknown-other-arch",
             "covariate-unknown", "covariate-target", "ablation-covariate-target",
             "ablation-covariate-twice", "space-covariate-unknown",
@@ -725,11 +732,13 @@ class TestExitCodes:
             "seed-twice", "ablation-seed-twice", "folds-zero", "val-block-zero", "test-fraction-one",
             "folds-exceed-cycle", "split-leaves-no-test", "split-fraction-zero",
             "budget-zero", "h-negative", "nowcast-no-covariates", "ablation-h-negative",
-            "ablation-covariates-empty", "jobs-zero", "ablation-h-twice"])
+            "ablation-covariates-empty", "jobs-zero", "ablation-h-twice",
+            "seed-negative", "ablation-seed-negative", "hyperopt-seed-negative",
+            "synth-seed-negative"])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, command,
                                                     override, message):
-        cfg = write_config(tmp_path / "bad.yaml", dataset=str(tmp_path / "absent.csv"),
-                           synth=None, **override)
+        cfg = write_config(tmp_path / "bad.yaml", **{
+            "dataset": str(tmp_path / "absent.csv"), "synth": None, **override})
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -740,6 +749,14 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--jobs", "-1"]) == 2
         assert capsys.readouterr().err == "config error: jobs must be >= 1, got -1\n"
+
+    def test_seed_flag_below_zero_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", dataset=str(tmp_path / "absent.csv"),
+                           synth=None)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: seeds: seed must be an integer >= 0, got -3\n")
 
     @pytest.mark.parametrize("override,code", [
         ({"h": "x"}, 2),

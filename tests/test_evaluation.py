@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denitlab.baselines import BaselineSpec
+from denitlab.baselines import SEASONAL, TRAINING_MEAN, TREND3, TREND6
 from denitlab.dataset import make_final_split
 from denitlab.errors import LengthMismatch, MixedGroups, NonFinite, SpecMismatch
 from denitlab.evaluation import (
@@ -112,8 +112,7 @@ class TestEvaluate:
         frame = make_frame({"nitrate_in": np.arange(100.0),
                             "nitrate_out": np.full(100, 3.0)})
         plan = make_final_split(frame)
-        report = evaluate(BaselineSpec("training_mean"), frame, plan, "nowcast",
-                          split="test")
+        report = evaluate(TRAINING_MEAN, frame, plan, "nowcast", split="test")
         assert report.mse == 0.0
 
     def test_model_evaluation_beats_baseline_on_linear_data(self):
@@ -123,8 +122,7 @@ class TestEvaluate:
                          hyperparams={"alpha": 1e-6}, seed=0)
         model, _ = train_on_plan(spec, frame, plan)
         model_report = evaluate(model, frame, plan, "nowcast", split="test")
-        base_report = evaluate(BaselineSpec("training_mean"), frame, plan,
-                               "nowcast", split="test")
+        base_report = evaluate(TRAINING_MEAN, frame, plan, "nowcast", split="test")
         assert model_report.mse < 1e-6
         assert model_report.mse < base_report.mse
 
@@ -132,7 +130,7 @@ class TestEvaluate:
         frame = _linear_frame()
         plan = make_final_split(frame)
         with pytest.raises(SpecMismatch):
-            evaluate(BaselineSpec("seasonal"), frame, plan, "nowcast")
+            evaluate(SEASONAL, frame, plan, "nowcast")
 
     def test_task_mismatch_rejected(self):
         frame = _linear_frame()
@@ -244,10 +242,7 @@ class TestForecastAnchorSets:
         return np.array(out, dtype=int)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("spec", [BaselineSpec("training_mean"),
-                                      BaselineSpec("seasonal"),
-                                      BaselineSpec("trend_n", n=3),
-                                      BaselineSpec("trend_n", n=6)],
+    @pytest.mark.parametrize("spec", [TRAINING_MEAN, SEASONAL, TREND3, TREND6],
                              ids=lambda s: s.name)
     def test_baseline_blocks_match_scan(self, seed, spec):
         from denitlab.baselines import seasonal_predict, training_mean_predict, \
@@ -260,13 +255,13 @@ class TestForecastAnchorSets:
         for split in ("train", "validation", "test"):
             anchors = self._admitted(frame, getattr(plan, split), 1 - need, 6,
                                      ("nitrate_out",))
-            if spec.kind == "training_mean":
+            if spec is TRAINING_MEAN:
                 train_y = np.concatenate([y[s:e] for s, e in plan.train])
                 blocks = [training_mean_predict(train_y, 6)] * len(anchors)
-            elif spec.kind == "seasonal":
+            elif spec is SEASONAL:
                 blocks = [seasonal_predict(y[t - 5:t + 1], 6) for t in anchors]
             else:
-                blocks = [trend_n_predict(y[t - spec.n + 1:t + 1], spec.n, 6)
+                blocks = [trend_n_predict(y[t - need + 1:t + 1], need, 6)
                           for t in anchors]
             _, preds, actual = _baseline_pairs(spec, frame, plan, split, "forecast")
             assert np.array_equal(actual, np.concatenate(
@@ -284,8 +279,7 @@ class TestForecastAnchorSets:
                            gaps=(Gap(90, 2),))
         plan = make_final_split(frame, 0.5, 0.2)
         assert plan.test == ((70, 100),)
-        _, _, actual = _baseline_pairs(BaselineSpec("training_mean"), frame, plan,
-                                    "test", "forecast")
+        _, _, actual = _baseline_pairs(TRAINING_MEAN, frame, plan, "test", "forecast")
         anchors = actual.reshape(-1, 6)[:, 0] - 1  # y[t + 1] == t + 1
         # parent rule (t+1 .. t+6 only) also admitted 80 and 90
         assert np.array_equal(anchors, np.r_[70:74, 81:85, 91:94])

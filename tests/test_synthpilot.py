@@ -64,7 +64,7 @@ class TestGenerate:
 
     def test_methanol_dropout_zeroes_dose_and_raises_outlet(self, fault_frame):
         frame, schedule = fault_frame
-        (s, e), = schedule.methanol_dropout
+        (s, e), = schedule.faults["methanol_dropout"]
         assert np.all(frame.col("methanol")[s:e] == 0.0)
         before = frame.col("nitrate_out")[s - 50:s - 10].mean()
         during = frame.col("nitrate_out")[s + 6:e].mean()
@@ -131,7 +131,7 @@ class TestGenerate:
                            turbidity=SpikyProfile(base=2.0, noise=0.0,
                                                   spike_magnitude=5.0))
         frame, schedule = generate(cfg)
-        (s, e), = schedule.turbidity_spike
+        (s, e), = schedule.faults["turbidity_spike"]
         turb = frame.col("turbidity")
         assert turb[s:e].min() > turb[:s].max()
 
