@@ -151,6 +151,16 @@ SCENARIOS = [
         "ablation": {"covariates": COVARIATES, "seeds": [0, 1], "h_values": [0, 1]},
         "synth": SMALL_SYNTH},
         ("ablate",), ("ablation.csv", "importance.json", "history.csv")),
+    # train forks one worker per fit: each GBT seed subsamples its own rows
+    # and each tcn seed draws its own weights
+    Scenario("multi_seed_train_jobs", "jobs", {
+        "task": "nowcast", "archs": ["gbt", "tcn"], "seeds": [0, 1],
+        "covariates": COVARIATES, "h": 1,
+        "hyperparams": {"gbt": {"n_trees": 10, "max_depth": 2, "subsample": 0.7},
+                        "tcn": {"hidden": 8, "max_epochs": 2}},
+        "synth": SMALL_SYNTH},
+        ("train", "evaluate"), ("models/*.bin", "model.bin", "train_logs.json",
+                                "report.csv")),
     Scenario("in_process_chain", "chain", CHAIN,
              ("train", "evaluate", "report", "anomaly", "ablate"),
              ("cleaning_mask.json", "models/*.bin", "train_logs.json", "report.csv",

@@ -93,35 +93,34 @@ def _subset(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
     return tuple(n for i, n in enumerate(names) if mask >> i & 1)
 
 
+def _seed_means(specs, seeds, frame: TimeSeriesFrame, plan: FoldPlan, splits,
+                jobs: int) -> list[tuple[float, ...] | None]:
+    """Per spec, its MSEs on ``splits`` averaged over ``seeds`` (summed in seed
+    order), or None if any of its trainings failed. Empty ``seeds`` trains
+    each spec's own seed."""
+    cells = [[(replace(spec, seed=seed), plan) for seed in tuple(seeds) or (spec.seed,)]
+             for spec in specs]
+    return [None if None in runs else tuple(sum(col) / len(runs) for col in zip(*runs))
+            for runs in score_grid(frame, cells, splits, jobs=jobs)]
+
+
 def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFrame,
                     plan: FoldPlan, seeds: tuple[int, ...] = (),
                     jobs: int = 1) -> AblationTable:
     """Train one model per non-empty covariate subset and seed; deterministic
-    per (subset, seed). A row holds its seeds' mean scores, or none if any
-    of its trainings failed. Empty ``seeds`` trains the base spec's seed."""
+    per (subset, seed). A row holds its seeds' mean scores (``_seed_means``)."""
     names = tuple(covariate_names)
     if len(names) > MAX_SWEEP_COVARIATES:
         raise GuardrailExceeded(
             f"{len(names)} covariates would need {2 ** len(names)} trainings")
     if len(set(names)) != len(names):
         raise GuardrailExceeded("duplicate covariate names")
-    seeds = tuple(seeds) or (base_spec.seed,)
-
     masks = range(1, 2 ** len(names))
-    tasks = [(replace(base_spec, covariates=_subset(names, m), seed=seed), plan)
-             for m in masks for seed in seeds]
-    scores = score_grid(frame, tasks, ("validation", "test"), jobs=jobs)
-
-    rows = []
-    k = len(seeds)
-    for i, mask in enumerate(masks):
-        runs = scores[i * k:(i + 1) * k]
-        if None in runs:
-            row = (None, None)
-        else:  # the seed mean, summed in seed order
-            row = (sum(s[0] for s in runs) / k, sum(s[1] for s in runs) / k)
-        rows.append(AblationRow(mask, _subset(names, mask), *row))
-    return AblationTable(covariate_names=names, rows=tuple(rows))
+    means = _seed_means([replace(base_spec, covariates=_subset(names, m)) for m in masks],
+                        seeds, frame, plan, ("validation", "test"), jobs)
+    return AblationTable(covariate_names=names, rows=tuple(
+        AblationRow(m, _subset(names, m), *(s or (None, None)))
+        for m, s in zip(masks, means)))
 
 
 def importance(table: AblationTable, k: int | None = None) -> ImportanceSummary:
@@ -152,9 +151,11 @@ def importance(table: AblationTable, k: int | None = None) -> ImportanceSummary:
 
 
 def history_sweep(base_spec: ModelSpec, h_values, frame: TimeSeriesFrame,
-                  plan: FoldPlan, jobs: int = 1) -> list[tuple[int, float | None]]:
-    """One model per history length, everything else fixed; absent rows are None."""
+                  plan: FoldPlan, seeds: tuple[int, ...] = (),
+                  jobs: int = 1) -> list[tuple[int, float | None]]:
+    """One model per history length and seed, everything else fixed; a row
+    holds its seeds' mean test MSE (``_seed_means``), absent rows None."""
     h_values = [int(h) for h in h_values]
-    scores = score_grid(frame, [(replace(base_spec, h=h), plan) for h in h_values],
-                        ("test",), jobs=jobs)
-    return [(h, None if s is None else s[0]) for h, s in zip(h_values, scores)]
+    means = _seed_means([replace(base_spec, h=h) for h in h_values], seeds, frame,
+                        plan, ("test",), jobs)
+    return [(h, None if s is None else s[0]) for h, s in zip(h_values, means)]

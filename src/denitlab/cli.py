@@ -4,7 +4,8 @@ Every command takes a declarative config and an output directory, writes its
 artifacts idempotently (reruns produce byte-identical files), and records the
 fully resolved config plus a run id in ``manifest.json`` — the one artifact
 that carries a timestamp. Exit codes: 2 config error, 3 data error,
-4 training failure.
+4 training failure. An OS error on the config file or the output directory
+is a config error; on any other path, a data error.
 
 Commands chained in one process (``main`` called in a loop, as the
 experiment scripts do) read and clean a dataset once: the cleaned frame is
@@ -47,6 +48,7 @@ from .models import ModelSpec, load_model, save_model
 from .pipeline import prepare_frame, train_on_plan
 from .preprocess import segments
 from .synthpilot import generate
+from .utils import parallel_map
 
 DATA_ENV = "DENITLAB_DATA"
 
@@ -144,14 +146,12 @@ def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
     frame, mask, plan = _load_planned(config, args.dataset)
     (out / "cleaning_mask.json").write_text(mask.to_json())
     (out / "models").mkdir(exist_ok=True)
+    fits = parallel_map(lambda spec: train_on_plan(spec, frame, plan), specs,
+                        jobs=config.jobs)
+    save_model(fits[0][0], out / "model.bin")
     logs = {}
-    first = True
-    for spec in specs:
-        model, log = train_on_plan(spec, frame, plan)
+    for spec, (model, log) in zip(specs, fits):
         save_model(model, _model_path(out, spec))
-        if first:
-            save_model(model, out / "model.bin")
-            first = False
         logs[f"{spec.arch}_seed{spec.seed}"] = {
             "stop_reason": log.stop_reason,
             "stopped_at": log.stopped_at,
@@ -226,7 +226,7 @@ def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
     (out / "importance.json").write_text(importance(table).to_json())
     if config.ablation.h_values:
         pairs = history_sweep(base, config.ablation.h_values, frame, plan,
-                              jobs=config.jobs)
+                              seeds=config.ablation.seeds, jobs=config.jobs)
         with open(out / "history.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["h", "test_mse"])
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
         out = Path(args.out if args.out is not None else config.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
+        except OSError as exc:
             raise err.InvalidConfig(
                 f"output directory {out} cannot be made: {exc.strerror}") from None
         _COMMANDS[args.command](config, out, args)
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     except err.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (err.DataError, FileNotFoundError) as exc:
+    except (err.DataError, OSError) as exc:  # an OSError names its path
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except err.TrainingError as exc:

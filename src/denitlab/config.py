@@ -214,8 +214,8 @@ _Loader.add_implicit_resolver(
 def load_config(path) -> ExperimentConfig:
     try:
         raw = yaml.load(read_text(path, f"config {path}"), Loader=_Loader)
-    except FileNotFoundError:
-        raise InvalidConfig(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise InvalidConfig(f"config {path} cannot be read: {exc.strerror}") from None
     except (NotAFile, NotUTF8) as exc:
         raise InvalidConfig(str(exc)) from None
     except yaml.YAMLError as exc:

@@ -74,10 +74,6 @@ class BadParams(DataError):
     pass
 
 
-class MaskTouchesBoundary(DataError):
-    pass
-
-
 class NoAdmissibleWindows(DataError):
     pass
 

@@ -156,9 +156,9 @@ def evaluate(predictor, frame: TimeSeriesFrame, plan: FoldPlan, task: str,
 
 
 def forecast_horizon_breakdown(model: TrainedModel, frame: TimeSeriesFrame,
-                               plan: FoldPlan, split: str = "test") -> list[float]:
-    """Per-step MSE over the same anchors the pooled forecast metric uses."""
-    _, preds, actual = model_pairs(model, frame, _split_ranges(plan, split))
+                               plan: FoldPlan) -> list[float]:
+    """Per-step test MSE over the same anchors the pooled forecast metric uses."""
+    _, preds, actual = model_pairs(model, frame, plan.test)
     preds = preds.reshape(-1, FORECAST_HORIZON)
     actual = actual.reshape(-1, FORECAST_HORIZON)
     return [mse(preds[:, k], actual[:, k]) for k in range(FORECAST_HORIZON)]

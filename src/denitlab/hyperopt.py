@@ -115,13 +115,11 @@ def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],
     rng = np.random.default_rng(search_seed)
     specs = [space.sample_spec(rng, task) for _ in range(budget)]
 
-    scores = score_grid(frame, [(spec, fold) for spec in specs for fold in folds],
-                        ("validation",), jobs=jobs)
-    k = len(folds)
+    cells = score_grid(frame, [[(spec, fold) for fold in folds] for spec in specs],
+                       ("validation",), jobs=jobs)
     trials = [Trial(index=i, spec=spec,
-                    fold_val_mse=tuple(math.inf if s is None else s[0]
-                                       for s in scores[i * k:(i + 1) * k]))
-              for i, spec in enumerate(specs)]
+                    fold_val_mse=tuple(math.inf if s is None else s[0] for s in runs))
+              for i, (spec, runs) in enumerate(zip(specs, cells))]
 
     best = min(trials, key=lambda t: t.mean_val_mse)
     if not math.isfinite(best.mean_val_mse):

@@ -43,14 +43,15 @@ def train_on_plan(spec: ModelSpec, frame: TimeSeriesFrame, plan: FoldPlan
     return train_model(spec, train_ws, val_ws, scaler)
 
 
-def score_grid(frame: TimeSeriesFrame, tasks, splits, jobs: int = 1
-               ) -> list[tuple[float, ...] | None]:
-    """Train each (spec, plan) task, then its original-unit MSE on each split.
+def score_grid(frame: TimeSeriesFrame, cells, splits, jobs: int = 1
+               ) -> list[list[tuple[float, ...] | None]]:
+    """Train each (spec, plan) task of each cell (the replicates behind one
+    output row), then its original-unit MSE on each split.
 
-    Gives one entry per task, in task order whatever ``jobs``: a tuple of MSEs
-    in ``splits`` order. This is the one place a trial's failure is decided:
-    a training that diverges or finds no windows gives None, so a search or
-    sweep can score it and go on; any other error propagates.
+    Gives, per cell and in task order whatever ``jobs``, a tuple of MSEs in
+    ``splits`` order per task. This is the one place a trial's failure is
+    decided: a training that diverges or finds no windows gives None, so a
+    search or sweep can score it and go on; any other error propagates.
     """
     def score(task):
         spec, plan = task
@@ -61,4 +62,5 @@ def score_grid(frame: TimeSeriesFrame, tasks, splits, jobs: int = 1
         except (NonFiniteLoss, TrainingLossRose, NoAdmissibleWindows, EmptyWindows):
             return None
 
-    return parallel_map(score, tasks, jobs=jobs)
+    scores = iter(parallel_map(score, [t for cell in cells for t in cell], jobs=jobs))
+    return [[next(scores) for _ in cell] for cell in cells]

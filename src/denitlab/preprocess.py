@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TARGET, Range, TimeSeriesFrame
-from .errors import BadParams, MaskTouchesBoundary, NoAdmissibleWindows
+from .errors import BadParams, NoAdmissibleWindows
 
 MERGE_DISTANCE = 3  # flagged runs closer than this many samples are merged
 
@@ -154,8 +154,10 @@ def interpolate_target(frame: TimeSeriesFrame, mask: CleaningMask) -> TimeSeries
     """Replace target values inside masked intervals by a straight line.
 
     The line runs between the nearest valid target readings outside any
-    masked interval; covariates pass through untouched. Idempotent for a
-    fixed mask, since the bracketing points are never inside the mask.
+    masked interval; an interval with no such reading on one side (at the
+    frame's edge) has its targets marked missing. Covariates pass through
+    untouched. Idempotent for a fixed mask, since the bracketing points are
+    never inside the mask.
     """
     if mask.length != len(frame):
         raise BadParams("mask length differs from frame length")
@@ -165,15 +167,13 @@ def interpolate_target(frame: TimeSeriesFrame, mask: CleaningMask) -> TimeSeries
     col = frame.col_index(TARGET)
     masked = indicator(mask.length, mask.intervals)
     usable = np.flatnonzero(np.isfinite(values[:, col]) & ~masked)
-    # no usable row lies inside an interval, so its first row and every row
-    # in it share the bracket usable[k - 1] < row < usable[k]
-    k = np.searchsorted(usable, [s for s, _ in mask.intervals])
-    unbracketed = np.flatnonzero((k == 0) | (k == len(usable)))
-    if unbracketed.size:
-        s, e = mask.intervals[unbracketed[0]]
-        raise MaskTouchesBoundary(f"interval [{s}, {e}) has no bracketing valid value")
     rows = np.flatnonzero(masked)
+    # no usable row lies inside an interval, so every row in it shares the
+    # bracket usable[k - 1] < row < usable[k], or lacks one side of it
     k = np.searchsorted(usable, rows)
+    bracketed = (k > 0) & (k < len(usable))
+    values[rows[~bracketed], col] = np.nan
+    rows, k = rows[bracketed], k[bracketed]
     left, right = usable[k - 1], usable[k]
     w = (rows - left) / (right - left)
     y = values[:, col]

@@ -1,8 +1,8 @@
 """Small shared helpers.
 
-``parallel_map`` runs the trainings of a search or sweep in ``jobs`` worker
-processes. Threads would not help: the fits are many small numpy calls and
-Python loops that hold the interpreter lock. Workers are started by fork
+``parallel_map`` runs the trainings of a search, sweep or ``train`` in
+``jobs`` worker processes. Threads would not help: the fits are many small
+numpy calls and Python loops that hold the interpreter lock. Workers are started by fork
 (asked for by name, since Python 3.14 defaults to forkserver), one pool per
 call, so they inherit ``fn`` and ``items`` (closures included) and only item
 indices and results are pickled. Each worker starts as a copy-on-write image

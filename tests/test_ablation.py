@@ -173,6 +173,20 @@ class TestHistorySweep:
         assert pairs[1] < pairs[0] * 0.01
         assert pairs[2] == pytest.approx(pairs[1], abs=1e-6)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_seed_rows_average_the_single_seed_sweeps(self, linear_frame,
+                                                            jobs):
+        base = ModelSpec("gbt", ("nitrate_in", "temperature"), h=0, task="nowcast",
+                         hyperparams={"n_trees": 3, "max_depth": 2,
+                                      "subsample": 0.7}, seed=0)
+        plan = make_final_split(linear_frame)
+        hs = [0, 1, 2]
+        a, b = (history_sweep(replace(base, seed=s), hs, linear_frame, plan)
+                for s in (0, 1))
+        both = history_sweep(base, hs, linear_frame, plan, seeds=(0, 1), jobs=jobs)
+        assert any(ra != rb for ra, rb in zip(a, b))
+        assert both == [(h, (sa + sb) / 2) for (h, sa), (_, sb) in zip(a, b)]
+
     def test_rerun_identical(self, linear_frame):
         plan = make_final_split(linear_frame)
         a = history_sweep(BASE, [0, 1], linear_frame, plan)

@@ -170,6 +170,39 @@ class TestTrainEvaluate:
         assert {"BaselineSeasonal", "BaselineTrend3", "BaselineTrend6"} <= ids
 
 
+    def test_train_jobs_2_matches_jobs_1(self, tmp_path):
+        cfg = write_config(tmp_path / "j.yaml", archs=["gbt", "elastic_net"],
+                           seeds=[0, 1],
+                           hyperparams={"gbt": {"n_trees": 10, "max_depth": 2,
+                                                "subsample": 0.7},
+                                        "elastic_net": {"alpha": 1.0e-4}})
+        artifacts = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["train", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 0
+            artifacts[jobs] = _artifacts(out)
+        assert set(artifacts["1"]) == {
+            "cleaning_mask.json", "model.bin", "train_logs.json",
+            "models/elastic_net_seed0.bin", "models/elastic_net_seed1.bin",
+            "models/gbt_seed0.bin", "models/gbt_seed1.bin"}
+        assert artifacts["2"] == artifacts["1"]
+        # the first spec, arch-major: gbt seed 0
+        assert artifacts["1"]["model.bin"] == artifacts["1"]["models/gbt_seed0.bin"]
+        assert list(json.loads(artifacts["1"]["train_logs.json"])) == [
+            "gbt_seed0", "gbt_seed1", "elastic_net_seed0", "elastic_net_seed1"]
+
+    def test_cleaning_at_the_frame_start_marks_targets_missing(self, tmp_path,
+                                                              capsys):
+        # the first episode has no reading before it to draw a line from
+        cfg = write_config(tmp_path / "c.yaml",
+                           synth={"days": 8, "seed": 3, "cleaning": {"first": 0}})
+        out = tmp_path / "o"
+        for command in ("train", "evaluate"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "cleaning_mask.json").read_text())[0]["start"] == 0
+
+
 class TestAblateAnomalyHyperopt:
     def test_ablate_three_covariates_seven_rows(self, tmp_path):
         cfg = write_config(tmp_path / "a.yaml",
@@ -209,6 +242,23 @@ class TestAblateAnomalyHyperopt:
         assert set(artifacts["1"]) == {"ablation.csv", "importance.json",
                                        "history.csv"}
         assert artifacts["2"] == artifacts["1"]
+
+    def test_history_sweep_averages_the_ablation_seeds(self, tmp_path):
+        # row subsampling makes each GBT fit depend on its seed
+        common = dict(archs=["gbt"],
+                      hyperparams={"gbt": {"n_trees": 10, "max_depth": 2,
+                                           "subsample": 0.7}})
+        ablation = {"covariates": ["nitrate_in"], "h_values": [0, 1]}
+        runs = {"ablation_seeds": write_config(tmp_path / "a.yaml", seeds=[0],
+                                               ablation={**ablation, "seeds": [1]},
+                                               **common),
+                "seeds": write_config(tmp_path / "b.yaml", seeds=[1],
+                                      ablation=ablation, **common)}
+        for name, cfg in runs.items():
+            assert main(["ablate", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "ablation_seeds" / "history.csv").read_bytes()
+                == (tmp_path / "seeds" / "history.csv").read_bytes())
 
     def test_ablate_uses_best_spec(self, tmp_path):
         ablation = {"covariates": ["nitrate_in", "methanol"]}
@@ -455,6 +505,37 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_artifact_path_os_error_exits_3(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "cleaning_mask.json").mkdir(parents=True)
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(out / "cleaning_mask.json") in err
+
+    def test_config_os_error_exits_2(self, config_path, tmp_path, capsys,
+                                     monkeypatch):
+        # root reads any file whatever its mode, so the denial is patched in
+        def deny(path, name=None):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(ds, "read_file_bytes", deny)
+        assert main(["train", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config {config_path} cannot be read: Permission denied\n")
+
+    def test_output_directory_os_error_exits_2(self, config_path, tmp_path, capsys,
+                                               monkeypatch):
+        def deny(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", deny)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output directory {out} cannot be made: Permission denied\n")
 
     def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -149,7 +149,7 @@ class TestEvaluate:
         model, _ = train_on_plan(spec, frame, plan)
         report = evaluate(model, frame, plan, "forecast", split="test")
         assert report.n_points % 6 == 0
-        breakdown = forecast_horizon_breakdown(model, frame, plan, split="test")
+        breakdown = forecast_horizon_breakdown(model, frame, plan)
         assert len(breakdown) == 6
         assert np.mean(breakdown) == pytest.approx(report.mse)
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denitlab.dataset import Gap
-from denitlab.errors import BadParams, MaskTouchesBoundary, NoAdmissibleWindows
+from denitlab.errors import BadParams, NoAdmissibleWindows
 from denitlab.preprocess import (
     CleaningMask, CleaningParams, build_windows, detect_cleaning,
     interpolate_target, rolling_median, runs, segments,
@@ -115,22 +115,23 @@ class TestInterpolateTarget:
         out = interpolate_target(frame, CleaningMask(intervals=(), length=len(frame)))
         assert out is frame
 
-    def test_interval_at_boundary_raises(self):
+    def test_interval_at_boundary_marks_targets_missing(self):
         frame = make_frame({"nitrate_out": [4.0, 5.0, 6.0]})
-        with pytest.raises(MaskTouchesBoundary):
-            interpolate_target(frame, CleaningMask(intervals=((0, 1),), length=3))
-        with pytest.raises(MaskTouchesBoundary):
-            interpolate_target(frame, CleaningMask(intervals=((2, 3),), length=3))
+        out = interpolate_target(frame, CleaningMask(intervals=((0, 1),), length=3))
+        assert np.array_equal(out.col("nitrate_out"), [np.nan, 5.0, 6.0], equal_nan=True)
+        out = interpolate_target(frame, CleaningMask(intervals=((2, 3),), length=3))
+        assert np.array_equal(out.col("nitrate_out"), [4.0, 5.0, np.nan], equal_nan=True)
 
-    @pytest.mark.parametrize("intervals,named", [
-        (((0, 1), (3, 4)), "[0, 1)"),
-        (((1, 2), (3, 4)), "[3, 4)"),
-    ])
-    def test_first_unbracketed_interval_named(self, intervals, named):
-        frame = make_frame({"nitrate_out": [4.0, 5.0, 6.0, 7.0]})
-        with pytest.raises(MaskTouchesBoundary) as exc:
-            interpolate_target(frame, CleaningMask(intervals=intervals, length=4))
-        assert str(exc.value) == f"interval {named} has no bracketing valid value"
+    @pytest.mark.parametrize("intervals,target", [
+        (((0, 1), (3, 4)), [np.nan, 0.0, 6.0, np.nan]),
+        (((1, 2), (3, 4)), [4.0, 5.0, 6.0, np.nan]),
+    ], ids=["both-edges", "last-edge"])
+    def test_unbracketed_missing_bracketed_filled(self, intervals, target):
+        frame = make_frame({"nitrate_out": [4.0, 0.0, 6.0, 0.0]})
+        out = interpolate_target(frame, CleaningMask(intervals=intervals, length=4))
+        assert np.array_equal(out.col("nitrate_out"), target, equal_nan=True)
+        assert np.array_equal(interpolate_target(out, CleaningMask(intervals, 4)).values,
+                              out.values, equal_nan=True)
 
     def test_idempotent(self, small_frame):
         frame, schedule = small_frame
