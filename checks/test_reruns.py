@@ -152,15 +152,15 @@ SCENARIOS = [
         "synth": SMALL_SYNTH},
         ("ablate",), ("ablation.csv", "importance.json", "history.csv")),
     # train forks one worker per fit: each GBT seed subsamples its own rows
-    # and each tcn seed draws its own weights
+    # and each tcn seed draws its own weights; report reduces each row's seeds
     Scenario("multi_seed_train_jobs", "jobs", {
         "task": "nowcast", "archs": ["gbt", "tcn"], "seeds": [0, 1],
         "covariates": COVARIATES, "h": 1,
         "hyperparams": {"gbt": {"n_trees": 10, "max_depth": 2, "subsample": 0.7},
                         "tcn": {"hidden": 8, "max_epochs": 2}},
         "synth": SMALL_SYNTH},
-        ("train", "evaluate"), ("models/*.bin", "model.bin", "train_logs.json",
-                                "report.csv")),
+        ("train", "evaluate", "report"), ("models/*.bin", "model.bin", "train_logs.json",
+                                          "report.csv", "table1.json")),
     Scenario("in_process_chain", "chain", CHAIN,
              ("train", "evaluate", "report", "anomaly", "ablate"),
              ("cleaning_mask.json", "models/*.bin", "train_logs.json", "report.csv",

@@ -9,7 +9,6 @@ contributes to neither side of the with/without-covariate comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .dataset import FoldPlan, TimeSeriesFrame
 from .errors import EmptyTable, GuardrailExceeded
+from .evaluation import replicate_mean
 from .models import ModelSpec
 from .pipeline import score_grid
 
@@ -59,48 +59,18 @@ class AblationTable:
                 fh.write(f"{r.bitmask},{names},{r.val_mse!r},{r.test_mse!r}\n")
 
 
-@dataclass(frozen=True)
-class CovariateImportance:
-    name: str
-    mean_mse_with: float
-    mean_mse_without: float
-    n_with: int
-    n_without: int
-    top_k_prevalence: float
-
-
-@dataclass(frozen=True)
-class ImportanceSummary:
-    k: int
-    per_covariate: tuple[CovariateImportance, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "top_k": self.k,
-            "covariates": {
-                c.name: {
-                    "mean_mse_with": c.mean_mse_with,
-                    "mean_mse_without": c.mean_mse_without,
-                    "n_with": c.n_with,
-                    "n_without": c.n_without,
-                    "top_k_prevalence": c.top_k_prevalence,
-                } for c in self.per_covariate
-            },
-        }, indent=2)
-
-
 def _subset(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
     return tuple(n for i, n in enumerate(names) if mask >> i & 1)
 
 
 def _seed_means(specs, seeds, frame: TimeSeriesFrame, plan: FoldPlan, splits,
                 jobs: int) -> list[tuple[float, ...] | None]:
-    """Per spec, its MSEs on ``splits`` averaged over ``seeds`` (summed in seed
-    order), or None if any of its trainings failed. Empty ``seeds`` trains
-    each spec's own seed."""
+    """Per spec, its MSEs on ``splits`` averaged over ``seeds`` by
+    ``replicate_mean``, or None if any of its trainings failed. Empty ``seeds``
+    trains each spec's own seed."""
     cells = [[(replace(spec, seed=seed), plan) for seed in tuple(seeds) or (spec.seed,)]
              for spec in specs]
-    return [None if None in runs else tuple(sum(col) / len(runs) for col in zip(*runs))
+    return [None if None in runs else tuple(map(replicate_mean, zip(*runs)))
             for runs in score_grid(frame, cells, splits, jobs=jobs)]
 
 
@@ -123,31 +93,29 @@ def covariate_sweep(base_spec: ModelSpec, covariate_names, frame: TimeSeriesFram
         for m, s in zip(masks, means)))
 
 
-def importance(table: AblationTable, k: int | None = None) -> ImportanceSummary:
-    """With/without mean MSE per covariate and prevalence among the top ~5%."""
+def importance(table: AblationTable, k: int | None = None) -> dict:
+    """The ``importance.json`` document: per covariate, the mean test MSE of the
+    scored subsets with and without it, and its prevalence among the top ~5%."""
     scored = table.scored_rows()
     if not scored:
         raise EmptyTable("no scored rows")
     if k is None:
         k = math.ceil(0.05 * len(scored))
     k = min(k, len(scored))
-    by_score = sorted(scored, key=lambda r: (r.test_mse, r.bitmask))
-    top = by_score[:k]
+    top = sorted(scored, key=lambda r: (r.test_mse, r.bitmask))[:k]
 
-    summaries = []
+    covariates = {}
     for i, name in enumerate(table.covariate_names):
-        with_rows = [r for r in scored if r.bitmask >> i & 1]
-        without_rows = [r for r in scored if not r.bitmask >> i & 1]
-        mean_with = float(np.mean([r.test_mse for r in with_rows])) \
-            if with_rows else math.nan
-        mean_without = float(np.mean([r.test_mse for r in without_rows])) \
-            if without_rows else math.nan
-        prevalence = sum(1 for r in top if r.bitmask >> i & 1) / k
-        summaries.append(CovariateImportance(
-            name=name, mean_mse_with=mean_with, mean_mse_without=mean_without,
-            n_with=len(with_rows), n_without=len(without_rows),
-            top_k_prevalence=prevalence))
-    return ImportanceSummary(k=k, per_covariate=tuple(summaries))
+        with_mse = [r.test_mse for r in scored if r.bitmask >> i & 1]
+        without_mse = [r.test_mse for r in scored if not r.bitmask >> i & 1]
+        covariates[name] = {
+            "mean_mse_with": float(np.mean(with_mse)) if with_mse else math.nan,
+            "mean_mse_without": float(np.mean(without_mse)) if without_mse else math.nan,
+            "n_with": len(with_mse),
+            "n_without": len(without_mse),
+            "top_k_prevalence": sum(1 for r in top if r.bitmask >> i & 1) / k,
+        }
+    return {"top_k": k, "covariates": covariates}
 
 
 def history_sweep(base_spec: ModelSpec, h_values, frame: TimeSeriesFrame,

@@ -41,8 +41,8 @@ from .ablation import covariate_sweep, history_sweep, importance
 from .anomaly import detect_anomalies, events_to_json
 from .baselines import REPORT_BASELINES
 from .config import ExperimentConfig, build_search_space, load_config
-from .evaluation import EvalReport, aggregate_seeds, evaluate, \
-    forecast_horizon_breakdown, model_pairs
+from .evaluation import EvalReport, evaluate, forecast_horizon_breakdown, model_pairs, \
+    replicate_mean, replicate_std
 from .hyperopt import search
 from .models import ModelSpec, load_model, save_model
 from .pipeline import prepare_frame, train_on_plan
@@ -128,8 +128,13 @@ def _model_specs(config: ExperimentConfig, out: Path) -> list[ModelSpec]:
             for arch in config.archs for seed in config.seeds]
 
 
+def _model_name(spec: ModelSpec) -> str:
+    """A trained model's name: its file stem and its key in the JSON artifacts."""
+    return f"{spec.arch}_seed{spec.seed}"
+
+
 def _model_path(out: Path, spec: ModelSpec) -> Path:
-    return out / "models" / f"{spec.arch}_seed{spec.seed}.bin"
+    return out / "models" / f"{_model_name(spec)}.bin"
 
 
 def cmd_synth(config: ExperimentConfig, out: Path, args) -> None:
@@ -152,7 +157,7 @@ def cmd_train(config: ExperimentConfig, out: Path, args) -> None:
     logs = {}
     for spec, (model, log) in zip(specs, fits):
         save_model(model, _model_path(out, spec))
-        logs[f"{spec.arch}_seed{spec.seed}"] = {
+        logs[_model_name(spec)] = {
             "stop_reason": log.stop_reason,
             "stopped_at": log.stopped_at,
             "train_loss": list(log.train_loss),
@@ -186,8 +191,8 @@ def cmd_evaluate(config: ExperimentConfig, out: Path, args) -> None:
             writer.writerow([r.model_id, r.task, r.split, r.seed,
                              repr(r.mse), repr(r.mae), r.n_points])
     if config.task == "forecast":
-        horizons = {f"{m.spec.arch}_seed{m.spec.seed}":
-                    forecast_horizon_breakdown(m, frame, plan) for m in models}
+        horizons = {_model_name(m.spec): forecast_horizon_breakdown(m, frame, plan)
+                    for m in models}
         (out / "horizons.json").write_text(json.dumps(horizons, indent=2))
     print(f"wrote {out / 'report.csv'} ({len(rows)} rows)")
 
@@ -223,7 +228,7 @@ def cmd_ablate(config: ExperimentConfig, out: Path, args) -> None:
     table = covariate_sweep(base, config.ablation.covariates, frame, plan,
                             seeds=config.ablation.seeds, jobs=config.jobs)
     table.to_csv(out / "ablation.csv")
-    (out / "importance.json").write_text(importance(table).to_json())
+    (out / "importance.json").write_text(json.dumps(importance(table), indent=2))
     if config.ablation.h_values:
         pairs = history_sweep(base, config.ablation.h_values, frame, plan,
                               seeds=config.ablation.seeds, jobs=config.jobs)
@@ -270,25 +275,24 @@ def cmd_report(config: ExperimentConfig, out: Path, args) -> None:
                     f"{type(exc).__name__}: {exc}") from None
             key = (report.model_id, report.task, report.split)
             rows.setdefault(key, []).append(report)
-    aggregates = {key: aggregate_seeds(group) for key, group in rows.items()}
+
+    def mean_std(values) -> dict:
+        return {"mean": replicate_mean(values), "std": replicate_std(values)}
 
     tables: dict[str, list] = {}
-    tasks = sorted({key[1] for key in aggregates})
-    for task in tasks:
-        models = sorted({key[0] for key in aggregates if key[1] == task})
+    for task in sorted({key[1] for key in rows}):
         entries = []
-        for model_id in models:
-            val = aggregates.get((model_id, task, "validation"))
-            test = aggregates.get((model_id, task, "test"))
+        for model_id in sorted({key[0] for key in rows if key[1] == task}):
+            test = rows.get((model_id, task, "test"))
             if test is None:
                 continue
+            val = rows.get((model_id, task, "validation"))
             entries.append({
                 "model": model_id,
-                "val_mse": None if val is None else
-                    {"mean": val.mean_mse, "std": val.std_mse},
-                "test_mse": {"mean": test.mean_mse, "std": test.std_mse},
-                "test_mae": {"mean": test.mean_mae, "std": test.std_mae},
-                "n_seeds": test.n_seeds,
+                "val_mse": None if val is None else mean_std([r.mse for r in val]),
+                "test_mse": mean_std([r.mse for r in test]),
+                "test_mae": mean_std([r.mae for r in test]),
+                "n_seeds": len(test),
             })
         entries.sort(key=lambda e: e["test_mse"]["mean"])
         tables[task] = entries

@@ -126,14 +126,6 @@ class NonFinite(DataError):
     pass
 
 
-class MixedGroups(DataError):
-    pass
-
-
-class EmptyReports(DataError):
-    pass
-
-
 # --- hyperopt / ablation ---------------------------------------------------
 
 class AllTrialsFailed(TrainingError):

@@ -1,5 +1,5 @@
-"""Metric computation on the original scale, split-wise evaluation, and
-multi-seed aggregation.
+"""Metric computation on the original scale, split-wise evaluation, and the
+mean and spread of replicate scores (seeds, folds).
 
 Models predict in the scaled domain and are inverted before scoring;
 baselines never leave original units. Forecast scores pool all
@@ -20,8 +20,7 @@ import numpy as np
 from .baselines import Baseline
 from .dataset import FORECAST_HORIZON, SPLITS, TARGET, FoldPlan, TimeSeriesFrame, \
     apply_scaler, invert_target
-from .errors import EmptyReports, LengthMismatch, MixedGroups, NoAdmissibleWindows, \
-    NonFinite, SpecMismatch
+from .errors import LengthMismatch, NoAdmissibleWindows, NonFinite, SpecMismatch
 from .models import TrainedModel, predict_batch, rollout_forecast_batch, spec_windows
 from .preprocess import build_windows
 
@@ -68,18 +67,6 @@ class EvalReport:
             raise ValueError(f"negative n_points {self.n_points}")
         if self.mae ** 2 > self.mse * (1 + 1e-9):
             raise ValueError(f"mae^2 {self.mae**2} exceeds mse {self.mse}")
-
-
-@dataclass(frozen=True)
-class SeedAggregate:
-    model_id: str
-    task: str
-    split: str
-    mean_mse: float
-    std_mse: float
-    mean_mae: float
-    std_mae: float
-    n_seeds: int
 
 
 def _split_ranges(plan: FoldPlan, split: str):
@@ -164,27 +151,18 @@ def forecast_horizon_breakdown(model: TrainedModel, frame: TimeSeriesFrame,
     return [mse(preds[:, k], actual[:, k]) for k in range(FORECAST_HORIZON)]
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    """Mean and sample (n-1) standard deviation; a run of equal values is
-    that value with std 0, which the float sums need not give exactly."""
+def replicate_mean(values) -> float:
+    """The mean of one row's replicate scores (seeds or folds); a run of equal
+    values is that value, which the float sum need not give exactly."""
+    values = np.asarray(values, dtype=float)
     if np.all(values == values[0]):
-        return float(values[0]), 0.0
-    return float(values.mean()), float(values.std(ddof=1))
+        return float(values[0])
+    return float(values.mean())
 
 
-def aggregate_seeds(reports: list[EvalReport]) -> SeedAggregate:
-    """Mean and sample (n-1) standard deviation across seeds; std 0 for one."""
-    if not reports:
-        raise EmptyReports("nothing to aggregate")
-    first = reports[0]
-    for r in reports[1:]:
-        if (r.model_id, r.task, r.split) != (first.model_id, first.task, first.split):
-            raise MixedGroups(f"{r.model_id}/{r.task}/{r.split} mixed with "
-                              f"{first.model_id}/{first.task}/{first.split}")
-    mean_mse, std_mse = _mean_std(np.array([r.mse for r in reports]))
-    mean_mae, std_mae = _mean_std(np.array([r.mae for r in reports]))
-    return SeedAggregate(model_id=first.model_id, task=first.task,
-                         split=first.split,
-                         mean_mse=mean_mse, std_mse=std_mse,
-                         mean_mae=mean_mae, std_mae=std_mae,
-                         n_seeds=len(reports))
+def replicate_std(values) -> float:
+    """The sample (n-1) standard deviation of replicate scores; 0 for equal values."""
+    values = np.asarray(values, dtype=float)
+    if np.all(values == values[0]):
+        return 0.0
+    return float(values.std(ddof=1))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import FoldPlan, TimeSeriesFrame
 from .errors import AllTrialsFailed, InvalidConfig
+from .evaluation import replicate_mean
 from .models import ModelSpec
 # perfbench/test_spans.py checks that the tracer patches hyperopt.train_on_plan
 from .pipeline import score_grid, train_on_plan  # noqa: F401
@@ -99,7 +100,7 @@ class Trial:
 
     @property
     def mean_val_mse(self) -> float:
-        return sum(self.fold_val_mse) / len(self.fold_val_mse)
+        return replicate_mean(self.fold_val_mse)
 
 
 def search(space: SearchSpace, frame: TimeSeriesFrame, folds: list[FoldPlan],

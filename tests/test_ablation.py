@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from denitlab.ablation import (
 from denitlab.dataset import make_final_split
 from denitlab.errors import EmptyTable, GuardrailExceeded
 from denitlab.models import ModelSpec
-from denitlab.synthpilot import generate
+from denitlab.pipeline import prepare_frame
+from denitlab.synthpilot import SynthConfig, generate
 
 from conftest import learnable_config, make_frame
 
@@ -96,6 +98,32 @@ class TestCovariateSweep:
             assert r.test_mse == (ra.test_mse + rb.test_mse) / 2
 
 
+class TestSeedMeans:
+    """A row's seeds reduce by ``evaluation.replicate_mean``: seeds that tie
+    give the single-seed row itself."""
+
+    BASE = ModelSpec("elastic_net", ("nitrate_in", "methanol", "temperature"), h=1,
+                     task="nowcast", hyperparams={"alpha": 1e-3}, seed=0)
+
+    @pytest.fixture(scope="class")
+    def planned(self):
+        frame, _ = prepare_frame(generate(SynthConfig(days=8, seed=3))[0])
+        return frame, make_final_split(frame)
+
+    def test_tied_seeds_give_the_single_seed_covariate_sweep(self, planned):
+        frame, plan = planned
+        names = self.BASE.covariates
+        one = covariate_sweep(self.BASE, names, frame, plan, seeds=(0,))
+        three = covariate_sweep(self.BASE, names, frame, plan, seeds=(0, 1, 2))
+        assert three == one
+
+    def test_tied_seeds_give_the_single_seed_history_sweep(self, planned):
+        frame, plan = planned
+        one = history_sweep(self.BASE, (0, 1, 2), frame, plan, seeds=(0,))
+        three = history_sweep(self.BASE, (0, 1, 2), frame, plan, seeds=(0, 1, 2))
+        assert three == one
+
+
 def _toy_table(scores):
     """Synthetic 2-covariate table with given test MSEs by bitmask."""
     names = ("a", "b")
@@ -111,28 +139,26 @@ class TestImportance:
         plan = make_final_split(linear_frame)
         names = ("nitrate_in", "temperature", "ammonium")
         table = covariate_sweep(BASE, names, linear_frame, plan)
-        summary = importance(table)
-        for cov in summary.per_covariate:
-            assert cov.n_with + cov.n_without == len(table.scored_rows())
+        doc = importance(table)
+        for cov in doc["covariates"].values():
+            assert cov["n_with"] + cov["n_without"] == len(table.scored_rows())
 
     def test_exclusive_covariate_has_full_prevalence(self):
         # covariate 'a' appears in exactly the best k rows
         table = _toy_table({1: 0.1, 3: 0.2, 2: 5.0})
-        summary = importance(table, k=2)
-        by_name = {c.name: c for c in summary.per_covariate}
-        assert by_name["a"].top_k_prevalence == 1.0
-        assert by_name["b"].top_k_prevalence == 0.5
+        by_name = importance(table, k=2)["covariates"]
+        assert by_name["a"]["top_k_prevalence"] == 1.0
+        assert by_name["b"]["top_k_prevalence"] == 0.5
 
     def test_symmetric_scores_balance_means(self):
         table = _toy_table({1: 1.0, 2: 1.0, 3: 1.0})
-        summary = importance(table, k=3)
-        for cov in summary.per_covariate:
-            assert cov.mean_mse_with == pytest.approx(1.0)
-            assert cov.mean_mse_without == pytest.approx(1.0)
+        for cov in importance(table, k=3)["covariates"].values():
+            assert cov["mean_mse_with"] == pytest.approx(1.0)
+            assert cov["mean_mse_without"] == pytest.approx(1.0)
 
     def test_default_k_is_five_percent_ceiling(self):
         table = _toy_table({1: 0.1, 2: 0.2, 3: 0.3})
-        assert importance(table).k == 1  # ceil(0.05 * 3)
+        assert importance(table)["top_k"] == 1  # ceil(0.05 * 3)
 
     def test_empty_table_rejected(self):
         empty = AblationTable(covariate_names=("a",), rows=(
@@ -141,11 +167,13 @@ class TestImportance:
             importance(empty)
 
     def test_json_export_shape(self):
-        doc = importance(_toy_table({1: 0.1, 2: 0.2, 3: 0.3})).to_json()
-        import json
-        parsed = json.loads(doc)
-        assert set(parsed["covariates"]) == {"a", "b"}
-        assert "mean_mse_with" in parsed["covariates"]["a"]
+        doc = importance(_toy_table({1: 0.1, 2: 0.2, 3: 0.3}))
+        parsed = json.loads(json.dumps(doc))
+        assert list(parsed) == ["top_k", "covariates"]
+        assert list(parsed["covariates"]) == ["a", "b"]
+        assert list(parsed["covariates"]["a"]) == [
+            "mean_mse_with", "mean_mse_without", "n_with", "n_without",
+            "top_k_prevalence"]
 
 
 class TestHistorySweep:

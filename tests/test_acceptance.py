@@ -21,7 +21,7 @@ from denitlab.anomaly import AnomalyParams, detect_anomalies
 from denitlab.baselines import PUBLISHED_TEST_MSE, SEASONAL, TRAINING_MEAN, \
     running_mean_predict, trend_n_predict
 from denitlab.dataset import make_cv_folds, make_final_split
-from denitlab.evaluation import aggregate_seeds, evaluate
+from denitlab.evaluation import evaluate, replicate_std
 from denitlab.hyperopt import search
 from denitlab.models import ModelSpec, serialize
 from denitlab.models.elastic_net import fit_elastic_net
@@ -310,24 +310,22 @@ def test_criterion_5_multi_seed_reporting():
     plan = make_final_split(frame)
     seeds = range(10)
 
-    def reports_for(arch, hp):
+    def mses_on_test(arch, hp):
         out = []
         for seed in seeds:
             spec = ModelSpec(arch, ("nitrate_in", "methanol"), h=1,
                              task="nowcast", hyperparams=hp, seed=seed)
             model, _ = train_on_plan(spec, frame, plan)
-            out.append(evaluate(model, frame, plan, "nowcast", split="test"))
+            out.append(evaluate(model, frame, plan, "nowcast", split="test").mse)
         return out
 
-    enet = aggregate_seeds(reports_for("elastic_net", {"alpha": 1e-3}))
-    assert enet.n_seeds == 10
-    assert enet.std_mse == 0.0  # deterministic arch: seeds change nothing
+    enet = mses_on_test("elastic_net", {"alpha": 1e-3})
+    assert len(enet) == 10
+    assert replicate_std(enet) == 0.0  # deterministic arch: seeds change nothing
 
-    net = aggregate_seeds(reports_for("recurrent",
-                                      {"hidden": 4, "max_epochs": 3}))
-    assert net.n_seeds == 10
-    assert net.std_mse > 0.0
-    mses = [r.mse for r in reports_for("recurrent",
-                                       {"hidden": 4, "max_epochs": 3})]
-    assert net.std_mse == pytest.approx(np.std(mses, ddof=1))
+    net = mses_on_test("recurrent", {"hidden": 4, "max_epochs": 3})
+    assert len(net) == 10
+    assert replicate_std(net) > 0.0
+    rerun = mses_on_test("recurrent", {"hidden": 4, "max_epochs": 3})
+    assert replicate_std(net) == pytest.approx(np.std(rerun, ddof=1))
     _ok("5 multi-seed aggregation uses sample std (0 for deterministic archs)")

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from denitlab.baselines import SEASONAL, TRAINING_MEAN, TREND3, TREND6
 from denitlab.dataset import make_final_split
-from denitlab.errors import LengthMismatch, MixedGroups, NonFinite, SpecMismatch
+from denitlab.errors import LengthMismatch, NonFinite, SpecMismatch
 from denitlab.evaluation import (
-    EvalReport, aggregate_seeds, evaluate, forecast_horizon_breakdown, mae, mse,
+    EvalReport, evaluate, forecast_horizon_breakdown, mae, mse, replicate_mean,
+    replicate_std,
 )
 from denitlab.models import ModelSpec
 from denitlab.pipeline import train_on_plan
@@ -64,40 +65,21 @@ class TestEvalReport:
         assert r.mse == 4.0
 
 
-class TestAggregateSeeds:
+class TestReplicateMeanStd:
     def test_sample_std(self):
-        reports = [EvalReport("m", "nowcast", "test", float(v), 0.1, 10, s)
-                   for s, v in enumerate([1.0, 2.0, 3.0])]
-        agg = aggregate_seeds(reports)
-        assert agg.mean_mse == pytest.approx(2.0)
-        assert agg.std_mse == pytest.approx(1.0)  # ddof=1
+        assert replicate_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
+        assert replicate_std([1.0, 2.0, 3.0]) == pytest.approx(1.0)  # ddof=1
 
-    def test_single_report_std_zero(self):
-        agg = aggregate_seeds([EvalReport("m", "nowcast", "test", 1.0, 0.5, 5, 0)])
-        assert agg.std_mse == 0.0
-        assert agg.n_seeds == 1
+    def test_single_value_std_zero(self):
+        assert (replicate_mean([1.0]), replicate_std([1.0])) == (1.0, 0.0)
 
-    def test_identical_reports_std_zero(self):
-        reports = [EvalReport("m", "nowcast", "test", 2.5, 1.0, 5, s)
-                   for s in range(10)]
-        agg = aggregate_seeds(reports)
-        assert agg.std_mse == 0.0
-        assert agg.n_seeds == 10
+    def test_identical_values_std_zero(self):
+        assert (replicate_mean([2.5] * 10), replicate_std([2.5] * 10)) == (2.5, 0.0)
 
-    def test_identical_inexact_scores_report_the_value_and_std_zero(self):
+    def test_equal_inexact_values_give_the_value_and_std_zero(self):
         # ten copies of these sum to neither 10x the value nor a zero spread
-        v = 0.2384738857005055
-        reports = [EvalReport("m", "nowcast", "test", v, 0.3, 5, s) for s in range(10)]
-        agg = aggregate_seeds(reports)
-        assert (agg.mean_mse, agg.std_mse) == (v, 0.0)
-        assert (agg.mean_mae, agg.std_mae) == (0.3, 0.0)
-
-    def test_mixed_groups_rejected(self):
-        with pytest.raises(MixedGroups):
-            aggregate_seeds([
-                EvalReport("m", "nowcast", "test", 1.0, 0.5, 5, 0),
-                EvalReport("other", "nowcast", "test", 1.0, 0.5, 5, 1),
-            ])
+        for v in (0.2384738857005055, 0.3):
+            assert (replicate_mean([v] * 10), replicate_std([v] * 10)) == (v, 0.0)
 
 
 def _linear_frame(n=400, noise=0.0, seed=0):

@@ -6,7 +6,7 @@ import pytest
 from denitlab.dataset import make_cv_folds, make_final_split
 from denitlab.errors import InvalidConfig
 from denitlab.hyperopt import (
-    GridDim, LogUniformDim, SearchSpace, search,
+    GridDim, LogUniformDim, SearchSpace, Trial, search,
 )
 from denitlab.models import ModelSpec, serialize
 from denitlab.pipeline import train_on_plan
@@ -114,6 +114,19 @@ class TestSearch:
         best, trials = search(space, poisoned, folds, "nowcast", budget=2,
                               search_seed=1)
         assert all(math.isfinite(t.mean_val_mse) for t in trials)
+
+
+class TestTrial:
+    SPEC = ModelSpec("elastic_net", ("nitrate_in",), h=0, task="nowcast")
+
+    def test_tied_folds_give_the_fold_score(self):
+        # a sequential sum of three 0.1s over 3 is 0.10000000000000002
+        assert Trial(0, self.SPEC, fold_val_mse=(0.1, 0.1, 0.1)).mean_val_mse == 0.1
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_failed_fold_scores_inf_without_a_warning(self):
+        assert Trial(0, self.SPEC, fold_val_mse=(0.1, math.inf)).mean_val_mse == math.inf
+        assert Trial(0, self.SPEC, fold_val_mse=(math.inf,) * 2).mean_val_mse == math.inf
 
 
 class TestFinalize:
