@@ -109,8 +109,8 @@ def importance(table: AblationTable, k: int | None = None) -> dict:
         with_mse = [r.test_mse for r in scored if r.bitmask >> i & 1]
         without_mse = [r.test_mse for r in scored if not r.bitmask >> i & 1]
         covariates[name] = {
-            "mean_mse_with": float(np.mean(with_mse)) if with_mse else math.nan,
-            "mean_mse_without": float(np.mean(without_mse)) if without_mse else math.nan,
+            "mean_mse_with": float(np.mean(with_mse)) if with_mse else None,
+            "mean_mse_without": float(np.mean(without_mse)) if without_mse else None,
             "n_with": len(with_mse),
             "n_without": len(without_mse),
             "top_k_prevalence": sum(1 for r in top if r.bitmask >> i & 1) / k,

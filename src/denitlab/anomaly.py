@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Range
 from .errors import BadParams, LengthMismatch, NonFinite
 from .preprocess import centred_half_width, rolling_median, runs
 
@@ -57,9 +56,6 @@ class AnomalyEvent:
             raise ValueError("empty event interval")
         if self.klass not in (1, 2, 3):
             raise ValueError(f"bad class {self.klass}")
-
-    def interval(self) -> Range:
-        return (self.start_index, self.end_index)
 
 
 def _centred_window(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,21 +171,17 @@ def _detect(pred, actual, params: AnomalyParams, offset: int) -> list[AnomalyEve
     return events
 
 
-def events_to_json(events: list[AnomalyEvent], anchors=None, timestamps=None) -> str:
+def events_to_json(events: list[AnomalyEvent], anchors, timestamps) -> str:
     """JSON export for plot overlays, one item per event.
 
-    ``anchors`` maps series positions to frame rows (identity when None);
-    ``timestamps``, indexed by frame row, maps rows to wall-clock.
+    ``anchors`` maps series positions to frame rows; ``timestamps``, indexed
+    by frame row, maps rows to wall-clock.
     """
     payload = []
     for ev in events:
-        first, last = ev.start_index, ev.end_index - 1
-        if anchors is not None:
-            first, last = int(anchors[first]), int(anchors[last])
-        item = {"class": ev.klass, "start": first, "end": last + 1,
-                "magnitude": ev.magnitude}
-        if timestamps is not None:
-            item["start_time"] = timestamps[first].isoformat()
-            item["end_time"] = timestamps[last].isoformat()
-        payload.append(item)
+        first, last = int(anchors[ev.start_index]), int(anchors[ev.end_index - 1])
+        payload.append({"class": ev.klass, "start": first, "end": last + 1,
+                        "magnitude": ev.magnitude,
+                        "start_time": timestamps[first].isoformat(),
+                        "end_time": timestamps[last].isoformat()})
     return json.dumps(payload, indent=2)

@@ -50,6 +50,15 @@ Each solve costs O(p³). Attempts run at sweeps 1, 2 and 4, where small
 designs already have their support, then every ``_EXACT_EVERY``-th sweep,
 and only while the sweep's largest move is still at least ``tol``. ``Σ`` is
 ``G - x̄x̄ᵀ`` and ``c`` is ``Xᵀy/N - ȳx̄``, formed once per fit in O(p²).
+
+The line search only drops coordinates, so an optimum where a weight changes
+sign is out of the exact step's reach, and coordinate descent alone may need
+tens of thousands of sweeps to get there. The last sweep, ``max_iter``,
+therefore always tries an exact step, and where its candidate fails the check
+only off the support it adds feature-sign search's activation: the worst
+violator enters the support with the sign of its gradient, which lowers the
+objective from an optimum on the support, and the support is solved again,
+at most ``_ACTIVATIONS`` times.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ _LOSS_BATCH = 32  # iterates per batch of the loss log
 _LOSS_RTOL = 1e-12  # largest rounding bound, relative, of a Gram-form objective
 _EXACT_EVERY = 8  # exact steps at the sweeps dividing it (1, 2, 4), then every 8th
 _KKT_RTOL = 1e-10  # optimality slack of an exact step, relative to l1 + max|c|
+_ACTIVATIONS = 100  # most coordinates the last sweep's exact step adds to the support
 _EPS = float(np.finfo(float).eps)
 _DEFAULTS = DEFAULT_HYPERPARAMS["elastic_net"]  # fit_elastic_net's, read once
 
@@ -95,40 +105,53 @@ def _objectives(X: np.ndarray, y: np.ndarray, gram: tuple, w_log: list,
 
 
 def _exact_step(sigma: np.ndarray, c: np.ndarray, w: list, l1: float, l2: float,
-                eps: float) -> np.ndarray | None:
+                eps: float, activations: int = 0) -> np.ndarray | None:
     """The optimum on the support and signs of ``w``, or None if it is not one.
 
     Solves ``(Σ_AA + l2·I) w_A = c_A - l1·s`` by Cholesky for the support A
     and signs s of ``w``; a coordinate whose sign the solution flips leaves
     A by the line search. Keeps the solution only if every coordinate meets
-    the optimality conditions within ``eps``.
+    the optimality conditions within ``eps``. Where only coordinates off A
+    fail them, up to ``activations`` times the worst of those enters A with
+    the sign of its gradient, and A is solved again.
     """
     cand = np.array(w)
     support = np.flatnonzero(cand)
     signs = np.sign(cand[support])
-    while len(support):
-        try:
-            chol = np.linalg.cholesky(sigma[np.ix_(support, support)]
-                                      + l2 * np.eye(len(support)))
-        except np.linalg.LinAlgError:
+    for _ in range(activations + 1):
+        while len(support):
+            try:
+                chol = np.linalg.cholesky(sigma[np.ix_(support, support)]
+                                          + l2 * np.eye(len(support)))
+            except np.linalg.LinAlgError:
+                return None
+            sol = np.linalg.solve(chol.T, np.linalg.solve(chol, c[support] - l1 * signs))
+            flipped = np.flatnonzero(np.sign(sol) != signs)
+            if not len(flipped):
+                cand[support] = sol
+                break
+            # walk from the current point toward sol up to the first coordinate
+            # that reaches zero, and drop it (and any tie) from the support
+            now = cand[support]
+            steps = now[flipped] / (now[flipped] - sol[flipped])
+            now += steps.min() * (sol - now)
+            now[flipped[np.argmin(steps)]] = 0.0
+            cand[support] = now
+            support, signs = support[now != 0.0], signs[now != 0.0]
+        corr = c - sigma @ cand  # the negated gradient of the smooth loss
+        on = np.abs(corr[support] - l2 * cand[support] - l1 * signs)
+        if on.max(initial=0.0) > eps:
             return None
-        sol = np.linalg.solve(chol.T, np.linalg.solve(chol, c[support] - l1 * signs))
-        flipped = np.flatnonzero(np.sign(sol) != signs)
-        if not len(flipped):
-            cand[support] = sol
-            break
-        # walk from the current point toward sol up to the first coordinate
-        # that reaches zero, and drop it (and any tie) from the support
-        now = cand[support]
-        steps = now[flipped] / (now[flipped] - sol[flipped])
-        now += steps.min() * (sol - now)
-        now[flipped[np.argmin(steps)]] = 0.0
-        cand[support] = now
-        support, signs = support[now != 0.0], signs[now != 0.0]
-    corr = c - sigma @ cand  # the negated gradient of the smooth loss
-    slack = np.abs(corr) - l1  # an inactive coordinate's condition
-    slack[support] = np.abs(corr[support] - l2 * cand[support] - l1 * signs)
-    return cand if slack.max(initial=0.0) <= eps else None
+        off = np.abs(corr) - l1  # an inactive coordinate's condition
+        off[support] = -np.inf
+        if off.max(initial=0.0) <= eps:
+            return cand
+        j = int(np.argmax(off))
+        # feature-sign activation: cand is optimal on A, and moving w_j off
+        # zero with the sign of its gradient lowers the objective
+        k = np.searchsorted(support, j)
+        support, signs = np.insert(support, k, j), np.insert(signs, k, np.sign(corr[j]))
+    return None
 
 
 def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alpha"],
@@ -137,8 +160,9 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alph
     """Cyclic coordinate descent; stops when the largest coordinate move < tol,
     or at an exact step that passes the optimality check (module docstring).
 
-    Returns ``(w, b, log, converged)``. A fit that exhausts max_iter returns
-    the last iterate with ``converged=False`` and a warning, never raises.
+    Returns ``(w, b, log, converged)``. A fit whose last exact step fails
+    returns the last iterate with ``converged=False`` and a warning, never
+    raises.
     """
     if max_iter < 1:
         raise InvalidSpec(f"max_iter must be >= 1, got {max_iter}")
@@ -202,8 +226,10 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alph
         b_log.append(b)
         if max_move < tol:
             converged = True
-        elif sweeps % _EXACT_EVERY == 0 or _EXACT_EVERY % sweeps == 0:
-            exact = _exact_step(sigma, c, w, l1, l2, eps)
+        elif sweeps % _EXACT_EVERY == 0 or _EXACT_EVERY % sweeps == 0 \
+                or sweeps == max_iter:
+            exact = _exact_step(sigma, c, w, l1, l2, eps,
+                                _ACTIVATIONS if sweeps == max_iter else 0)
             if exact is not None:
                 w = exact.tolist()
                 b = y_bar - sum(map(mul, x_bar, w))
@@ -226,27 +252,6 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alph
     log = TrainLog(train_loss=tuple(losses), val_loss=(),
                    stop_reason="converged" if converged else "max_iter")
     return w, b, log, converged
-
-
-def stationarity_gap(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
-                     alpha: float, l1_ratio: float) -> float:
-    """Largest violation of the coordinatewise subgradient optimality condition.
-
-    Zero (up to the solver tolerance) at the optimum: active coordinates must
-    satisfy the smooth stationarity equation exactly, inactive ones must have
-    their plain gradient inside the l1 ball.
-    """
-    n = len(y)
-    r = y - X @ w - b
-    grad = -(X.T @ r) / n + alpha * (1 - l1_ratio) * w
-    l1 = alpha * l1_ratio
-    worst = abs(r.mean())  # intercept optimality
-    for j in range(X.shape[1]):
-        if w[j] != 0.0:
-            worst = max(worst, abs(grad[j] + l1 * np.sign(w[j])))
-        else:
-            worst = max(worst, max(0.0, abs(grad[j]) - l1))
-    return float(worst)
 
 
 def predict_linear(w: np.ndarray, b: float, X: np.ndarray) -> np.ndarray:

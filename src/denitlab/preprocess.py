@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,21 +68,6 @@ def indicator(length: int, intervals) -> np.ndarray:
     for s, e in intervals:
         flags[s:e] = True
     return flags
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """One supervised sample anchored at ``t``.
-
-    ``X`` holds the covariate history rows t-h .. t (chronological order);
-    ``y_hist`` the matching target history when forecasting; ``y`` is the
-    target value at t (nowcast) or the length-``horizon`` future (forecast).
-    """
-
-    X: np.ndarray
-    y: float | np.ndarray
-    t: int
-    y_hist: np.ndarray | None = None
 
 
 def centred_half_width(window: int) -> int:
@@ -214,25 +198,6 @@ def segments(frame: TimeSeriesFrame) -> list[Range]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-class _SampleView(Sequence):
-    """Read-only per-window view of a WindowSet; items are built on access."""
-
-    def __init__(self, ws: "WindowSet"):
-        self._ws = ws
-
-    def __len__(self) -> int:
-        return len(self._ws.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        ws = self._ws
-        t = int(ws.t[i])
-        y = float(ws.y[i]) if ws.horizon == 0 else np.array(ws.y[i])
-        y_hist = None if ws.y_hist is None else np.array(ws.y_hist[i])
-        return WindowSample(X=np.array(ws.X[i]), y=y, t=t, y_hist=y_hist)
-
-
 @dataclass(frozen=True, eq=False)
 class WindowSet:
     """Admissible windows as arrays indexed by anchor, plus bookkeeping.
@@ -244,8 +209,7 @@ class WindowSet:
     ``with_target_history`` and None otherwise. ``candidates`` counts every
     anchor of the plan ranges, ``skipped`` the inadmissible ones.
     ``build_windows`` makes the arrays read-only, since models read ``X``
-    without copying it. ``samples`` is a lazy ``WindowSample`` view of the
-    same rows.
+    without copying it.
     """
 
     X: np.ndarray
@@ -266,8 +230,9 @@ class WindowSet:
         return self.candidates - len(self.t)
 
     @property
-    def samples(self) -> Sequence[WindowSample]:
-        return _SampleView(self)
+    def samples(self) -> np.ndarray:
+        # perfbench/ counts windows as len(ws.samples): one anchor per window
+        return self.t
 
 
 def build_windows(frame: TimeSeriesFrame,

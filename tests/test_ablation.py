@@ -175,6 +175,26 @@ class TestImportance:
             "mean_mse_with", "mean_mse_without", "n_with", "n_without",
             "top_k_prevalence"]
 
+    @pytest.mark.parametrize("names,scores", [
+        (("a",), {1: 0.5}),
+        (("a", "b"), {1: 0.5, 2: None, 3: None}),
+    ], ids=["one-covariate", "unscored-partner"])
+    def test_mean_over_no_rows_is_null(self, names, scores):
+        # only subset {a} scored: no row is without a, none with b
+        table = AblationTable(covariate_names=names, rows=tuple(
+            AblationRow(m, tuple(n for i, n in enumerate(names) if m >> i & 1), s, s)
+            for m, s in scores.items()))
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        parsed = json.loads(json.dumps(importance(table)), parse_constant=reject)
+        assert parsed["covariates"]["a"]["mean_mse_with"] == 0.5
+        assert parsed["covariates"]["a"]["mean_mse_without"] is None
+        if "b" in names:
+            assert parsed["covariates"]["b"]["mean_mse_with"] is None
+            assert parsed["covariates"]["b"]["mean_mse_without"] == 0.5
+
 
 class TestHistorySweep:
     def test_single_h_single_pair(self, linear_frame):

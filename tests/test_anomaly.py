@@ -157,12 +157,21 @@ class TestSymmetries:
 
 def test_json_export():
     import json
+    from datetime import datetime, timedelta
     actual = np.zeros(120)
     actual[60:66] = 10.0
     events = detect_anomalies(np.zeros(120), actual, PARAMS)
-    doc = json.loads(events_to_json(events))
+    # series position i is frame row i + 5; rows are 10 minutes apart
+    anchors = np.arange(120) + 5
+    t0 = datetime(2024, 1, 1)
+    timestamps = [t0 + timedelta(minutes=10 * r) for r in range(130)]
+    doc = json.loads(events_to_json(events, anchors, timestamps))
+    ev = events[0]
     assert doc[0]["class"] == 1
-    assert doc[0]["start"] == 60
+    assert doc[0]["start"] == ev.start_index + 5 == 65
+    assert doc[0]["end"] == ev.end_index + 5
+    assert doc[0]["start_time"] == timestamps[65].isoformat()
+    assert doc[0]["end_time"] == timestamps[ev.end_index + 4].isoformat()
 
 
 def _diff_corr_loop(pred, actual, window):

@@ -179,22 +179,21 @@ class TestBuildWindows:
         gapped = _window_frame(10, gaps=(Gap(after_index=4, missing_steps=3),))
         ws = build_windows(gapped, ["nitrate_in"], h=2, horizon=0,
                            with_target_history=False, plan_ranges=[(0, 10)])
-        anchors = {s.t for s in ws.samples}
+        anchors = set(ws.t.tolist())
         # anchors 5 and 6 would reach across the gap after index 4
         assert anchors == {2, 3, 4, 7, 8, 9}
 
     def test_nowcast_windows_have_no_target_history(self):
         ws = build_windows(_window_frame(10), ["nitrate_in"], h=1, horizon=0,
                            with_target_history=False, plan_ranges=[(0, 10)])
-        assert all(s.y_hist is None for s in ws.samples)
+        assert ws.y_hist is None
 
     def test_forecast_windows_carry_history_and_future(self):
         ws = build_windows(_window_frame(12), ["nitrate_in"], h=2, horizon=3,
                            with_target_history=True, plan_ranges=[(0, 12)])
-        s = ws.samples[0]
-        assert s.t == 2
-        assert s.y_hist == pytest.approx([0.5, 1.5, 2.5])
-        assert s.y == pytest.approx([3.5, 4.5, 5.5])
+        assert ws.t[0] == 2
+        assert ws.y_hist[0] == pytest.approx([0.5, 1.5, 2.5])
+        assert ws.y[0] == pytest.approx([3.5, 4.5, 5.5])
 
     def test_missing_covariate_skips_anchor(self):
         frame = _window_frame(10)
@@ -204,15 +203,14 @@ class TestBuildWindows:
         ws = build_windows(frame, ["nitrate_in"], h=1, horizon=0,
                            with_target_history=False, plan_ranges=[(0, 10)])
         # the NaN at index 5 poisons the anchors whose history touches it
-        assert {s.t for s in ws.samples} == {1, 2, 3, 4, 7, 8, 9}
+        assert ws.t.tolist() == [1, 2, 3, 4, 7, 8, 9]
 
     def test_windows_respect_range_boundaries(self):
         ws = build_windows(_window_frame(20), ["nitrate_in"], h=2, horizon=1,
                            with_target_history=False,
                            plan_ranges=[(0, 10), (10, 20)])
-        for s in ws.samples:
-            lo, hi = s.t - 2, s.t + 1
-            assert (lo >= 0 and hi < 10) or (lo >= 10 and hi < 20)
+        lo, hi = ws.t - 2, ws.t + 1
+        assert np.all(((lo >= 0) & (hi < 10)) | ((lo >= 10) & (hi < 20)))
 
     def test_range_outside_frame_rejected(self):
         for bad in ([(-1, 5)], [(5, 11)]):
@@ -236,7 +234,7 @@ class TestBuildWindows:
                                plan_ranges=[(0, n)])
         except NoAdmissibleWindows:
             return
-        assert len(ws.samples) + ws.skipped == ws.candidates == n
+        assert len(ws) + ws.skipped == ws.candidates == n
 
 
 def _oracle_windows(frame, covariates, h, horizon, with_target_history,
@@ -335,12 +333,6 @@ class TestBuildWindowsMatchesLoop:
                     assert np.array_equal(ws.y_hist, np.array(y_hists))
                 else:
                     assert ws.y_hist is None
-                for s, t, X, y, y_hist in zip(ws.samples, anchors, Xs, ys, y_hists):
-                    assert type(s.t) is int and s.t == t
-                    assert np.array_equal(s.X, X)
-                    assert type(s.y) is type(y) and np.array_equal(s.y, y)
-                    assert (s.y_hist is None and y_hist is None) \
-                        or np.array_equal(s.y_hist, y_hist)
 
     def test_random_frames_skip_more_than_clean_ones(self):
         # guard that the random frames are not trivially clean
@@ -353,12 +345,8 @@ class TestBuildWindowsMatchesLoop:
         assert skipped > clean[4]
         assert candidates == clean[5] == 68
 
-    def test_samples_view_indexes_like_a_sequence(self):
+    def test_samples_alias_counts_windows(self):
         ws = build_windows(_window_frame(12), ["nitrate_in"], h=2, horizon=3,
                            with_target_history=True, plan_ranges=[(0, 12)])
         assert len(ws.samples) == len(ws) == len(ws.t) == 7
-        assert ws.samples[-1].t == int(ws.t[-1]) == 8
-        assert [s.t for s in ws.samples[1:3]] == ws.t[1:3].tolist()
-        with pytest.raises(IndexError):
-            ws.samples[7]
         assert not ws.X.flags.writeable
