@@ -76,8 +76,9 @@ GAPPY = {"archs": ["elastic_net", "gbt"], "seeds": [0], "covariates": COVARIATES
 # json.dumps writes alpha 1.0e-5 as 1e-05, an exponent float without a dot
 EXPONENT_ALPHA = yaml.safe_load((REPO / "configs/synth_forecast.yaml").read_text())
 EXPONENT_ALPHA["hyperparams"]["elastic_net"]["alpha"] = 1.0e-5
-# a first backwash at row 3: two of the 1,023 subset fits reach an optimum
-# where a weight changes sign only by the last sweep's activation step
+# a first backwash at row 3: two of the 1,023 subset fits have an optimum
+# where a weight changes sign, which coordinate descent alone does not reach
+# in max_iter sweeps and an exact step reaches by activation
 LATE_SIGN_CHANGE = yaml.safe_load((REPO / "configs/synth_small.yaml").read_text())
 LATE_SIGN_CHANGE["synth"]["cleaning"] = {"first": 3}
 
@@ -147,6 +148,13 @@ SCENARIOS = [
         "seeds": [0], "hyperopt": {"budget": 1}, "synth": SEARCH_SYNTH},
         ("hyperopt",), ("trials.csv", "best_spec_elastic_net.json", "best_spec_gbt.json",
                         "best_spec_recurrent.json", "best_spec_tcn.json")),
+    # no space overrides: every trial fits elastic nets from the default
+    # dimensions, and every fit must end at an optimum
+    Scenario("enet_default_space_jobs", "jobs", {
+        "task": "nowcast", "archs": ["elastic_net"], "seeds": [0],
+        "hyperopt": {"budget": 8}, "synth": SEARCH_SYNTH},
+        ("hyperopt",), ("trials.csv", "best_spec_elastic_net.json"),
+        never_prints="did not converge"),
     # row subsampling makes each GBT fit depend on its seed, so every subset
     # row is the mean of two different scores
     Scenario("multi_seed_ablation_jobs", "jobs", {

@@ -192,14 +192,15 @@ def read_file_bytes(path, name=None) -> bytes:
 
 def utf8_text(data: bytes, name) -> io.TextIOWrapper:
     """``data`` as a text stream for ``csv``; raises ``NotUTF8`` naming ``name``
-    and the offset of the first bad byte if it is not UTF-8."""
+    and the offset of the first bad byte if it is not UTF-8. A leading
+    byte-order mark, as Excel's "CSV UTF-8" export writes, is dropped."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NotUTF8(f"{name} is not UTF-8 text: byte "
                       f"0x{data[exc.start]:02x} at offset {exc.start}") from None
     # the stream decodes line by line, as from a file, holding no copy of the text
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def read_text(path, name=None) -> io.TextIOWrapper:

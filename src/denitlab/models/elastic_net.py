@@ -18,47 +18,36 @@ singular ``G``: on an exactly collinear design (``alpha=0``, ``tol=1e-14``)
 that residual updates solve in 14,128 sweeps, a ``Gw`` kept only by updates
 had not converged after 200,000.
 
-The objective logged after each sweep comes from the same quantities,
-``||y - Xw - b||²/N = yᵀy/N - 2w·Xᵀy/N - 2bȳ + wᵀGw + 2b·x̄·w + b²``, in
-O(p²) per sweep, for a batch of sweeps at a time, instead of O(N·p) from the
-residual. Near an exact fit those terms cancel. Their sum is kept only where
-its rounding bound, ``eps·(p + 1)`` times the sum of the terms' magnitudes,
-is at most ``_LOSS_RTOL`` of it; every other sweep of the batch takes its
-objective from the residual ``y - Xw - b``, all of them in one matrix
-product. Either way an entry is within about 1e-12 relative of the residual
-form.
+The objective logged at zero weights and after each sweep is taken from the
+residual ``y - Xw - b``, one matrix-vector product per entry.
 
 Coordinate descent finds the support ``A = {j : w_j ≠ 0}`` and its signs
 ``s`` long before it settles the values, and on correlated lag designs the
 move rule alone can take thousands of sweeps or run out ``max_iter``. So the
-solver also tries an exact step (the active sets of glmnet; the
-sign-consistent step of feature-sign search, Lee, Battle, Raina & Ng, NIPS
-2006): with the support and signs fixed, the optimum is one linear system,
-``(Σ_AA + l2·I) w_A = c_A - l1·s``, where ``Σ`` and ``c`` are the Gram
-matrix and ``Xᵀy/N`` of the centred design and the intercept is
-``ȳ - x̄·w``. Where the solution flips a sign, the step walks from ``w``
-toward it up to the first coordinate that reaches zero, drops that
-coordinate and solves again, as feature-sign search does. The candidate is
-kept only if every Cholesky factorization succeeds and every coordinate
-meets the optimality (KKT) conditions within ``_KKT_RTOL·(l1 + max|c|)``:
-``|c_j - (Σw)_j - l2·w_j - l1·s_j|`` on the support, ``|c_j - (Σw)_j| - l1``
-off it. Then the fit stops at that sweep, converged, at an optimum, and the
-sweep's log entry is the candidate's objective. A rejected candidate changes
-nothing, so every iterate before an exit is the one coordinate descent alone
-gives; a collinear or singular support fails the factorization or the check.
-Each solve costs O(p³). Attempts run at sweeps 1, 2 and 4, where small
-designs already have their support, then every ``_EXACT_EVERY``-th sweep,
-and only while the sweep's largest move is still at least ``tol``. ``Σ`` is
-``G - x̄x̄ᵀ`` and ``c`` is ``Xᵀy/N - ȳx̄``, formed once per fit in O(p²).
-
-The line search only drops coordinates, so an optimum where a weight changes
-sign is out of the exact step's reach, and coordinate descent alone may need
-tens of thousands of sweeps to get there. The last sweep, ``max_iter``,
-therefore always tries an exact step, and where its candidate fails the check
-only off the support it adds feature-sign search's activation: the worst
+solver also tries an exact step (the active sets of glmnet; feature-sign
+search, Lee, Battle, Raina & Ng, NIPS 2006): with the support and signs
+fixed, the optimum is one linear system, ``(Σ_AA + l2·I) w_A = c_A - l1·s``,
+where ``Σ`` and ``c`` are the Gram matrix and ``Xᵀy/N`` of the centred
+design and the intercept is ``ȳ - x̄·w``. Where the solution flips a sign,
+the step walks from ``w`` toward it up to the first coordinate that reaches
+zero, drops that coordinate and solves again. Where the solution meets the
+optimality (KKT) conditions on the support but not off it, the worst
 violator enters the support with the sign of its gradient, which lowers the
 objective from an optimum on the support, and the support is solved again,
-at most ``_ACTIVATIONS`` times.
+at most ``_ACTIVATIONS`` times; so the step also reaches an optimum where a
+weight changes sign, which coordinate descent alone may need tens of
+thousands of sweeps to get to. The candidate is kept only if every Cholesky
+factorization succeeds and every coordinate meets the conditions within
+``_KKT_RTOL·(l1 + max|c|)``: ``|c_j - (Σw)_j - l2·w_j - l1·s_j|`` on the
+support, ``|c_j - (Σw)_j| - l1`` off it. Then the fit stops at that sweep,
+converged, at an optimum, and the sweep's log entry is the candidate's
+objective. A rejected candidate changes nothing, so every iterate before an
+exit is the one coordinate descent alone gives; a collinear or singular
+support fails the factorization or the check. Each solve costs O(p³).
+Attempts run at sweeps 1, 2 and 4, where small designs already have their
+support, then every ``_EXACT_EVERY``-th sweep and at ``max_iter``, and only
+while the sweep's largest move is still at least ``tol``. ``Σ`` is
+``G - x̄x̄ᵀ`` and ``c`` is ``Xᵀy/N - ȳx̄``, formed once per fit in O(p²).
 """
 
 from __future__ import annotations
@@ -71,54 +60,27 @@ import numpy as np
 from ..errors import DimensionMismatch, EmptyWindows, InvalidSpec
 from .spec import DEFAULT_HYPERPARAMS, TrainLog
 
-_LOSS_BATCH = 32  # iterates per batch of the loss log
-_LOSS_RTOL = 1e-12  # largest rounding bound, relative, of a Gram-form objective
 _EXACT_EVERY = 8  # exact steps at the sweeps dividing it (1, 2, 4), then every 8th
 _KKT_RTOL = 1e-10  # optimality slack of an exact step, relative to l1 + max|c|
-_ACTIVATIONS = 100  # most coordinates the last sweep's exact step adds to the support
-_EPS = float(np.finfo(float).eps)
+_ACTIVATIONS = 100  # most coordinates an exact step adds to the support
 _DEFAULTS = DEFAULT_HYPERPARAMS["elastic_net"]  # fit_elastic_net's, read once
 
 
-def _objectives(X: np.ndarray, y: np.ndarray, gram: tuple, w_log: list,
-                b_log: list, alpha: float, l1_ratio: float) -> list[float]:
-    """Objective at each iterate, the weights ``w_log`` (rows laid end to end)
-    and intercepts ``b_log``: from ``gram = (G, Xᵀy/N, x̄, ȳ, yᵀy/N)``, or from
-    the residuals where those terms cancel too far."""
-    G, Xty, x_bar, y_bar, yty = gram
-    n, n_feat = X.shape
-    W = np.array(w_log).reshape(len(b_log), n_feat)
-    b = np.array(b_log)
-    terms = (yty, -2.0 * (W @ Xty), -2.0 * y_bar * b,
-             np.einsum("ij,ij->i", W @ G, W), 2.0 * b * (W @ x_bar), b * b)
-    sq = sum(terms)
-    bound = _EPS * (n_feat + 1) / _LOSS_RTOL * sum(map(np.abs, terms))
-    cancelled = np.flatnonzero(sq <= bound)
-    if len(cancelled):
-        R = X @ W[cancelled].T  # column k ends as Xw_k + b_k - y, the negated residual
-        R += b[cancelled]
-        R -= y[:, None]
-        sq[cancelled] = np.einsum("ij,ij->j", R, R) / n
-    return (0.5 * sq
-            + alpha * (l1_ratio * np.abs(W).sum(axis=1)
-                       + 0.5 * (1 - l1_ratio) * np.einsum("ij,ij->i", W, W))).tolist()
-
-
 def _exact_step(sigma: np.ndarray, c: np.ndarray, w: list, l1: float, l2: float,
-                eps: float, activations: int = 0) -> np.ndarray | None:
+                eps: float) -> np.ndarray | None:
     """The optimum on the support and signs of ``w``, or None if it is not one.
 
     Solves ``(Σ_AA + l2·I) w_A = c_A - l1·s`` by Cholesky for the support A
     and signs s of ``w``; a coordinate whose sign the solution flips leaves
     A by the line search. Keeps the solution only if every coordinate meets
     the optimality conditions within ``eps``. Where only coordinates off A
-    fail them, up to ``activations`` times the worst of those enters A with
+    fail them, up to ``_ACTIVATIONS`` times the worst of those enters A with
     the sign of its gradient, and A is solved again.
     """
     cand = np.array(w)
     support = np.flatnonzero(cand)
     signs = np.sign(cand[support])
-    for _ in range(activations + 1):
+    for _ in range(_ACTIVATIONS + 1):
         while len(support):
             try:
                 chol = np.linalg.cholesky(sigma[np.ix_(support, support)]
@@ -154,6 +116,15 @@ def _exact_step(sigma: np.ndarray, c: np.ndarray, w: list, l1: float, l2: float,
     return None
 
 
+def _objective(X: np.ndarray, y: np.ndarray, w: list, b: float, alpha: float,
+               l1_ratio: float) -> float:
+    """The objective at ``(w, b)``, from the residual."""
+    w = np.array(w)
+    r = X @ w + b - y
+    return float(0.5 * (r @ r) / len(y)
+                 + alpha * (l1_ratio * np.abs(w).sum() + 0.5 * (1 - l1_ratio) * (w @ w)))
+
+
 def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alpha"],
                     l1_ratio: float = _DEFAULTS["l1_ratio"], tol: float = _DEFAULTS["tol"],
                     max_iter: int = _DEFAULTS["max_iter"]):
@@ -177,26 +148,25 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alph
 
     n, n_feat = X.shape
     G = X.T @ X / n
-    gram = (G, X.T @ y / n, X.mean(axis=0), float(y.mean()), float(y @ y) / n)
-    Xty, x_bar, y_bar = gram[1].tolist(), gram[2].tolist(), gram[3]
-    col_sq = np.diag(G).tolist()
-    # the part of G's row j that the steps after step j read
-    G_after = [row[j + 1:] for j, row in enumerate(G.tolist())]
-    active = [j for j in range(n_feat) if col_sq[j] != 0.0]
+    Xty = X.T @ y / n
+    x_bar = X.mean(axis=0)
+    y_bar = float(y.mean())
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
     # the Gram matrix and Xᵀy/N of the centred design, for the exact step
-    sigma = G - np.outer(gram[2], gram[2])
-    c = gram[1] - y_bar * gram[2]
+    sigma = G - np.outer(x_bar, x_bar)
+    c = Xty - y_bar * x_bar
     eps = _KKT_RTOL * (l1 + np.abs(c).max(initial=0.0))
+    # the sweeps read these as Python floats
+    Xty, x_bar, col_sq = Xty.tolist(), x_bar.tolist(), np.diag(G).tolist()
+    # the part of G's row j that the steps after step j read
+    G_after = [row[j + 1:] for j, row in enumerate(G.tolist())]
+    active = [j for j in range(n_feat) if col_sq[j] != 0.0]
 
     w = [0.0] * n_feat
     b = 0.0
-    losses: list[float] = []
-    w_log = list(w)  # iterates whose objectives are pending, _LOSS_BATCH at a time
-    b_log = [b]
+    losses = [_objective(X, y, w, b, alpha, l1_ratio)]
     converged = False
-    sweeps = 0
     for sweeps in range(1, max_iter + 1):
         max_move = 0.0
         # G @ w, formed afresh each sweep so that the rounding of the
@@ -222,28 +192,18 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float = _DEFAULTS["alph
                 move = abs(delta)
                 if move > max_move:
                     max_move = move
-        w_log += w
-        b_log.append(b)
         if max_move < tol:
             converged = True
         elif sweeps % _EXACT_EVERY == 0 or _EXACT_EVERY % sweeps == 0 \
                 or sweeps == max_iter:
-            exact = _exact_step(sigma, c, w, l1, l2, eps,
-                                _ACTIVATIONS if sweeps == max_iter else 0)
+            exact = _exact_step(sigma, c, w, l1, l2, eps)
             if exact is not None:
                 w = exact.tolist()
                 b = y_bar - sum(map(mul, x_bar, w))
-                w_log[-n_feat:] = w
-                b_log[-1] = b
                 converged = True
-        if len(b_log) == _LOSS_BATCH:
-            losses += _objectives(X, y, gram, w_log, b_log, alpha, l1_ratio)
-            w_log.clear()
-            b_log.clear()
+        losses.append(_objective(X, y, w, b, alpha, l1_ratio))
         if converged:
             break
-    if b_log:
-        losses += _objectives(X, y, gram, w_log, b_log, alpha, l1_ratio)
     w = np.array(w)
     if not converged:
         warnings.warn(f"coordinate descent did not converge in {max_iter} sweeps "

@@ -83,6 +83,14 @@ class TestLoadCsv:
         save_csv(load_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_byte_order_mark_loads_as_the_plain_file(self, tmp_path, small_frame):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        plain, marked, again = tmp_path / "a.csv", tmp_path / "bom.csv", tmp_path / "b.csv"
+        save_csv(small_frame[0], plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        save_csv(load_csv(marked), again)
+        assert again.read_bytes() == plain.read_bytes()
+
     def test_gaps_survive_round_trip(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2023-01-01T00:00:00+00:00",
                                            "2023-01-01T00:30:00+00:00",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from denitlab.dataset import COVARIATES, apply_scaler, fit_scaler, make_final_split
 from denitlab.errors import DimensionMismatch, InvalidSpec
-from denitlab.models import ModelSpec, elastic_net, spec_windows, stack_inputs, \
-    training_targets
+from denitlab.models import DEFAULT_HYPERPARAMS, ModelSpec, spec_windows, \
+    stack_inputs, training_targets
 from denitlab.models.elastic_net import fit_elastic_net, predict_linear
 from denitlab.pipeline import prepare_frame
 from denitlab.synthpilot import SynthConfig, generate
@@ -223,9 +223,9 @@ def test_covariance_updates_match_residual_updates(channels, h, zero_column,
     w, b, log, converged = fit_elastic_net(X, y, alpha=alpha, l1_ratio=l1_ratio,
                                            tol=tol, max_iter=max_iter)
     assert conv_ref == (max_iter > 7)
-    # the exact step may end the fit early, and the last sweep's ends even the
-    # 7-sweep fit; every sweep before its exit is the oracle's, and the exit is
-    # an optimum at least as good as the oracle's stop
+    # the exact step may end the fit early, the 7-sweep fit too; every sweep
+    # before its exit is the oracle's, and the exit is an optimum at least as
+    # good as the oracle's stop
     assert converged and log.stop_reason == "converged"
     assert log.stopped_at <= sweeps_ref
     np.testing.assert_allclose(log.train_loss[:log.stopped_at],
@@ -253,10 +253,12 @@ def test_exactly_collinear_design_converges_like_residual_updates():
     assert log.train_loss[-1] < 1e-24
 
 
-# sha256 of (w, b, stopped_at, converged) over the 5,000-sweep fits of the
-# grid of test_covariance_updates_match_residual_updates, recorded with the
-# exact step and unchanged by the last sweep's activation step
-RECORDED_GRID_DIGEST = "a5cccbfbe1ec4c85fe2bd2896adeba87e365c9e11805fa28e71b8233825614e5"
+# sha256 of (w, b, converged) over the 5,000-sweep fits of the grid of
+# test_covariance_updates_match_residual_updates, recorded with the exact step
+# tried only on the support and signs coordinate descent had found (the fits
+# ended at sweeps 1 to 704); an exact step that may also activate coordinates
+# ends each of them at sweep 1 at the same bits
+RECORDED_GRID_DIGEST = "89239c114afc6da8e943b95e734a4a6bf6a7a85342cf6a8d35697129bc9b0a41"
 
 
 def test_solve_bit_identical_to_recorded_digest():
@@ -268,39 +270,25 @@ def test_solve_bit_identical_to_recorded_digest():
                                   zero_column=zero_column)
             w, b, log, converged = fit_elastic_net(
                 X, y, alpha=1e-2, l1_ratio=l1_ratio, tol=1e-7, max_iter=5000)
-            assert converged
+            assert converged and log.stopped_at == 1
             assert _scaled_gap(X, y, w, b, 1e-2, l1_ratio) <= 1e-12
             digest.update(w.tobytes())
             digest.update(np.float64(b).tobytes())
-            digest.update(str((log.stopped_at, converged)).encode())
+            digest.update(str(converged).encode())
     assert digest.hexdigest() == RECORDED_GRID_DIGEST
 
 
-@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6])
-def test_near_exact_fit_log_matches_residual_form(monkeypatch, noise):
-    # the Gram-form objective cancels as the residual vanishes; every logged
-    # entry must still equal the residual form at the same iterate
+def test_default_fit_logs_the_residual_objective_of_its_two_iterates():
+    # p = 12: the first sweep finds the support, and the exact step there
+    # reaches the optimum (with the exact step tried only on the support
+    # found, this fit ran 24 sweeps); entry 0 is zero weights and intercept
     X, y = _lagged_design(33, 3, 3)
-    rng = np.random.default_rng(4)
-    y = X @ rng.normal(size=X.shape[1]) + 0.3 + noise * rng.normal(size=len(y))
-    residual_form = []
-    objectives = elastic_net._objectives
-
-    def spy(X, y, gram, w_log, b_log, alpha, l1_ratio):
-        # the objectives of the same batch of iterates from their residuals,
-        # in one product as the log took them before it used the Gram terms
-        R = X @ np.reshape(w_log, (len(b_log), -1)).T + np.array(b_log) - y[:, None]
-        residual_form.extend(0.5 * np.einsum("ij,ij->j", R, R) / len(y))
-        return objectives(X, y, gram, w_log, b_log, alpha, l1_ratio)
-
-    monkeypatch.setattr(elastic_net, "_objectives", spy)
-    _, _, log, converged = fit_elastic_net(X, y, alpha=0.0, tol=1e-12, max_iter=5000)
-    assert converged
-    np.testing.assert_allclose(log.train_loss, residual_form, rtol=1e-12, atol=0)
-    # entry 0 is taken from the Gram terms; the last entries, whose residual
-    # sum is below the rounding bound of yᵀy/N alone, fall back to the residuals
-    bound = elastic_net._EPS * (X.shape[1] + 1) / elastic_net._LOSS_RTOL * (y @ y) / len(y)
-    assert 2 * residual_form[0] > bound > 2 * residual_form[-1]
+    hp = DEFAULT_HYPERPARAMS["elastic_net"]
+    w, b, log, converged = fit_elastic_net(X, y)
+    assert converged and log.stopped_at == 1
+    expected = [_objective(X, y, np.zeros(X.shape[1]), 0.0, hp["alpha"], hp["l1_ratio"]),
+                _objective(X, y, w, b, hp["alpha"], hp["l1_ratio"])]
+    np.testing.assert_allclose(log.train_loss, expected, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +350,8 @@ def test_paper_scale_fit_converges_to_an_exact_optimum():
 def test_sign_change_optimum_ends_by_activation():
     # 4 rows, 6 columns: the optimum needs a weight to change sign, which the
     # exact step's line search cannot do and coordinate descent does only in
-    # about 24,000 sweeps; the last sweep's activation step reaches it
+    # about 24,000 sweeps; the first sweep's exact step reaches it by
+    # activation
     rng = np.random.default_rng(3)
     X = rng.normal(size=(4, 6))
     y = rng.normal(size=4)
@@ -371,7 +360,7 @@ def test_sign_change_optimum_ends_by_activation():
         warnings.simplefilter("error", RuntimeWarning)
         w, b, log, converged = fit_elastic_net(X, y, alpha=alpha, l1_ratio=l1_ratio)
     assert converged and log.stop_reason == "converged"
-    assert log.stopped_at == 2000
+    assert log.stopped_at == 1
     assert stationarity_gap(X, y, w, b, alpha, l1_ratio) < 1e-8
     w_cd, b_cd, _, _, conv_cd = _residual_update_fit(X, y, alpha, l1_ratio, 1e-6, 2000)
     assert not conv_cd
